@@ -2,27 +2,19 @@
 """Desk-scale reproduction of the two result figures.
 
 Runs the per-user MI sweep (fig1), the sum-MI sweep at fixed total power
-(fig2a), and the power-ratio sweep at 30 dB (fig2b), writing CSV + JSON
-sidecars into the chosen output directory. Equivalent to the `sm-noma`
-CLI with default configs; kept as a single script for convenience.
+(fig2a), and the power-ratio sweep at 30 dB (fig2b) through the `sm-noma`
+CLI with its default configs, writing CSV + JSON sidecars into the chosen
+output directory.
 """
 
 import argparse
 import time
 from pathlib import Path
 
-from sm_noma.runner import (
-    figure1_config,
-    figure2a_config,
-    figure2b_config,
-    run_figure1,
-    run_figure2a,
-    run_figure2b,
-    write_curves,
-)
+from sm_noma.cli import main as sm_noma
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", type=Path)
     parser.add_argument("--seed", default=0, type=int)
@@ -30,19 +22,16 @@ def main() -> None:
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [
-        ("fig1", figure1_config, run_figure1, "snr_db"),
-        ("fig2a", figure2a_config, run_figure2a, "snr_db"),
-        ("fig2b", figure2b_config, run_figure2b, "power_ratio"),
-    ]
-    for name, make_config, run, x_axis in jobs:
-        config = make_config(seed=args.seed, realizations=args.realizations)
-        start = time.time()
-        curves = run(config)
+    for name in ("fig1", "fig2a", "fig2b"):
         out = args.out_dir / f"{name}.csv"
-        write_curves(out, curves, config, x_axis=x_axis)
-        print(f"{name}: {len(curves)} curves -> {out} ({time.time() - start:.1f}s)")
+        start = time.time()
+        code = sm_noma([name, "--seed", str(args.seed),
+                        "--realizations", str(args.realizations), "--out", str(out)])
+        if code != 0:
+            return code
+        print(f"{name}: {out} ({time.time() - start:.1f}s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

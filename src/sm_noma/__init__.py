@@ -38,7 +38,7 @@ from .mi import (
     mi_lower_bound_k2,
     sum_mi,
 )
-from .baselines import BaselineKind, miso_noma_mi, sm_tdma_mi
+from .baselines import MisoNoma, SmTdma, miso_noma_mi, sm_tdma_mi
 from .runner import (
     ConfigError,
     ExperimentConfig,

@@ -11,7 +11,7 @@ SM mutual information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +20,28 @@ from .system import ChannelRealization, SystemConfig
 
 
 @dataclass(frozen=True)
-class BaselineKind:
-    """Tagged baseline selector: 'miso_noma' or 'sm_tdma' plus its parameters."""
+class MisoNoma:
+    """MISO-NOMA baseline: each user's symbol over the first M' antennas."""
 
-    variant: str
-    params: dict = field(default_factory=dict)
+    num_tx_antennas: int = 2
 
     def __post_init__(self):
-        if self.variant == "miso_noma":
-            m = self.params.get("num_tx_antennas", 2)
-            if m < 1:
-                raise ValueError("miso_noma needs num_tx_antennas >= 1")
-        elif self.variant == "sm_tdma":
-            shares = self.params.get("time_shares")
-            if shares is not None:
-                if any(not (0.0 < s < 1.0) for s in shares) or abs(
-                    sum(shares) - 1.0
-                ) > 1e-12:
-                    raise ValueError(
-                        "sm_tdma time shares must lie in (0, 1) and sum to 1"
-                    )
-        else:
-            raise ValueError(f"unknown baseline variant {self.variant!r}")
+        if self.num_tx_antennas < 1:
+            raise ValueError("miso_noma needs num_tx_antennas >= 1")
+
+
+@dataclass(frozen=True)
+class SmTdma:
+    """SM-TDMA baseline: user k owns the fraction time_shares[k-1] of the frame."""
+
+    time_shares: tuple[float, ...] = (0.5, 0.5)
+
+    def __post_init__(self):
+        object.__setattr__(self, "time_shares", tuple(self.time_shares))
+        if any(not (0.0 < s < 1.0) for s in self.time_shares) or abs(
+            sum(self.time_shares) - 1.0
+        ) > 1e-12:
+            raise ValueError("sm_tdma time shares must lie in (0, 1) and sum to 1")
 
 
 def miso_noma_effective_gain(

@@ -14,7 +14,6 @@ from .runner import (
     ConfigError,
     ExperimentConfig,
     figure1_config,
-    figure2a_config,
     figure2b_config,
     load_config,
     run_figure1,
@@ -52,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {
     "fig1": figure1_config,
-    "fig2a": figure2a_config,
+    "fig2a": figure1_config,
     "fig2b": figure2b_config,
     "props": figure1_config,
 }

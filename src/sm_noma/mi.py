@@ -139,21 +139,12 @@ def mi_lower_bound_k2(
     return math.log2(n1) - LOG2E - float(np.mean(np.log2(inner)))
 
 
-def asymptotes(
-    config: SystemConfig, r: int, k: int, avg_gain_sq: float = 0.0
-) -> AsymptoteReport:
-    """Low/high-SNR limits for K = 2.
-
-    avg_gain_sq carries the averaged squared gain used in the high-SNR
-    derivation; the limits themselves are gain-independent, so it is kept
-    for diagnostics only.
-    """
+def asymptotes(config: SystemConfig, r: int, k: int) -> AsymptoteReport:
+    """Low/high-SNR limits for K = 2; they do not depend on the channel gains."""
     if config.num_users != 2:
         raise ValueError("asymptotic analysis covers only K = 2")
     if not (1 <= k <= r <= 2):
         raise ValueError(f"invalid decoder/message pair ({r}, {k}) for K = 2")
-    if avg_gain_sq < 0:
-        raise ValueError("avg_gain_sq must be nonnegative")
     if k == 2:
         shift = 1.0 - LOG2E
         return AsymptoteReport(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gmd
-from .baselines import BaselineKind, miso_noma_mi, sm_tdma_mi
+from .baselines import MisoNoma, SmTdma, miso_noma_mi, sm_tdma_mi
 from .mi import asymptotes, mi_exact, mi_lower_bound_k2
 from .system import (
     ChannelRealization,
@@ -44,12 +45,18 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def _require_finite(name: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class FixedPowerSplit:
     alpha1_sq: float
     alpha2_sq: float
 
     def __post_init__(self):
+        _require_finite("power levels", self.alpha1_sq, self.alpha2_sq)
         if self.alpha1_sq < 0 or self.alpha2_sq < 0:
             raise ConfigError("power levels must be nonnegative")
 
@@ -61,6 +68,7 @@ class TotalPowerSweep:
 
     def __post_init__(self):
         object.__setattr__(self, "ratio_grid", tuple(float(r) for r in self.ratio_grid))
+        _require_finite("total power and ratio grid", self.total, *self.ratio_grid)
         if self.total <= 0:
             raise ConfigError("total power must be positive")
         if not self.ratio_grid or any(r < 0 for r in self.ratio_grid):
@@ -70,47 +78,6 @@ class TotalPowerSweep:
         """alpha1^2 : alpha2^2 = ratio with alpha1^2 + alpha2^2 = total."""
         a2 = self.total / (1.0 + ratio)
         return self.total - a2, a2
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    system: SystemConfig
-    snr_grid_db: tuple[float, ...]
-    power_split: FixedPowerSplit | TotalPowerSweep
-    realizations: int = 200
-    mc_samples: int = 10**6
-    quadrature_tolerance: float = 1e-10
-    seed: int = 0
-    baselines: tuple[BaselineKind, ...] = ()
-    output_path: str | None = None
-    method: str = "quadrature"
-
-    def __post_init__(self):
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        if not self.snr_grid_db:
-            raise ConfigError("snr_grid_db must be nonempty")
-        if any(b >= a for a, b in zip(self.snr_grid_db[1:], self.snr_grid_db)):
-            raise ConfigError("snr_grid_db must be strictly increasing")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be >= 1")
-        if self.quadrature_tolerance <= 0:
-            raise ConfigError("quadrature_tolerance must be positive")
-        if self.method not in ("quadrature", "montecarlo"):
-            raise ConfigError(f"unknown method {self.method!r}")
-
-    @property
-    def entropy_method(self) -> str:
-        return "radial_quadrature" if self.method == "quadrature" else "monte_carlo"
-
-
-@dataclass(frozen=True)
-class MiCurve:
-    """One labeled curve: (x, mean bits, std error bits) per grid point."""
-
-    label: str
-    points: tuple[tuple[float, float, float], ...]
 
 
 def default_snr_grid() -> tuple[float, ...]:
@@ -129,37 +96,72 @@ def default_system(alpha1_sq: float = 4.0, alpha2_sq: float = 1.0) -> SystemConf
     )
 
 
-def default_baselines() -> tuple[BaselineKind, ...]:
-    return (
-        BaselineKind("miso_noma", {"num_tx_antennas": 2}),
-        BaselineKind("sm_tdma", {"time_shares": (0.5, 0.5)}),
-    )
+@dataclass(frozen=True)
+class ExperimentConfig:
+    system: SystemConfig = default_system()
+    snr_grid_db: tuple[float, ...] = default_snr_grid()
+    power_split: FixedPowerSplit | TotalPowerSweep = FixedPowerSplit(4.0, 1.0)
+    realizations: int = 200
+    mc_samples: int = 10**6
+    quadrature_tolerance: float = 1e-10
+    seed: int = 0
+    baselines: tuple[MisoNoma | SmTdma, ...] = ()
+    output_path: str | None = None
+    method: str = "quadrature"
+
+    def __post_init__(self):
+        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        if not self.snr_grid_db:
+            raise ConfigError("snr_grid_db must be nonempty")
+        _require_finite("snr_grid_db", *self.snr_grid_db)
+        if any(b >= a for a, b in zip(self.snr_grid_db[1:], self.snr_grid_db)):
+            raise ConfigError("snr_grid_db must be strictly increasing")
+        for name in ("realizations", "mc_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.realizations < 1:
+            raise ConfigError("realizations must be >= 1")
+        if self.mc_samples < 1:
+            raise ConfigError("mc_samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        _require_finite("quadrature_tolerance", self.quadrature_tolerance)
+        if self.quadrature_tolerance <= 0:
+            raise ConfigError("quadrature_tolerance must be positive")
+        if self.method not in ("quadrature", "montecarlo"):
+            raise ConfigError(f"unknown method {self.method!r}")
+        if len({type(b) for b in self.baselines}) < len(self.baselines):
+            raise ConfigError("at most one baseline of each variant")
+
+    @property
+    def entropy_method(self) -> str:
+        return "radial_quadrature" if self.method == "quadrature" else "monte_carlo"
+
+
+@dataclass(frozen=True)
+class MiCurve:
+    """One labeled curve: (x, mean bits, std error bits) per grid point."""
+
+    label: str
+    points: tuple[tuple[float, float, float], ...]
+
+
+def default_baselines() -> tuple[MisoNoma | SmTdma, ...]:
+    return (MisoNoma(), SmTdma())
 
 
 def figure1_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        system=default_system(4.0, 1.0),
-        snr_grid_db=default_snr_grid(),
-        power_split=FixedPowerSplit(4.0, 1.0),
-        baselines=default_baselines(),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def figure2a_config(**overrides) -> ExperimentConfig:
-    return figure1_config(**overrides)
+    """Figures 1 and 2(a): the default SNR grid and 4:1 split, both baselines."""
+    return ExperimentConfig(**{"baselines": default_baselines(), **overrides})
 
 
 def figure2b_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        system=default_system(4.0, 1.0),
-        snr_grid_db=(30.0,),
-        power_split=TotalPowerSweep(5.0, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)),
-        baselines=(),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**{
+        "snr_grid_db": (30.0,),
+        "power_split": TotalPowerSweep(5.0, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)),
+        **overrides,
+    })
 
 
 def _at_snr(system: SystemConfig, snr_db: float, powers: tuple[float, float]) -> SystemConfig:
@@ -170,12 +172,6 @@ def _at_snr(system: SystemConfig, snr_db: float, powers: tuple[float, float]) ->
         noise_power=1.0,
         signal_power=10.0 ** (snr_db / 10.0),
     )
-
-
-def _fixed_powers(config: ExperimentConfig) -> tuple[float, float]:
-    if not isinstance(config.power_split, FixedPowerSplit):
-        raise ConfigError("this figure needs a fixed power split")
-    return (config.power_split.alpha1_sq, config.power_split.alpha2_sq)
 
 
 def _mean_curves(
@@ -202,17 +198,6 @@ def _mean_curves(
     return curves
 
 
-def _baseline_params(config: ExperimentConfig) -> tuple[int | None, tuple[float, ...] | None]:
-    miso_m = None
-    tdma_shares = None
-    for b in config.baselines:
-        if b.variant == "miso_noma":
-            miso_m = b.params.get("num_tx_antennas", 2)
-        elif b.variant == "sm_tdma":
-            tdma_shares = tuple(b.params.get("time_shares", (0.5, 0.5)))
-    return miso_m, tdma_shares
-
-
 def _require_paired_sm(config: ExperimentConfig) -> None:
     if config.system.num_users != 2:
         raise ConfigError("figure reproduction needs K = 2")
@@ -228,100 +213,85 @@ def _draw_realizations(config: ExperimentConfig) -> list[ChannelRealization]:
     ]
 
 
-def _mi_value(
-    realization: ChannelRealization,
-    system: SystemConfig,
-    r: int,
-    k: int,
+# Curve labels of each baseline, in output order: per user k, and the sum.
+_BASELINE_LABELS = {
+    MisoNoma: ("MISO-NOMA I({k},{k})", "MISO-NOMA sum"),
+    SmTdma: ("SM-TDMA I({k})", "SM-TDMA sum"),
+}
+
+
+def _sweep(
     config: ExperimentConfig,
-    rng_key: tuple[int, ...],
-) -> float:
-    rng = None
-    if config.method == "montecarlo":
-        rng = substream(config.seed, _TAG_MC, *rng_key)
-    return mi_exact(
-        realization,
-        system,
-        r,
-        k,
-        config.entropy_method,
-        rng=rng,
-        samples=config.mc_samples,
-        tolerance=config.quadrature_tolerance,
-    ).mi_exact.value
+    systems: list[SystemConfig],
+    lower_bound: bool,
+    baselines: list[MisoNoma | SmTdma],
+) -> dict:
+    """Per-user quantities over (user k, realization i, grid point j).
+
+    Returns one (2, R, G) array per quantity: "I" holds I(k,k) (Monte Carlo
+    substream key (i, j, k-1)), "I_LB" the closed-form I_LB(k,k) when
+    lower_bound is set, and each baseline object its per-user MI. Grid
+    point j is evaluated on systems[j].
+    """
+    rows = {key: np.zeros((2, config.realizations, len(systems)))
+            for key in ["I", *(["I_LB"] if lower_bound else []), *baselines]}
+    for i, realization in enumerate(_draw_realizations(config)):
+        for j, system in enumerate(systems):
+            for k in (1, 2):
+                rng = None
+                if config.method == "montecarlo":
+                    rng = substream(config.seed, _TAG_MC, i, j, k - 1)
+                rows["I"][k - 1, i, j] = mi_exact(
+                    realization, system, k, k, config.entropy_method,
+                    rng=rng, samples=config.mc_samples,
+                    tolerance=config.quadrature_tolerance,
+                ).mi_exact.value
+                if lower_bound:
+                    rows["I_LB"][k - 1, i, j] = mi_lower_bound_k2(realization, system, k, k)
+                for b in baselines:
+                    if isinstance(b, MisoNoma):
+                        value = miso_noma_mi(realization, system, k, k, b.num_tx_antennas)
+                    else:
+                        value = sm_tdma_mi(realization, system, k, b.time_shares[k - 1],
+                                           tolerance=config.quadrature_tolerance)
+                    rows[b][k - 1, i, j] = value
+    return rows
+
+
+def _snr_sweep(
+    config: ExperimentConfig, lower_bound: bool
+) -> tuple[dict, list[MisoNoma | SmTdma]]:
+    """The sweep over the SNR grid at the fixed power split, with the
+    configured baselines in curve order."""
+    _require_paired_sm(config)
+    if not isinstance(config.power_split, FixedPowerSplit):
+        raise ConfigError("this figure needs a fixed power split")
+    powers = (config.power_split.alpha1_sq, config.power_split.alpha2_sq)
+    systems = [_at_snr(config.system, snr_db, powers) for snr_db in config.snr_grid_db]
+    baselines = [b for kind in _BASELINE_LABELS for b in config.baselines if type(b) is kind]
+    return _sweep(config, systems, lower_bound, baselines), baselines
 
 
 def run_figure1(config: ExperimentConfig) -> list[MiCurve]:
     """Per-user MI of SM-NOMA and baselines plus the closed-form lower bounds,
     on the SNR grid with a fixed power split."""
-    _require_paired_sm(config)
-    powers = _fixed_powers(config)
-    realizations = _draw_realizations(config)
-    miso_m, tdma_shares = _baseline_params(config)
-
-    labels = ["SM-NOMA I(1,1)", "SM-NOMA I(2,2)",
-              "SM-NOMA I_LB(1,1)", "SM-NOMA I_LB(2,2)",
-              "SM-NOMA I_LB+(1,1)", "SM-NOMA I_LB+(2,2)"]
-    if miso_m is not None:
-        labels += ["MISO-NOMA I(1,1)", "MISO-NOMA I(2,2)"]
-    if tdma_shares is not None:
-        labels += ["SM-TDMA I(1)", "SM-TDMA I(2)"]
-    rows = {lab: np.zeros((config.realizations, len(config.snr_grid_db))) for lab in labels}
-
-    for i, realization in enumerate(realizations):
-        for j, snr_db in enumerate(config.snr_grid_db):
-            system = _at_snr(config.system, snr_db, powers)
-            rows["SM-NOMA I(1,1)"][i, j] = _mi_value(realization, system, 1, 1, config, (i, j, 0))
-            rows["SM-NOMA I(2,2)"][i, j] = _mi_value(realization, system, 2, 2, config, (i, j, 1))
-            lb11 = mi_lower_bound_k2(realization, system, 1, 1)
-            lb22 = mi_lower_bound_k2(realization, system, 2, 2)
-            rows["SM-NOMA I_LB(1,1)"][i, j] = lb11
-            rows["SM-NOMA I_LB(2,2)"][i, j] = lb22
-            rows["SM-NOMA I_LB+(1,1)"][i, j] = max(lb11, 0.0)
-            rows["SM-NOMA I_LB+(2,2)"][i, j] = max(lb22, 0.0)
-            if miso_m is not None:
-                rows["MISO-NOMA I(1,1)"][i, j] = miso_noma_mi(realization, system, 1, 1, miso_m)
-                rows["MISO-NOMA I(2,2)"][i, j] = miso_noma_mi(realization, system, 2, 2, miso_m)
-            if tdma_shares is not None:
-                for k in (1, 2):
-                    rows[f"SM-TDMA I({k})"][i, j] = sm_tdma_mi(
-                        realization, system, k, tdma_shares[k - 1],
-                        tolerance=config.quadrature_tolerance,
-                    )
-    return _mean_curves(rows, config.snr_grid_db)
+    rows, baselines = _snr_sweep(config, lower_bound=True)
+    rows["I_LB+"] = np.maximum(rows["I_LB"], 0.0)
+    curves = {f"SM-NOMA {name}({k},{k})": rows[name][k - 1]
+              for name in ("I", "I_LB", "I_LB+") for k in (1, 2)}
+    for b in baselines:
+        for k in (1, 2):
+            curves[_BASELINE_LABELS[type(b)][0].format(k=k)] = rows[b][k - 1]
+    return _mean_curves(curves, config.snr_grid_db)
 
 
 def run_figure2a(config: ExperimentConfig) -> list[MiCurve]:
     """Sum MI of SM-NOMA and baselines on the SNR grid at a fixed total power."""
-    _require_paired_sm(config)
-    powers = _fixed_powers(config)
-    realizations = _draw_realizations(config)
-    miso_m, tdma_shares = _baseline_params(config)
-
-    labels = ["SM-NOMA sum"]
-    if miso_m is not None:
-        labels.append("MISO-NOMA sum")
-    if tdma_shares is not None:
-        labels.append("SM-TDMA sum")
-    rows = {lab: np.zeros((config.realizations, len(config.snr_grid_db))) for lab in labels}
-
-    for i, realization in enumerate(realizations):
-        for j, snr_db in enumerate(config.snr_grid_db):
-            system = _at_snr(config.system, snr_db, powers)
-            i11 = _mi_value(realization, system, 1, 1, config, (i, j, 0))
-            i22 = _mi_value(realization, system, 2, 2, config, (i, j, 1))
-            rows["SM-NOMA sum"][i, j] = i11 + i22
-            if miso_m is not None:
-                rows["MISO-NOMA sum"][i, j] = miso_noma_mi(
-                    realization, system, 1, 1, miso_m
-                ) + miso_noma_mi(realization, system, 2, 2, miso_m)
-            if tdma_shares is not None:
-                rows["SM-TDMA sum"][i, j] = sum(
-                    sm_tdma_mi(realization, system, k, tdma_shares[k - 1],
-                               tolerance=config.quadrature_tolerance)
-                    for k in (1, 2)
-                )
-    return _mean_curves(rows, config.snr_grid_db)
+    rows, baselines = _snr_sweep(config, lower_bound=False)
+    curves = {"SM-NOMA sum": rows["I"][0] + rows["I"][1]}
+    for b in baselines:
+        curves[_BASELINE_LABELS[type(b)][1]] = rows[b][0] + rows[b][1]
+    return _mean_curves(curves, config.snr_grid_db)
 
 
 def run_figure2b(config: ExperimentConfig) -> list[MiCurve]:
@@ -332,20 +302,12 @@ def run_figure2b(config: ExperimentConfig) -> list[MiCurve]:
         raise ConfigError("figure 2(b) needs a total_power_sweep power split")
     if len(config.snr_grid_db) != 1:
         raise ConfigError("figure 2(b) fixes a single SNR point")
-    snr_db = config.snr_grid_db[0]
     sweep = config.power_split
-    realizations = _draw_realizations(config)
-
-    rows = {
-        "SM-NOMA I(1,1)": np.zeros((config.realizations, len(sweep.ratio_grid))),
-        "SM-NOMA I(2,2)": np.zeros((config.realizations, len(sweep.ratio_grid))),
-    }
-    for i, realization in enumerate(realizations):
-        for j, ratio in enumerate(sweep.ratio_grid):
-            system = _at_snr(config.system, snr_db, sweep.split(ratio))
-            rows["SM-NOMA I(1,1)"][i, j] = _mi_value(realization, system, 1, 1, config, (i, j, 0))
-            rows["SM-NOMA I(2,2)"][i, j] = _mi_value(realization, system, 2, 2, config, (i, j, 1))
-    return _mean_curves(rows, sweep.ratio_grid)
+    systems = [_at_snr(config.system, config.snr_grid_db[0], sweep.split(ratio))
+               for ratio in sweep.ratio_grid]
+    mi = _sweep(config, systems, lower_bound=False, baselines=[])["I"]
+    return _mean_curves({"SM-NOMA I(1,1)": mi[0], "SM-NOMA I(2,2)": mi[1]},
+                        sweep.ratio_grid)
 
 
 @dataclass(frozen=True)
@@ -548,11 +510,9 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     idx = np.column_stack([rng.integers(1, n + 1, size=draws) for n in sizes])
     noise = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) \
         * math.sqrt(system.noise_power / 2.0)
-    power = float(np.mean(np.abs([
-        simulate_received_symbol(realization, system, 1, 1, symbols[d],
-                                 tuple(idx[d]), noise[d])
-        for d in range(draws)
-    ]) ** 2))
+    power = float(np.mean(np.abs(
+        simulate_received_symbol(realization, system, 1, 1, symbols, idx, noise)
+    ) ** 2))
     rel = abs(power - mix.mean_power) / mix.mean_power
     record("received_second_moment", rel < 0.01,
            f"relative deviation {rel:.4f} (tolerance 0.01)")
@@ -560,27 +520,32 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     return PropertyReport(tuple(results))
 
 
-def _power_split_dict(split: FixedPowerSplit | TotalPowerSweep) -> dict:
-    if isinstance(split, FixedPowerSplit):
-        return {"mode": "fixed", "alpha1_sq": split.alpha1_sq, "alpha2_sq": split.alpha2_sq}
-    return {"mode": "total_power_sweep", "total": split.total,
-            "ratio_grid": list(split.ratio_grid)}
+# The union-typed config fields: the name used in errors, the JSON key that
+# names the member, and the member class of each tag value.
+_TAGGED = {
+    "power_split": ("power_split", "mode",
+                    {"fixed": FixedPowerSplit, "total_power_sweep": TotalPowerSweep}),
+    "baselines": ("baseline", "variant", {"miso_noma": MisoNoma, "sm_tdma": SmTdma}),
+}
+_TAG_OF = {cls: (key, tag)
+           for _, key, members in _TAGGED.values() for tag, cls in members.items()}
+
+
+def _to_plain(value):
+    if is_dataclass(value):
+        plain = {}
+        if type(value) in _TAG_OF:
+            key, tag = _TAG_OF[type(value)]
+            plain[key] = tag
+        plain.update((f.name, _to_plain(getattr(value, f.name))) for f in fields(value))
+        return plain
+    if isinstance(value, tuple):
+        return [_to_plain(v) for v in value]
+    return value
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "system": asdict(config.system),
-        "snr_grid_db": list(config.snr_grid_db),
-        "power_split": _power_split_dict(config.power_split),
-        "realizations": config.realizations,
-        "mc_samples": config.mc_samples,
-        "quadrature_tolerance": config.quadrature_tolerance,
-        "seed": config.seed,
-        "baselines": [{"variant": b.variant, "params": dict(b.params)}
-                      for b in config.baselines],
-        "output_path": config.output_path,
-        "method": config.method,
-    }
+    return _to_plain(config)
 
 
 def _reject_unknown(data: dict, allowed: set[str], context: str) -> None:
@@ -589,61 +554,45 @@ def _reject_unknown(data: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _from_plain(cls, data, context: str, base=None):
+    """Build `cls` from a JSON object. Unknown keys are rejected; missing keys
+    keep the field defaults, or the values of `base`. Lists become tuples and
+    nested or tagged objects are built the same way."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    _reject_unknown(data, set(defaults), context)
+    values = {}
+    for name, value in data.items():
+        if name in _TAGGED:
+            value = (tuple(_from_tagged(name, v) for v in value)
+                     if isinstance(defaults[name], tuple) else _from_tagged(name, value))
+        elif is_dataclass(defaults[name]):
+            value = _from_plain(type(defaults[name]), value, name, defaults[name])
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[name] = value
+    return cls(**values) if base is None else replace(base, **values)
+
+
+def _from_tagged(field_name: str, data):
+    context, key, members = _TAGGED[field_name]
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    data = dict(data)
+    tag = data.pop(key, None)
+    if tag not in members:
+        raise ConfigError(f"{context} {key} must be one of {sorted(members)}, got {tag!r}")
+    return _from_plain(members[tag], data, context)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a plain dict; unknown keys rejected."""
-    _reject_unknown(data, {
-        "system", "snr_grid_db", "power_split", "realizations", "mc_samples",
-        "quadrature_tolerance", "seed", "baselines", "output_path", "method",
-    }, "config")
     try:
-        sys_data = dict(data.get("system", {}))
-        _reject_unknown(sys_data, {
-            "num_tx_antennas", "num_users", "codebook_sizes", "power_levels",
-            "signal_power", "noise_power",
-        }, "system")
-        defaults = default_system()
-        system = SystemConfig(
-            num_tx_antennas=sys_data.get("num_tx_antennas", defaults.num_tx_antennas),
-            num_users=sys_data.get("num_users", defaults.num_users),
-            codebook_sizes=tuple(sys_data.get("codebook_sizes", defaults.codebook_sizes)),
-            power_levels=tuple(sys_data.get("power_levels", defaults.power_levels)),
-            signal_power=sys_data.get("signal_power", defaults.signal_power),
-            noise_power=sys_data.get("noise_power", defaults.noise_power),
-        )
-        split_data = dict(data.get("power_split", {"mode": "fixed",
-                                                   "alpha1_sq": 4.0, "alpha2_sq": 1.0}))
-        mode = split_data.pop("mode", None)
-        if mode == "fixed":
-            _reject_unknown(split_data, {"alpha1_sq", "alpha2_sq"}, "power_split")
-            split: FixedPowerSplit | TotalPowerSweep = FixedPowerSplit(**split_data)
-        elif mode == "total_power_sweep":
-            _reject_unknown(split_data, {"total", "ratio_grid"}, "power_split")
-            split = TotalPowerSweep(split_data["total"], tuple(split_data["ratio_grid"]))
-        else:
-            raise ConfigError(f"power_split mode must be 'fixed' or "
-                              f"'total_power_sweep', got {mode!r}")
-        baselines = []
-        for b in data.get("baselines", []):
-            _reject_unknown(dict(b), {"variant", "params"}, "baseline")
-            params = dict(b.get("params", {}))
-            if "time_shares" in params:
-                params["time_shares"] = tuple(params["time_shares"])
-            baselines.append(BaselineKind(b["variant"], params))
-        return ExperimentConfig(
-            system=system,
-            snr_grid_db=tuple(data.get("snr_grid_db", default_snr_grid())),
-            power_split=split,
-            realizations=data.get("realizations", 200),
-            mc_samples=data.get("mc_samples", 10**6),
-            quadrature_tolerance=data.get("quadrature_tolerance", 1e-10),
-            seed=data.get("seed", 0),
-            baselines=tuple(baselines),
-            output_path=data.get("output_path"),
-            method=data.get("method", "quadrature"),
-        )
+        return _from_plain(ExperimentConfig, data, "config")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

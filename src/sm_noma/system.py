@@ -45,6 +45,9 @@ class SystemConfig:
             raise ValueError("codebook sizes must be >= 1")
         if any(p < 0 for p in self.power_levels):
             raise ValueError("power levels must be nonnegative")
+        powers = (*self.power_levels, self.signal_power, self.noise_power)
+        if not all(map(math.isfinite, powers)):
+            raise ValueError("power levels, signal_power and noise_power must be finite")
         if self.signal_power <= 0 or self.noise_power <= 0:
             raise ValueError("signal_power and noise_power must be positive")
 
@@ -173,20 +176,24 @@ def simulate_received_symbol(
     r: int,
     k: int,
     symbols: np.ndarray,
-    active_indices: tuple[int, ...],
-    noise_sample: complex,
-) -> complex:
+    active_indices: tuple[int, ...] | np.ndarray,
+    noise_sample: complex | np.ndarray,
+) -> complex | np.ndarray:
     """Post-SIC received symbol at decoder r for message k (Eq. of record).
 
     Messages 1..k-1 are assumed already removed; users t > k remain as
-    interference.
+    interference. `symbols` and `active_indices` carry the user on the last
+    axis and any leading axes index draws; `noise_sample` has the leading
+    shape. A single draw returns one complex.
     """
     _check_decoding_pair(config, r, k)
-    y = complex(noise_sample)
+    symbols = np.asarray(symbols)
+    indices = np.asarray(active_indices)
+    y = np.asarray(noise_sample, dtype=complex)
     for t in range(k, config.num_users + 1):
-        b = realization.gain(r, t, active_indices[t - 1])
-        y += b * math.sqrt(config.power_levels[t - 1]) * symbols[t - 1]
-    return y
+        b = realization.gains_of(r, t)[indices[..., t - 1] - 1]
+        y = y + b * math.sqrt(config.power_levels[t - 1]) * symbols[..., t - 1]
+    return complex(y) if y.ndim == 0 else y
 
 
 def _signal_variance_grid(

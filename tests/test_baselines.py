@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from sm_noma.baselines import (
-    BaselineKind,
+    MisoNoma,
+    SmTdma,
     miso_noma_effective_gain,
     miso_noma_mi,
     sm_tdma_mi,
 )
+from sm_noma.runner import ConfigError, config_from_dict
 from sm_noma.system import SystemConfig, draw_channel, make_conventional_sm_codebooks
 
 
@@ -32,18 +34,22 @@ def realization_for(cfg, seed):
 
 class TestBaselineKind:
     def test_valid_variants(self):
-        BaselineKind("miso_noma", {"num_tx_antennas": 2})
-        BaselineKind("sm_tdma", {"time_shares": (0.5, 0.5)})
+        assert MisoNoma().num_tx_antennas == 2
+        assert SmTdma().time_shares == (0.5, 0.5)
+        assert MisoNoma(3).num_tx_antennas == 3
+        assert SmTdma([0.25, 0.75]).time_shares == (0.25, 0.75)
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown baseline"):
-            BaselineKind("ofdma")
+        with pytest.raises(ConfigError, match="baseline variant"):
+            config_from_dict({"baselines": [{"variant": "ofdma"}]})
 
     def test_bad_time_shares_rejected(self):
         with pytest.raises(ValueError):
-            BaselineKind("sm_tdma", {"time_shares": (0.7, 0.7)})
+            SmTdma((0.7, 0.7))
         with pytest.raises(ValueError):
-            BaselineKind("sm_tdma", {"time_shares": (1.0, 0.0)})
+            SmTdma((1.0, 0.0))
+        with pytest.raises(ValueError):
+            MisoNoma(0)
 
 
 class TestMisoNoma:

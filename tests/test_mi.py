@@ -175,8 +175,6 @@ class TestAsymptotes:
             asymptotes(cfg3, 1, 1)
         with pytest.raises(ValueError):
             asymptotes(config_at_snr(0.0), 1, 2)
-        with pytest.raises(ValueError):
-            asymptotes(config_at_snr(0.0), 1, 1, avg_gain_sq=-1.0)
 
 
 def make_result(r, k, value, err, snr_db):

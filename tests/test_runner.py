@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sm_noma.baselines import SmTdma
 from sm_noma.cli import main
 from sm_noma.runner import (
     ConfigError,
@@ -14,6 +16,8 @@ from sm_noma.runner import (
     TotalPowerSweep,
     config_from_dict,
     config_to_dict,
+    default_snr_grid,
+    default_system,
     figure1_config,
     figure2b_config,
     load_config,
@@ -28,6 +32,7 @@ from sm_noma.runner import (
 # approximation; its error exceeds the stated 0.1-bit tolerance, so a
 # faithful implementation reports them as failed (see test_acceptance).
 KNOWN_DEFECT_PROPERTIES = {"high_snr_saturation", "constant_shift_convergence"}
+NAN, INF = math.nan, math.inf
 
 
 def tiny_config(**overrides):
@@ -56,6 +61,53 @@ class TestConfig:
     def test_bad_power_split_mode_rejected(self):
         with pytest.raises(ConfigError, match="power_split mode"):
             config_from_dict({"power_split": {"mode": "adaptive"}})
+
+    @pytest.mark.parametrize("data", [
+        {"system": {"power_levels": [NAN, 1.0]}},
+        {"system": {"signal_power": INF}},
+        {"snr_grid_db": [0.0, NAN]},
+        {"snr_grid_db": [-INF, 0.0]},
+        {"power_split": {"mode": "fixed", "alpha1_sq": NAN, "alpha2_sq": 1.0}},
+        {"power_split": {"mode": "total_power_sweep", "total": INF, "ratio_grid": [1.0]}},
+        {"power_split": {"mode": "total_power_sweep", "total": 5.0, "ratio_grid": [NAN]}},
+        {"quadrature_tolerance": NAN},
+        {"realizations": 2.5},
+        {"realizations": True},
+        {"mc_samples": 100.0},
+        {"seed": -1},
+        {"seed": False},
+        {"power_split": {"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": 1.0,
+                         "alpha3_sq": 1.0}},
+        {"baselines": [{"variant": "miso_noma", "num_tx_antenas": 3}]},
+        {"baselines": [{"variant": "sm_tdma", "time_share": [0.9, 0.1]}]},
+        {"baselines": [{"variant": "sm_tdma"}, {"variant": "sm_tdma"}]},
+        {"baselines": [{"time_shares": [0.5, 0.5]}]},
+        {"baselines": {"variant": "sm_tdma"}},
+        {"power_split": [{"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": 1.0}]},
+    ])
+    def test_bad_input_rejected(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_unknown_baseline_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown baseline keys"):
+            config_from_dict({"baselines": [{"variant": "sm_tdma", "params": {}}]})
+
+    def test_missing_keys_take_defaults(self):
+        cfg = config_from_dict({"system": {"signal_power": 2.0},
+                                "baselines": [{"variant": "sm_tdma"}]})
+        assert cfg.system == replace(default_system(), signal_power=2.0)
+        assert cfg.power_split == FixedPowerSplit(4.0, 1.0)
+        assert cfg.snr_grid_db == default_snr_grid()
+        assert cfg.baselines == (SmTdma((0.5, 0.5)),)
+        assert config_from_dict({}).baselines == ()
+
+    def test_flat_baseline_entries(self):
+        data = config_to_dict(figure1_config())
+        assert data["baselines"] == [
+            {"variant": "miso_noma", "num_tx_antennas": 2},
+            {"variant": "sm_tdma", "time_shares": [0.5, 0.5]},
+        ]
 
     def test_roundtrip(self):
         cfg = tiny_config()
@@ -197,6 +249,10 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert main(["fig1", "--config", str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert main(["fig1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_props_exit_code_reflects_failures(self, capsys):

@@ -169,6 +169,27 @@ class TestReceivedSymbol:
         with pytest.raises(ValueError, match="SIC"):
             simulate_received_symbol(realization, cfg, 1, 2, np.ones(2), (1, 1), 0.0)
 
+    def test_batched_call_equals_scalar_calls(self):
+        cfg = paper_config(signal_power=10.0)
+        books = make_conventional_sm_codebooks(cfg)
+        realization = draw_channel(cfg, books, np.random.default_rng(7))
+        rng = np.random.default_rng(70)
+        n = 100
+        sym = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        idx = rng.integers(1, 5, size=(n, 2))
+        for r, k in ((1, 1), (2, 1), (2, 2)):
+            batched = simulate_received_symbol(realization, cfg, r, k, sym, idx, noise)
+            scalar = [
+                simulate_received_symbol(
+                    realization, cfg, r, k, sym[d], tuple(idx[d]), noise[d]
+                )
+                for d in range(n)
+            ]
+            assert batched.shape == (n,)
+            assert all(isinstance(y, complex) for y in scalar)
+            assert batched.tolist() == scalar
+
     def test_second_moment_matches_mixture(self):
         cfg = paper_config(signal_power=10.0)
         books = make_conventional_sm_codebooks(cfg)
