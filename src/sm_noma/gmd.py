@@ -9,13 +9,12 @@ logs and convert once at the boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import logsumexp
 
 LN2 = math.log(2.0)
 
@@ -24,6 +23,37 @@ VARIANCE_FLOOR = 1e-300
 WEIGHT_SUM_TOL = 1e-12
 # Radial quadrature truncates where the mixture tail mass drops below this.
 TAIL_MASS = 1e-14
+
+
+def __getattr__(name: str):
+    # scipy.integrate takes most of a second to import and only the
+    # quadrature fallback uses it, so it is imported on first access.
+    if name == "integrate":
+        from scipy import integrate
+
+        globals()["integrate"] = integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
+    """log(sum(exp(a))) along the last axis of a real array.
+
+    The arithmetic of scipy.special.logsumexp(a, axis=-1), so results agree
+    to the bit: the maximal terms are taken out of the shifted sum and added
+    back through log1p(s / count) + log(count) + max. Rows holding inf or
+    nan give scipy's results too. A 1-D input gives an np.float64 scalar.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan rows
+        shifted = np.exp(a - a_max)
+        shifted[is_max] = 0.0
+        s = np.sum(shifted, axis=-1, keepdims=True)
+        out = np.log1p(s / count) + np.log(count) + a_max
+    out = out[..., 0]
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -130,7 +160,7 @@ def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarra
         - np.log(math.pi * mixture.variances)
         - sq / mixture.variances
     )
-    return logsumexp(log_terms, axis=-1)
+    return logsumexp(log_terms)
 
 
 def pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
@@ -224,7 +254,7 @@ def _radial_panel_integral(
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     u = (b - a) / 2.0 * (x[None, :] + 1.0) + a
-    log_f = logsumexp(log_coef[None, None, :] - u[..., None] * inv_v, axis=-1)
+    log_f = logsumexp(log_coef[None, None, :] - u[..., None] * inv_v)
     g = -math.pi * np.exp(log_f) * log_f / LN2
     return float(np.sum((b - a) / 2.0 * w[None, :] * g))
 
@@ -261,15 +291,18 @@ def entropy_radial_quadrature(
         log_f = logsumexp(log_coef - u * inv_v)
         return -math.pi * math.exp(log_f) * log_f / LN2
 
-    breakpoints = sorted(set(np.clip(v, 0.0, u_max * 0.999)))
-    value, abs_err = integrate.quad(
+    # The panel edges as breakpoints keep the adaptive rule from stepping
+    # over a narrow component when the variances span many decades. The
+    # module attribute lookup applies the lazy import and any stand-in set
+    # on `gmd.integrate`.
+    value, abs_err = sys.modules[__name__].integrate.quad(
         integrand,
         0.0,
         u_max,
         epsabs=tolerance,
         epsrel=tolerance,
         limit=400,
-        points=breakpoints,
+        points=edges[1:-1],
     )
     return EntropyEstimate(float(value), float(abs_err), 0)
 

@@ -1,11 +1,17 @@
 """Tests for the Gaussian-mixture distribution core."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp as scipy_logsumexp
 
 from sm_noma import gmd
 
@@ -197,12 +203,81 @@ class TestEntropyExact:
         assert small.std_error / large.std_error == pytest.approx(2.0, rel=0.2)
 
 
+class CountingIntegrate:
+    """Stands in for scipy.integrate on gmd and counts the quad calls."""
+
+    def __init__(self, module):
+        self.module = module
+        self.quad_calls = 0
+
+    def quad(self, *args, **kwargs):
+        self.quad_calls += 1
+        return self.module.quad(*args, **kwargs)
+
+
+class TestQuadratureFallback:
+    # A tolerance at roundoff level makes the panel rules miss it, so the
+    # adaptive fallback runs; quad then warns that it met roundoff.
+    @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+    @pytest.mark.parametrize("variances, tolerance", [
+        ([1.0, 1e6], 1e-17),
+        ([1e-10, 1e10], 1e-15),
+    ])
+    def test_wide_spread_fallback_matches_panel_rule(
+            self, monkeypatch, variances, tolerance):
+        mix = gmd.equal_weight_zero_mean_mixture(variances)
+        panel = gmd.entropy_radial_quadrature(mix)
+        counter = CountingIntegrate(gmd.integrate)
+        monkeypatch.setattr(gmd, "integrate", counter)
+        fallback = gmd.entropy_radial_quadrature(mix, tolerance)
+        assert counter.quad_calls == 1
+        assert panel.std_error <= 1e-10
+        assert fallback.value == pytest.approx(panel.value, abs=1e-9)
+
+
+class TestImports:
+    def test_package_import_loads_no_scipy(self):
+        src = str(Path(gmd.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+        code = (
+            "import sys, sm_noma, sm_noma.cli, sm_noma.runner\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "import scipy.integrate\n"
+            "print(sm_noma.gmd.integrate is scipy.integrate)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split("\n")[:2] == ["[]", "True"]
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    """Finite arrays of shape (rows..., 1..20) with forced ties at the max."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    cols = draw(st.integers(1, 20))
+    scale = draw(st.floats(min_value=1e-3, max_value=1e6))
+    a = draw(arrays(np.float64, (*lead, cols), elements=st.floats(-1.0, 1.0))) * scale
+    ties = draw(st.lists(st.integers(0, cols - 1), max_size=cols))
+    a[..., ties] = np.max(a, axis=-1, keepdims=True)
+    return a
+
+
 variance_lists = st.lists(
     st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=8
 )
 
 
 class TestRandomizedProperties:
+    @given(logsumexp_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_logsumexp_matches_scipy_bit_for_bit(self, a):
+        assert np.array_equal(gmd.logsumexp(a), scipy_logsumexp(a, axis=-1))
+        row = a.reshape(-1, a.shape[-1])[0]
+        got, ref = gmd.logsumexp(row), scipy_logsumexp(row, axis=-1)
+        assert type(got) is type(ref)
+        assert got == ref
+
     @given(variance_lists)
     @settings(max_examples=100, deadline=None)
     def test_bound_sandwich(self, variances):
