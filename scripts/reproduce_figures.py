@@ -4,13 +4,15 @@
 Runs the per-user MI sweep (fig1), the sum-MI sweep at fixed total power
 (fig2a), and the power-ratio sweep at 30 dB (fig2b) through the `sm-noma`
 CLI with its default configs, writing CSV + JSON sidecars into the chosen
-output directory.
+output directory. Each figure's line reports the radial quadratures it
+computed and the ones it reused from the quadrature memo.
 """
 
 import argparse
 import time
 from pathlib import Path
 
+from sm_noma import gmd
 from sm_noma.cli import main as sm_noma
 
 
@@ -25,11 +27,14 @@ def main() -> int:
     for name in ("fig1", "fig2a", "fig2b"):
         out = args.out_dir / f"{name}.csv"
         start = time.time()
+        before = gmd._radial_quadrature.cache_info()
         code = sm_noma([name, "--seed", str(args.seed),
                         "--realizations", str(args.realizations), "--out", str(out)])
         if code != 0:
             return code
-        print(f"{name}: {out} ({time.time() - start:.1f}s)")
+        after = gmd._radial_quadrature.cache_info()
+        print(f"{name}: {out} ({time.time() - start:.1f}s, quadratures computed "
+              f"{after.misses - before.misses}, reused {after.hits - before.hits})")
     return 0
 
 

@@ -241,13 +241,14 @@ def _sweep(
                 rng = None
                 if config.method == "montecarlo":
                     rng = substream(config.seed, _TAG_MC, i, j, k - 1)
-                rows["I"][k - 1, i, j] = mi_exact(
+                res = mi_exact(
                     realization, system, k, k, config.entropy_method,
                     rng=rng, samples=config.mc_samples,
                     tolerance=config.quadrature_tolerance,
-                ).mi_exact.value
+                )
+                rows["I"][k - 1, i, j] = res.mi_exact.value
                 if lower_bound:
-                    rows["I_LB"][k - 1, i, j] = mi_lower_bound_k2(realization, system, k, k)
+                    rows["I_LB"][k - 1, i, j] = res.mi_lower_bound
                 for b in baselines:
                     if isinstance(b, MisoNoma):
                         value = miso_noma_mi(realization, system, k, k, b.num_tx_antennas)

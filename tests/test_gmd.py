@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,12 +217,17 @@ class CountingIntegrate:
 
 
 class TestQuadratureFallback:
-    # A tolerance at roundoff level makes the panel rules miss it, so the
-    # adaptive fallback runs; quad then warns that it met roundoff.
+    """A tolerance at roundoff level makes the panel rules miss it, so the
+    adaptive fallback runs; quad then warns that it met roundoff. Its own
+    error estimate misses the tolerance too on both mixtures, so a
+    RuntimeWarning names both numbers. With the memo, the warning fires
+    once per distinct mixture: a repeat call neither warns nor calls quad.
+    """
+
     @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
     @pytest.mark.parametrize("variances, tolerance", [
-        ([1.0, 1e6], 1e-17),
-        ([1e-10, 1e10], 1e-15),
+        ([1.0, 1e6], 1e-17),  # quad's error estimate is about 1.6e-13
+        ([1e-10, 1e10], 1e-15),  # about 3.7e-13
     ])
     def test_wide_spread_fallback_matches_panel_rule(
             self, monkeypatch, variances, tolerance):
@@ -229,10 +235,88 @@ class TestQuadratureFallback:
         panel = gmd.entropy_radial_quadrature(mix)
         counter = CountingIntegrate(gmd.integrate)
         monkeypatch.setattr(gmd, "integrate", counter)
-        fallback = gmd.entropy_radial_quadrature(mix, tolerance)
+        # A warm memo would answer without calling quad.
+        gmd._radial_quadrature.cache_clear()
+        with pytest.warns(RuntimeWarning, match="missed the tolerance") as record:
+            fallback = gmd.entropy_radial_quadrature(mix, tolerance)
         assert counter.quad_calls == 1
         assert panel.std_error <= 1e-10
         assert fallback.value == pytest.approx(panel.value, abs=1e-9)
+        assert fallback.std_error > tolerance
+        message = str(next(w.message for w in record
+                           if issubclass(w.category, RuntimeWarning)))
+        assert f"{fallback.std_error:.3g}" in message
+        assert f"{tolerance:.3g}" in message
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            again = gmd.entropy_radial_quadrature(mix, tolerance)
+        assert again is fallback
+        assert counter.quad_calls == 1
+
+
+def unmemoized(mixture, tolerance=1e-10):
+    return gmd._radial_quadrature.__wrapped__(
+        mixture.weights.tobytes(), mixture.variances.tobytes(), tolerance)
+
+
+@st.composite
+def random_mixtures(draw):
+    """Zero-mean mixtures of 1..8 components with unequal weights."""
+    n = draw(st.integers(1, 8))
+    variances = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    raw = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    return gmd.mixture_from_arrays(raw / raw.sum(), np.zeros(n), variances)
+
+
+class TestQuadratureMemo:
+    def test_repeat_call_returns_same_object(self):
+        mix = gmd.equal_weight_zero_mean_mixture([0.5, 1.0, 2.0])
+        gmd._radial_quadrature.cache_clear()
+        first = gmd.entropy_radial_quadrature(mix)
+        second = gmd.entropy_radial_quadrature(
+            gmd.equal_weight_zero_mean_mixture([0.5, 1.0, 2.0]))
+        assert second is first
+        info = gmd._radial_quadrature.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first.value == pytest.approx(GOLDEN_H_L3, abs=1e-9)
+
+    @given(random_mixtures())
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_equals_unmemoized(self, mix):
+        assert gmd.entropy_radial_quadrature(mix) == unmemoized(mix)
+
+    @pytest.mark.parametrize("change", ["tolerance", "permuted", "unequal_weights"])
+    def test_different_key_misses(self, change):
+        variances = [0.3, 1.0, 9.0, 2.5]
+        mix = gmd.equal_weight_zero_mean_mixture(variances)
+        tolerance = 1e-10
+        gmd._radial_quadrature.cache_clear()
+        gmd.entropy_radial_quadrature(mix, tolerance)
+        if change == "tolerance":
+            tolerance = 1e-9
+        elif change == "permuted":
+            mix = gmd.equal_weight_zero_mean_mixture(variances[::-1])
+        else:
+            mix = gmd.mixture_from_arrays([0.1, 0.2, 0.3, 0.4], [0] * 4, variances)
+        est = gmd.entropy_radial_quadrature(mix, tolerance)
+        info = gmd._radial_quadrature.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        assert est == unmemoized(mix, tolerance)
+
+    def test_integer_parameters_key_as_floats(self):
+        ints = gmd.GaussianMixture((gmd.GaussianComponent(1, 0, 2),))
+        floats = gmd.equal_weight_zero_mean_mixture([2.0])
+        assert ints.variances.dtype != np.float64
+        assert gmd.entropy_radial_quadrature(ints) == gmd.entropy_radial_quadrature(floats)
+        assert gmd.entropy_radial_quadrature(floats).value == pytest.approx(
+            gmd.gaussian_entropy(2.0), abs=1e-9)
+
+    def test_monte_carlo_is_not_memoized(self):
+        mix = gmd.equal_weight_zero_mean_mixture([1.0, 4.0])
+        a = gmd.entropy_exact(mix, "monte_carlo", rng=np.random.default_rng(1), samples=1000)
+        b = gmd.entropy_exact(mix, "monte_carlo", rng=np.random.default_rng(2), samples=1000)
+        assert a.value != b.value
 
 
 class TestImports:

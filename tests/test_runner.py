@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sm_noma import gmd
 from sm_noma.baselines import SmTdma
 from sm_noma.cli import main
 from sm_noma.runner import (
@@ -172,6 +173,16 @@ class TestFigureRuns:
     def test_figure2a_sum_curves(self):
         curves = {c.label: c for c in run_figure2a(tiny_config())}
         assert set(curves) == {"SM-NOMA sum", "MISO-NOMA sum", "SM-TDMA sum"}
+
+    def test_figure2a_after_figure1_equals_cold_run(self):
+        cfg = tiny_config()
+        run_figure1(cfg)
+        before = gmd._radial_quadrature.cache_info()
+        warm = run_figure2a(cfg)
+        assert gmd._radial_quadrature.cache_info().hits > before.hits
+        gmd._radial_quadrature.cache_clear()
+        cold = run_figure2a(cfg)
+        assert warm == cold
 
     def test_figure2b_ratio_axis(self):
         cfg = figure2b_config(realizations=3, seed=11)
