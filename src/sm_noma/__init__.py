@@ -4,7 +4,6 @@ closed-form lower bounds, asymptotics, baselines, and experiment runner."""
 
 from .gmd import (
     EntropyEstimate,
-    GaussianComponent,
     GaussianMixture,
     entropy_bounds_equal_weight_zero_mean,
     entropy_exact,
@@ -15,7 +14,7 @@ from .gmd import (
     equal_weight_zero_mean_mixture,
     gaussian_entropy,
     mixture_from_arrays,
-    overlap_integral,
+    overlap_matrix,
     pdf,
     sample,
 )

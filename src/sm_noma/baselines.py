@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmd
-from .system import ChannelRealization, SystemConfig
+from .system import ChannelRealization, SystemConfig, require_integer
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class MisoNoma:
     num_tx_antennas: int = 2
 
     def __post_init__(self):
+        require_integer("miso_noma num_tx_antennas", self.num_tx_antennas)
         if self.num_tx_antennas < 1:
             raise ValueError("miso_noma needs num_tx_antennas >= 1")
 

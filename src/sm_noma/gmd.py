@@ -12,7 +12,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -57,58 +57,46 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
     return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One component of a scalar complex Gaussian mixture."""
-
-    weight: float
-    mean: complex
-    variance: float
-
-    def __post_init__(self):
-        if not (0.0 < self.weight <= 1.0):
-            raise ValueError(f"component weight must be in (0, 1], got {self.weight}")
-        if not (self.variance > VARIANCE_FLOOR):
-            raise ValueError(
-                f"component variance must exceed {VARIANCE_FLOOR}, got {self.variance}"
-            )
-        if not (np.isfinite(self.variance) and np.isfinite(complex(self.mean))):
-            raise ValueError("component parameters must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Scalar complex Gaussian mixture distribution (equal or arbitrary weights)."""
+    """Scalar complex Gaussian mixture distribution (equal or arbitrary weights).
 
-    components: tuple[GaussianComponent, ...]
+    Holds one entry per component in three read-only 1-D arrays of one
+    length: weights (float64), means (complex128) and variances (float64).
+    The inputs are copied and validated once, on construction.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
 
     def __post_init__(self):
-        if len(self.components) < 1:
-            raise ValueError("mixture needs at least one component")
-        total = math.fsum(c.weight for c in self.components)
+        w = np.array(self.weights, dtype=float)
+        mu = np.array(self.means, dtype=complex)
+        v = np.array(self.variances, dtype=float)
+        if not (w.ndim == mu.ndim == v.ndim == 1 and len(w) == len(mu) == len(v) >= 1):
+            raise ValueError("need nonempty 1-D weights, means and variances of one length")
+        if not ((w > 0.0) & (w <= 1.0)).all():
+            raise ValueError(f"component weights must be in (0, 1], got {w}")
+        total = math.fsum(w)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights must sum to 1, got {total!r}")
+        if not (v > VARIANCE_FLOOR).all():
+            raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}, got {v}")
+        if not (np.isfinite(v).all() and np.isfinite(mu).all()):
+            raise ValueError("component parameters must be finite")
+        for name, a in (("weights", w), ("means", mu), ("variances", v)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.components)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components], dtype=complex)
-
-    @cached_property
-    def variances(self) -> np.ndarray:
-        return np.array([c.variance for c in self.components])
+        return len(self.weights)
 
     @property
     def is_zero_mean(self) -> bool:
-        return bool(np.all(self.means == 0))
+        return bool((self.means == 0).all())
 
-    @cached_property
+    @property
     def mean_power(self) -> float:
         """E|A|^2 = sum_l beta_l (sigma_l^2 + |mu_l|^2)."""
         return float(np.sum(self.weights * (self.variances + np.abs(self.means) ** 2)))
@@ -119,17 +107,13 @@ def mixture_from_arrays(
     means: Sequence[complex],
     variances: Sequence[float],
 ) -> GaussianMixture:
-    return GaussianMixture(
-        tuple(
-            GaussianComponent(float(w), complex(m), float(v))
-            for w, m, v in zip(weights, means, variances, strict=True)
-        )
-    )
+    return GaussianMixture(weights, means, variances)
 
 
 def equal_weight_zero_mean_mixture(variances: Sequence[float]) -> GaussianMixture:
     n = len(variances)
-    return mixture_from_arrays([1.0 / n] * n, [0.0] * n, variances)
+    # Dividing the array, not 1.0 by n, lets n = 0 reach the constructor's ValueError.
+    return mixture_from_arrays(np.full(n, 1.0) / n, np.zeros(n), variances)
 
 
 @dataclass(frozen=True)
@@ -180,13 +164,10 @@ def sample(
     return mixture.means[idx] + np.sqrt(mixture.variances[idx] / 2.0) * noise
 
 
-def overlap_integral(c1: GaussianComponent, c2: GaussianComponent) -> float:
-    """Integral of the product of two complex Gaussian densities over the plane."""
-    s = c1.variance + c2.variance
-    return math.exp(-abs(c1.mean - c2.mean) ** 2 / s) / (math.pi * s)
-
-
-def _overlap_matrix(mixture: GaussianMixture) -> np.ndarray:
+def overlap_matrix(mixture: GaussianMixture) -> np.ndarray:
+    """z[l, t]: the integral over the plane of the product of the densities
+    of components l and t, exp(-|mu_l - mu_t|^2 / s) / (pi s) with
+    s = sigma_l^2 + sigma_t^2."""
     v = mixture.variances
     mu = mixture.means
     s = v[:, None] + v[None, :]
@@ -196,7 +177,7 @@ def _overlap_matrix(mixture: GaussianMixture) -> np.ndarray:
 
 def entropy_lower_bound(mixture: GaussianMixture) -> float:
     """h_LB = -sum_l beta_l log2(sum_t beta_t z_lt), with z the overlap matrix."""
-    z = _overlap_matrix(mixture)
+    z = overlap_matrix(mixture)
     inner = z @ mixture.weights
     return float(-np.sum(mixture.weights * np.log2(inner)))
 
@@ -211,11 +192,7 @@ def entropy_bounds_equal_weight_zero_mean(
     variances: Sequence[float],
 ) -> tuple[float, float]:
     """Closed-form (h_LB, h_UB) for an equal-weight zero-mean mixture."""
-    v = np.asarray(variances, dtype=float)
-    if v.ndim != 1 or len(v) < 1:
-        raise ValueError("variances must be a nonempty 1-D sequence")
-    if np.any(v <= VARIANCE_FLOOR):
-        raise ValueError("variances must be positive")
+    v = equal_weight_zero_mean_mixture(variances).variances
     n = len(v)
     inv_sums = np.sum(1.0 / (v[:, None] + v[None, :]), axis=1)
     lb = math.log2(math.pi * n) - float(np.mean(np.log2(inv_sums)))
@@ -287,9 +264,7 @@ def entropy_radial_quadrature(
     if not mixture.is_zero_mean:
         raise ValueError("radial quadrature requires a zero-mean mixture")
     return _radial_quadrature(
-        np.asarray(mixture.weights, dtype=float).tobytes(),
-        np.asarray(mixture.variances, dtype=float).tobytes(),
-        tolerance,
+        mixture.weights.tobytes(), mixture.variances.tobytes(), tolerance
     )
 
 

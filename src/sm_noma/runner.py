@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .system import (
     make_conventional_sm_codebooks,
     mixture_of_interference,
     mixture_of_received,
+    require_integer,
     simulate_received_symbol,
 )
 
@@ -39,6 +39,10 @@ class ConfigError(ValueError):
 _TAG_CHANNEL = 0
 _TAG_MC = 1
 _TAG_PROPS = 2
+
+# Largest mixture a run may build: prod(N_k) components. The K=2 lower bound
+# holds (N1 N2)^2 float64 terms, 134 MB at this limit.
+MAX_MIXTURE_COMPONENTS = 4096
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -117,9 +121,7 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(self.snr_grid_db[1:], self.snr_grid_db)):
             raise ConfigError("snr_grid_db must be strictly increasing")
         for name in ("realizations", "mc_samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name), ConfigError)
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.mc_samples < 1:
@@ -133,6 +135,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if len({type(b) for b in self.baselines}) < len(self.baselines):
             raise ConfigError("at most one baseline of each variant")
+        system = self.system
+        for b in self.baselines:
+            if isinstance(b, MisoNoma) and b.num_tx_antennas > system.num_tx_antennas:
+                raise ConfigError("miso_noma uses more antennas than the system has")
+            if isinstance(b, SmTdma) and len(b.time_shares) != system.num_users:
+                raise ConfigError("sm_tdma needs one time share per user")
+        components = math.prod(system.codebook_sizes)
+        if components > MAX_MIXTURE_COMPONENTS:
+            raise ConfigError(f"codebook sizes give {components} mixture components, "
+                              f"more than the limit of {MAX_MIXTURE_COMPONENTS}")
 
     @property
     def entropy_method(self) -> str:

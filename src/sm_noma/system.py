@@ -12,6 +12,7 @@ usual (r, k) decoder/message notation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ import numpy as np
 from .gmd import GaussianMixture, equal_weight_zero_mean_mixture
 
 NORM_TOL = 1e-12
+
+
+def require_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` for a bool or a non-integral number, 4.0 included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,10 @@ class SystemConfig:
     def __post_init__(self):
         object.__setattr__(self, "codebook_sizes", tuple(self.codebook_sizes))
         object.__setattr__(self, "power_levels", tuple(float(p) for p in self.power_levels))
+        require_integer("num_tx_antennas", self.num_tx_antennas)
+        require_integer("num_users", self.num_users)
+        for n in self.codebook_sizes:
+            require_integer("each codebook size", n)
         if self.num_tx_antennas < 1 or self.num_users < 1:
             raise ValueError("need at least one antenna and one user")
         if len(self.codebook_sizes) != self.num_users:

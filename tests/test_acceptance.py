@@ -6,8 +6,11 @@ Known honest failures: the high-SNR ceiling and the 40-dB constant-shift
 criteria assume the merged-Gaussian high-SNR approximation is tight to
 0.1 bits; the true averaged MI sits ~0.14 bits above the ceiling and the
 lower bound ~0.3 bits above its predicted limit, so both checks fail by
-construction, not by implementation error (verified against a brute-force
-physical-model simulation oracle).
+construction, not by implementation error. The exact MI they measure rests
+on the radial-quadrature entropy, which test_estimator_cross_validation
+checks against Monte Carlo entropies of the same mixtures, as the
+benchmark's `montecarlo` oracle does for whole curves. No simulation of the
+physical model checks them.
 """
 
 import math

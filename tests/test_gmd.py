@@ -40,17 +40,28 @@ class TestConstruction:
 
     def test_empty_mixture_rejected(self):
         with pytest.raises(ValueError):
-            gmd.GaussianMixture(())
+            gmd.GaussianMixture([], [], [])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            gmd.GaussianComponent(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            gmd.mixture_from_arrays([0.0, 1.0], [0, 0], [1, 1])
 
     def test_degenerate_variance_rejected(self):
+        with pytest.raises(ValueError, match="exceed"):
+            gmd.mixture_from_arrays([1.0], [0.0], [0.0])
+        with pytest.raises(ValueError, match="exceed"):
+            gmd.mixture_from_arrays([1.0], [0.0], [1e-301])
+
+    @pytest.mark.parametrize("build", [
+        lambda: gmd.mixture_from_arrays([0.5, 0.5], [0, 0], [1.0]),
+        lambda: gmd.mixture_from_arrays([[0.5, 0.5]], [[0, 0]], [[1, 1]]),
+        lambda: gmd.mixture_from_arrays([1.0], [complex(math.nan, 0.0)], [1.0]),
+        lambda: gmd.mixture_from_arrays([1.0], [0], [math.inf]),
+        lambda: unit_mixture().variances.__setitem__(0, 2.0),
+    ], ids=["length_mismatch", "2d", "nan_mean", "inf_variance", "write"])
+    def test_malformed_arrays_rejected(self, build):
         with pytest.raises(ValueError):
-            gmd.GaussianComponent(1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            gmd.GaussianComponent(1.0, 0.0, 1e-301)
+            build()
 
 
 class TestPdf:
@@ -104,18 +115,16 @@ class TestSample:
 
 class TestOverlapIntegral:
     def test_symmetric_zero_mean(self):
-        c = gmd.GaussianComponent(1.0, 0.0, 1.0)
-        assert gmd.overlap_integral(c, c) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
+        z = gmd.overlap_matrix(unit_mixture())
+        assert z[0, 0] == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
     def test_zero_mean_formula(self):
-        c1 = gmd.GaussianComponent(1.0, 0.0, 1.0)
-        c2 = gmd.GaussianComponent(1.0, 0.0, 3.0)
-        assert gmd.overlap_integral(c1, c2) == pytest.approx(1 / (4 * math.pi), rel=1e-12)
+        z = gmd.overlap_matrix(gmd.equal_weight_zero_mean_mixture([1.0, 3.0]))
+        assert z[0, 1] == pytest.approx(1 / (4 * math.pi), rel=1e-12)
 
     def test_offset_means_against_quadrature_oracle(self):
-        c1 = gmd.GaussianComponent(1.0, 0.0, 1.0)
-        c2 = gmd.GaussianComponent(1.0, 1 + 1j, 2.0)
-        assert gmd.overlap_integral(c1, c2) == pytest.approx(GOLDEN_OVERLAP, abs=1e-8)
+        z = gmd.overlap_matrix(gmd.mixture_from_arrays([0.5, 0.5], [0, 1 + 1j], [1, 2]))
+        assert z[0, 1] == pytest.approx(GOLDEN_OVERLAP, abs=1e-8)
 
 
 class TestEntropyBounds:
@@ -305,9 +314,10 @@ class TestQuadratureMemo:
         assert est == unmemoized(mix, tolerance)
 
     def test_integer_parameters_key_as_floats(self):
-        ints = gmd.GaussianMixture((gmd.GaussianComponent(1, 0, 2),))
+        ints = gmd.GaussianMixture([1], [0], [2])
         floats = gmd.equal_weight_zero_mean_mixture([2.0])
-        assert ints.variances.dtype != np.float64
+        assert ints.weights.dtype == ints.variances.dtype == np.float64
+        assert ints.means.dtype == np.complex128
         assert gmd.entropy_radial_quadrature(ints) == gmd.entropy_radial_quadrature(floats)
         assert gmd.entropy_radial_quadrature(floats).value == pytest.approx(
             gmd.gaussian_entropy(2.0), abs=1e-9)

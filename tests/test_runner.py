@@ -98,6 +98,14 @@ class TestConfig:
         {"baselines": [{"time_shares": [0.5, 0.5]}]},
         {"baselines": {"variant": "sm_tdma"}},
         {"power_split": [{"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": 1.0}]},
+        {"system": {"num_tx_antennas": 4.0}},
+        {"system": {"num_tx_antennas": True}},
+        {"system": {"num_users": 2.0}},
+        {"system": {"codebook_sizes": [4, 4.0]}},
+        {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 2.0}]},
+        {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 8}]},
+        {"baselines": [{"variant": "sm_tdma", "time_shares": [0.2, 0.3, 0.5]}]},
+        {"system": {"num_tx_antennas": 128, "codebook_sizes": [128, 128]}},
     ])
     def test_bad_input_rejected(self, data):
         with pytest.raises(ConfigError):
@@ -276,6 +284,13 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert main(["fig1", "--config", str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_float_antenna_count_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"system": {"num_tx_antennas": 4.0}}))
+        assert main(["fig1", "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
