@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmd
-from .system import ChannelRealization, SystemConfig, require_integer
+from .system import ChannelRealization, SystemConfig, require_integer, require_real
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class SmTdma:
 
     def __post_init__(self):
         object.__setattr__(self, "time_shares", tuple(self.time_shares))
+        for share in self.time_shares:
+            require_real("each sm_tdma time share", share)
         if any(not (0.0 < s < 1.0) for s in self.time_shares) or abs(
             sum(self.time_shares) - 1.0
         ) > 1e-12:

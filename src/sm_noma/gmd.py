@@ -37,24 +37,65 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
-    """log(sum(exp(a))) along the last axis of a real array.
+def _pairwise_sum(x: np.ndarray) -> np.ndarray | np.float64:
+    """Sum over the first axis, adding whole rows in the order numpy's
+    pairwise summation adds a contiguous run of len(x) numbers.
 
-    The arithmetic of scipy.special.logsumexp(a, axis=-1), so results agree
-    to the bit: the maximal terms are taken out of the shifted sum and added
-    back through log1p(s / count) + log(count) + max. Rows holding inf or
-    nan give scipy's results too. A 1-D input gives an np.float64 scalar.
+    So the result has the bits of np.sum(x', axis=-1) for x' the copy of x
+    with that axis moved last and made contiguous, at whole-array speed
+    rather than with numpy's per-row cost on short rows. Fewer than 8 rows
+    are added in one pass; up to 128 go through 8 accumulators, combined
+    pairwise, then the tail rows; longer runs split at half the length,
+    rounded down to a multiple of 8. Each accumulator starts from
+    row + 0.0, which gives numpy's sign for a zero total.
     """
-    a_max = np.max(a, axis=-1, keepdims=True)
+    n = len(x)
+    if n < 8:
+        s = x[0] + 0.0
+        for row in x[1:]:
+            s += row
+        return s
+    if n <= 128:
+        end = n - n % 8
+        r = x[:8] + 0.0
+        for i in range(8, end, 8):
+            r += x[i : i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in x[end:]:
+            s += row
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+
+
+def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
+    """log(sum(exp(a))) over the first axis (the mixture components).
+
+    The arithmetic of scipy.special.logsumexp along a contiguous last axis,
+    so logsumexp(np.moveaxis(b, -1, 0)) has the bits of
+    scipy.special.logsumexp(b, axis=-1) for a C-contiguous b: the maximal
+    terms are taken out of the shifted sum and added back through
+    log1p(s / count) + log(count) + max. Slices holding inf or nan give
+    scipy's results too. A 1-D input gives an np.float64 scalar.
+    """
+    return _logsumexp_overwrite(np.array(a, dtype=float))
+
+
+def _logsumexp_overwrite(a: np.ndarray) -> np.ndarray | np.float64:
+    """logsumexp of a float64 array that the caller no longer needs: the
+    shifted exponentials are written into a. The kernel's term arrays are
+    (L, 40, 72); a second array of that size per call would cost a round of
+    page faults each time the allocator hands its pages back."""
+    a_max = np.max(a, axis=0)
     is_max = a == a_max
-    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan rows
-        shifted = np.exp(a - a_max)
+    count = np.sum(is_max, axis=0, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan slices
+        shifted = np.subtract(a, a_max, out=a)
+        np.exp(shifted, out=shifted)
         shifted[is_max] = 0.0
-        s = np.sum(shifted, axis=-1, keepdims=True)
-        out = np.log1p(s / count) + np.log(count) + a_max
-    out = out[..., 0]
-    return out[()] if out.ndim == 0 else out
+        s = _pairwise_sum(shifted)
+        return np.log1p(s / count) + np.log(count) + a_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +180,13 @@ class EntropyEstimate:
 def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
     """Natural log of the mixture PDF, evaluated via log-sum-exp."""
     a = np.asarray(points, dtype=complex)
-    sq = np.abs(a[..., None] - mixture.means) ** 2
-    log_terms = (
-        np.log(mixture.weights)
-        - np.log(math.pi * mixture.variances)
-        - sq / mixture.variances
+    per_component = (len(mixture),) + (1,) * a.ndim
+    log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
+    sq = np.abs(a - mixture.means.reshape(per_component)) ** 2
+    log_terms = log_coef.reshape(per_component) - sq / mixture.variances.reshape(
+        per_component
     )
-    return logsumexp(log_terms)
+    return _logsumexp_overwrite(log_terms)
 
 
 def pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
@@ -222,19 +263,22 @@ def entropy_monte_carlo(
 
 
 _GL_NODES = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
+# Both rules' nodes, shifted to [0, 2], side by side: one pass evaluates
+# every panel at both orders.
+_GL_OFFSETS = np.concatenate([_GL_NODES[24][0], _GL_NODES[48][0]]) + 1.0
+_PANELS = 40
 
 
-def _radial_panel_integral(
-    log_coef: np.ndarray, inv_v: np.ndarray, edges: np.ndarray, order: int
-) -> float:
-    """Composite Gauss-Legendre integral of -pi f(u) log2 f(u) over panels."""
-    x, w = _GL_NODES[order]
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    u = (b - a) / 2.0 * (x[None, :] + 1.0) + a
-    log_f = logsumexp(log_coef[None, None, :] - u[..., None] * inv_v)
-    g = -math.pi * np.exp(log_f) * log_f / LN2
-    return float(np.sum((b - a) / 2.0 * w[None, :] * g))
+def _panel_edges(lo: float, hi: float) -> np.ndarray:
+    """0 followed by np.geomspace(lo, hi, _PANELS), with geomspace's
+    arithmetic (a linspace of log10 values, 10 ** y, both ends reset) but
+    without its per-call wrapper cost."""
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    y = np.arange(float(_PANELS)) * ((log_hi - log_lo) / (_PANELS - 1)) + log_lo
+    y[-1] = log_hi
+    edges = np.concatenate([[0.0], 10.0**y])
+    edges[1], edges[-1] = lo, hi
+    return edges
 
 
 # Distinct mixtures the radial quadrature remembers. One R=200 run of fig1,
@@ -284,15 +328,23 @@ def _radial_quadrature(
 
     # Truncate where the mixture tail mass is below TAIL_MASS.
     u_max = float(np.max(v)) * math.log(len(v) / TAIL_MASS)
-    edges = np.concatenate([[0.0], np.geomspace(float(np.min(v)) / 8.0, u_max, 40)])
-    coarse = _radial_panel_integral(log_coef, inv_v, edges, 24)
-    fine = _radial_panel_integral(log_coef, inv_v, edges, 48)
+    edges = _panel_edges(float(np.min(v)) / 8.0, u_max)
+    # Composite Gauss-Legendre sums of -pi f(u) log2 f(u) over the panels,
+    # at both orders from one (L, _PANELS, 72) array of log-terms.
+    a = edges[:-1, None]
+    half = (edges[1:, None] - a) / 2.0
+    u = half * _GL_OFFSETS + a
+    terms = u * inv_v[:, None, None]
+    log_f = _logsumexp_overwrite(np.subtract(log_coef[:, None, None], terms, out=terms))
+    g = -math.pi * np.exp(log_f) * log_f / LN2
+    coarse = float(np.sum(half * _GL_NODES[24][1] * g[:, :24]))
+    fine = float(np.sum(half * _GL_NODES[48][1] * g[:, 24:]))
     err = abs(fine - coarse)
     if err <= tolerance:
         return EntropyEstimate(fine, err, 0)
 
     def integrand(u: float) -> float:
-        log_f = logsumexp(log_coef - u * inv_v)
+        log_f = _logsumexp_overwrite(log_coef - u * inv_v)
         return -math.pi * math.exp(log_f) * log_f / LN2
 
     # The panel edges as breakpoints keep the adaptive rule from stepping

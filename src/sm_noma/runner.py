@@ -26,6 +26,7 @@ from .system import (
     mixture_of_interference,
     mixture_of_received,
     require_integer,
+    require_real,
     simulate_received_symbol,
 )
 
@@ -50,6 +51,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _require_finite(name: str, *values: float) -> None:
+    """Raise ConfigError unless every value is a finite real number."""
+    for value in values:
+        require_real(name, value, ConfigError)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{name} must be finite")
 
@@ -71,8 +75,9 @@ class TotalPowerSweep:
     ratio_grid: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ratio_grid", tuple(float(r) for r in self.ratio_grid))
-        _require_finite("total power and ratio grid", self.total, *self.ratio_grid)
+        ratios = tuple(self.ratio_grid)
+        _require_finite("total power and ratio grid", self.total, *ratios)
+        object.__setattr__(self, "ratio_grid", tuple(float(r) for r in ratios))
         if self.total <= 0:
             raise ConfigError("total power must be positive")
         if not self.ratio_grid or any(r < 0 for r in self.ratio_grid):
@@ -114,10 +119,11 @@ class ExperimentConfig:
     method: str = "quadrature"
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        if not self.snr_grid_db:
+        grid = tuple(self.snr_grid_db)
+        if not grid:
             raise ConfigError("snr_grid_db must be nonempty")
-        _require_finite("snr_grid_db", *self.snr_grid_db)
+        _require_finite("snr_grid_db", *grid)
+        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         if any(b >= a for a, b in zip(self.snr_grid_db[1:], self.snr_grid_db)):
             raise ConfigError("snr_grid_db must be strictly increasing")
         for name in ("realizations", "mc_samples", "seed"):

@@ -28,6 +28,12 @@ def require_integer(name: str, value, error: type[ValueError] = ValueError) -> N
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` for a bool, a string or anything else not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static system parameters. SNR is derived as signal_power / noise_power."""
@@ -41,7 +47,12 @@ class SystemConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "codebook_sizes", tuple(self.codebook_sizes))
-        object.__setattr__(self, "power_levels", tuple(float(p) for p in self.power_levels))
+        levels = tuple(self.power_levels)
+        for p in levels:
+            require_real("each power level", p)
+        require_real("signal_power", self.signal_power)
+        require_real("noise_power", self.noise_power)
+        object.__setattr__(self, "power_levels", tuple(float(p) for p in levels))
         require_integer("num_tx_antennas", self.num_tx_antennas)
         require_integer("num_users", self.num_users)
         for n in self.codebook_sizes:

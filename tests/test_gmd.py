@@ -345,6 +345,93 @@ class TestImports:
         assert out.split("\n")[:2] == ["[]", "True"]
 
 
+def last_axis_logsumexp(a):
+    """The kernel's log-sum-exp before its component-first layout: scipy's
+    arithmetic along the last axis, with np.sum's pairwise order."""
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shifted = np.exp(a - a_max)
+        shifted[is_max] = 0.0
+        s = np.sum(shifted, axis=-1, keepdims=True)
+        out = np.log1p(s / count) + np.log(count) + a_max
+    return out[..., 0]
+
+
+def oracle_panel_integral(log_coef, inv_v, edges, order):
+    """One composite Gauss-Legendre rule of -pi f(u) log2 f(u), panels by
+    nodes by components, as the kernel computed it one order at a time."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    a = edges[:-1][:, None]
+    b = edges[1:][:, None]
+    u = (b - a) / 2.0 * (x[None, :] + 1.0) + a
+    log_f = last_axis_logsumexp(log_coef[None, None, :] - u[..., None] * inv_v)
+    g = -math.pi * np.exp(log_f) * log_f / gmd.LN2
+    return float(np.sum((b - a) / 2.0 * w[None, :] * g))
+
+
+def oracle_radial_quadrature(mixture):
+    """The panel rule as a scalar oracle: np.geomspace edges and two
+    separate order-24 and order-48 passes."""
+    w, v = mixture.weights, mixture.variances
+    log_coef = np.log(w) - np.log(math.pi * v)
+    inv_v = 1.0 / v
+    u_max = float(np.max(v)) * math.log(len(v) / gmd.TAIL_MASS)
+    edges = np.concatenate([[0.0], np.geomspace(float(np.min(v)) / 8.0, u_max, 40)])
+    coarse = oracle_panel_integral(log_coef, inv_v, edges, 24)
+    fine = oracle_panel_integral(log_coef, inv_v, edges, 48)
+    return gmd.EntropyEstimate(fine, abs(fine - coarse), 0)
+
+
+@st.composite
+def wide_equal_weight_mixtures(draw):
+    """Equal-weight zero-mean mixtures of 1..20 components whose variances
+    span up to 8 decades, some of them forced equal."""
+    n = draw(st.integers(1, 20))
+    base = draw(st.floats(-6.0, 6.0))
+    spread = draw(st.floats(0.0, 8.0))
+    positions = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    v = 10.0 ** (base + spread * positions)
+    duplicates = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    v[duplicates] = v[draw(st.integers(0, n - 1))]
+    return gmd.equal_weight_zero_mean_mixture(v)
+
+
+class TestComponentMajorKernel:
+    """The component-first kernel against the layout it replaced."""
+
+    def test_pairwise_sum_follows_numpy_summation_order(self):
+        # A numpy release that changes its pairwise blocking fails here by
+        # name, before the pinned curves do.
+        rng = np.random.default_rng(20171)
+        mismatched = []
+        for n in [*range(1, 301), 1024, 4096]:
+            x = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-12, 12, (3, n))
+            x = np.vstack([x, np.full(n, -0.0)])
+            got = gmd._pairwise_sum(np.ascontiguousarray(x.T))
+            if got.tobytes() != np.sum(x, axis=-1).tobytes():
+                mismatched.append(n)
+        assert mismatched == []
+
+    @given(wide_equal_weight_mixtures())
+    @settings(max_examples=200, deadline=None)
+    def test_quadrature_matches_scalar_oracle_bit_for_bit(self, mix):
+        tolerance = 1e-10
+        expected = oracle_radial_quadrature(mix)
+        assert expected.std_error <= tolerance  # so the panel rule, not the fallback
+        got = gmd._radial_quadrature.__wrapped__(
+            mix.weights.tobytes(), mix.variances.tobytes(), tolerance)
+        assert got == expected
+
+    @given(st.floats(-300.0, 280.0), st.floats(0.5, 20.0))
+    @settings(max_examples=300, deadline=None)
+    def test_panel_edges_match_geomspace(self, log_lo, decades):
+        lo, hi = 10.0**log_lo, 10.0 ** (log_lo + decades)
+        expected = np.concatenate([[0.0], np.geomspace(lo, hi, 40)])
+        assert gmd._panel_edges(lo, hi).tobytes() == expected.tobytes()
+
+
 @st.composite
 def logsumexp_inputs(draw):
     """Finite arrays of shape (rows..., 1..20) with forced ties at the max."""
@@ -366,7 +453,10 @@ class TestRandomizedProperties:
     @given(logsumexp_inputs())
     @settings(max_examples=300, deadline=None)
     def test_logsumexp_matches_scipy_bit_for_bit(self, a):
-        assert np.array_equal(gmd.logsumexp(a), scipy_logsumexp(a, axis=-1))
+        # gmd.logsumexp reduces over the first axis: the components first.
+        assert a.flags.c_contiguous
+        got = gmd.logsumexp(np.moveaxis(a, -1, 0))
+        assert np.array_equal(got, scipy_logsumexp(a, axis=-1))
         row = a.reshape(-1, a.shape[-1])[0]
         got, ref = gmd.logsumexp(row), scipy_logsumexp(row, axis=-1)
         assert type(got) is type(ref)

@@ -55,6 +55,22 @@ def tiny_config(**overrides):
     return figure1_config(**base)
 
 
+# One input per float-typed config field, holding a string or a bool where
+# a real number belongs.
+NON_REAL_INPUTS = [
+    {"snr_grid_db": ["10"]},
+    {"system": {"power_levels": ["4", True]}},
+    {"system": {"signal_power": "1"}},
+    {"system": {"noise_power": True}},
+    {"power_split": {"mode": "total_power_sweep", "total": 5.0, "ratio_grid": [True, "2"]}},
+    {"power_split": {"mode": "total_power_sweep", "total": "5", "ratio_grid": [1.0]}},
+    {"power_split": {"mode": "fixed", "alpha1_sq": True, "alpha2_sq": 1.0}},
+    {"power_split": {"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": "1"}},
+    {"quadrature_tolerance": True},
+    {"baselines": [{"variant": "sm_tdma", "time_shares": ["0.5", "0.5"]}]},
+]
+
+
 class TestConfig:
     def test_snr_grid_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
@@ -106,9 +122,15 @@ class TestConfig:
         {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 8}]},
         {"baselines": [{"variant": "sm_tdma", "time_shares": [0.2, 0.3, 0.5]}]},
         {"system": {"num_tx_antennas": 128, "codebook_sizes": [128, 128]}},
+        *NON_REAL_INPUTS,
     ])
     def test_bad_input_rejected(self, data):
         with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("data", NON_REAL_INPUTS)
+    def test_non_real_number_named(self, data):
+        with pytest.raises(ConfigError, match="must be a real number, got"):
             config_from_dict(data)
 
     def test_unknown_baseline_key_rejected(self):
