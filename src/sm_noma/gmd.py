@@ -178,14 +178,21 @@ class EntropyEstimate:
 
 
 def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
-    """Natural log of the mixture PDF, evaluated via log-sum-exp."""
+    """Natural log of the mixture PDF, evaluated via log-sum-exp.
+
+    A zero-mean mixture is radial: |a|^2 is taken once per point and shared
+    by every component. It has the bits of |a - 0|^2, since a - 0 is exact
+    and abs ignores the sign of zero.
+    """
     a = np.asarray(points, dtype=complex)
     per_component = (len(mixture),) + (1,) * a.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
-    sq = np.abs(a - mixture.means.reshape(per_component)) ** 2
-    log_terms = log_coef.reshape(per_component) - sq / mixture.variances.reshape(
-        per_component
-    )
+    if mixture.is_zero_mean:
+        sq = np.abs(a) ** 2
+    else:
+        sq = np.abs(a - mixture.means.reshape(per_component)) ** 2
+    log_terms = np.divide(sq, mixture.variances.reshape(per_component))
+    np.subtract(log_coef.reshape(per_component), log_terms, out=log_terms)
     return _logsumexp_overwrite(log_terms)
 
 
@@ -197,12 +204,21 @@ def pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
 def sample(
     mixture: GaussianMixture, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """i.i.d. draws: component chosen by weight, then CN(mu_l, sigma_l^2)."""
+    """i.i.d. draws: component chosen by weight, then CN(mu_l, sigma_l^2).
+
+    The stream is read in the order component indices, then every real
+    part, then every imaginary part; callers' seeded results depend on it.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     idx = rng.choice(len(mixture), size=count, p=mixture.weights)
-    noise = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return mixture.means[idx] + np.sqrt(mixture.variances[idx] / 2.0) * noise
+    draws = np.empty(count, dtype=complex)
+    draws.real = rng.standard_normal(count)
+    draws.imag = rng.standard_normal(count)
+    draws *= np.sqrt(mixture.variances / 2.0)[idx]
+    if not mixture.is_zero_mean:
+        draws += mixture.means[idx]
+    return draws
 
 
 def overlap_matrix(mixture: GaussianMixture) -> np.ndarray:
@@ -246,14 +262,28 @@ def gaussian_entropy(variance: float) -> float:
     return math.log2(math.pi * math.e * variance)
 
 
+# Component terms per Monte Carlo block. It bounds the (L, block) arrays of
+# log_pdf at 512 kB whatever the sample count.
+_MC_BLOCK_TERMS = 1 << 16
+
+
 def entropy_monte_carlo(
     mixture: GaussianMixture, rng: np.random.Generator, samples: int
 ) -> EntropyEstimate:
-    """Sample mean of -log2 f_A(a) over draws from the mixture."""
+    """Sample mean of -log2 f_A(a) over draws from the mixture.
+
+    All draws come from one `sample` call, so the random stream does not
+    depend on the block size; -log2 f is then evaluated in blocks of about
+    _MC_BLOCK_TERMS component terms.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     draws = sample(mixture, rng, samples)
-    neg_log2_f = -log_pdf(mixture, draws) / LN2
+    neg_log2_f = np.empty(samples)
+    step = max(1, _MC_BLOCK_TERMS // len(mixture))
+    for start in range(0, samples, step):
+        block = slice(start, start + step)
+        np.divide(-log_pdf(mixture, draws[block]), LN2, out=neg_log2_f[block])
     value = float(np.mean(neg_log2_f))
     if samples > 1:
         std_error = float(np.std(neg_log2_f, ddof=1) / math.sqrt(samples))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sm_noma import gmd
 from sm_noma.mi import (
@@ -13,6 +15,7 @@ from sm_noma.mi import (
     mi_lower_bound_k2,
     sum_mi,
 )
+from sm_noma.runner import default_snr_grid
 from sm_noma.system import (
     ChannelRealization,
     SystemConfig,
@@ -148,6 +151,33 @@ class TestMiLowerBound:
         realization = draw_channel(cfg, books, np.random.default_rng(6))
         with pytest.raises(ValueError, match="K = 2"):
             mi_lower_bound_k2(realization, cfg, 1, 1)
+
+
+# The default quadrature tolerance: each entropy's error bound, so an MI
+# (a difference of two entropies) is within 2 * TOLERANCE of its true value.
+TOLERANCE = 1e-10
+
+
+class TestMiInvariants:
+    """Invariants of the model itself, on random realizations."""
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-40.0, 40.0))
+    @settings(max_examples=100, deadline=None)
+    def test_mi_is_nonnegative(self, seed, snr_db):
+        cfg = config_at_snr(snr_db)
+        realization = random_realization(cfg, seed)
+        for r, k in ((1, 1), (2, 1), (2, 2)):
+            res = mi_exact(realization, cfg, r, k, tolerance=TOLERANCE)
+            assert res.mi_exact.value >= -2 * TOLERANCE
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_own_message_mi_of_user2_grows_with_snr(self, seed):
+        realization = random_realization(config_at_snr(0.0), seed)
+        values = [mi_exact(realization, config_at_snr(snr_db), 2, 2,
+                           tolerance=TOLERANCE).mi_exact.value
+                  for snr_db in default_snr_grid()]
+        assert all(b >= a - 2 * TOLERANCE for a, b in zip(values, values[1:]))
 
 
 class TestAsymptotes:
