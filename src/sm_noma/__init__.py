@@ -35,7 +35,6 @@ from .mi import (
     asymptotes,
     mi_exact,
     mi_lower_bound_k2,
-    sum_mi,
 )
 from .baselines import MisoNoma, SmTdma, miso_noma_mi, sm_tdma_mi
 from .runner import (

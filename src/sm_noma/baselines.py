@@ -83,21 +83,20 @@ def sm_tdma_mi(
     config: SystemConfig,
     k: int,
     time_share: float,
-    total_power: float | None = None,
     tolerance: float = 1e-10,
 ) -> float:
     """Time-shared single-user SM MI for user k.
 
-    The user transmits alone in its slot with the full power budget
-    (sum of all power levels unless overridden), so the received signal
-    is the interference-free SM mixture and the interference entropy is
-    the AWGN closed form.
+    The user transmits alone in its slot with the full power budget, the
+    sum of all power levels, so the received signal is the
+    interference-free SM mixture and the interference entropy is the AWGN
+    closed form.
     """
     if not (0.0 < time_share <= 1.0):
         raise ValueError("time_share must lie in (0, 1]")
     if not (1 <= k <= config.num_users):
         raise ValueError(f"user index {k} out of range")
-    power = sum(config.power_levels) if total_power is None else total_power
+    power = sum(config.power_levels)
     gains_sq = np.abs(realization.gains_of(k, k)) ** 2
     variances = config.noise_power + config.signal_power * power * gains_sq
     received = gmd.equal_weight_zero_mean_mixture(variances)

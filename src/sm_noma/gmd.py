@@ -1,9 +1,11 @@
-"""Scalar complex Gaussian mixture distributions.
+"""Scalar complex zero-mean Gaussian mixture distributions.
 
-PDF evaluation, sampling, overlap integrals, differential entropy
-(Monte Carlo and radial quadrature), and the closed-form entropy
-lower/upper bounds. All entropies are in bits; internals use natural
-logs and convert once at the boundary.
+Every SM-NOMA mixture is zero-mean (Gaussian symbols on the antenna the SM
+index picks), so a mixture holds weights and variances only and its density
+is radially symmetric. PDF evaluation, sampling, overlap integrals,
+differential entropy (Monte Carlo and radial quadrature), and the
+closed-form entropy lower/upper bounds. All entropies are in bits;
+internals use natural logs and convert once at the boundary.
 """
 
 from __future__ import annotations
@@ -100,23 +102,22 @@ def _logsumexp_overwrite(a: np.ndarray) -> np.ndarray | np.float64:
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Scalar complex Gaussian mixture distribution (equal or arbitrary weights).
+    """Scalar complex zero-mean Gaussian mixture (equal or arbitrary weights):
+    component l is CN(0, sigma_l^2) with weight beta_l.
 
-    Holds one entry per component in three read-only 1-D arrays of one
-    length: weights (float64), means (complex128) and variances (float64).
-    The inputs are copied and validated once, on construction.
+    Holds one entry per component in two read-only 1-D float64 arrays of
+    one length, weights and variances. The inputs are copied and validated
+    once, on construction.
     """
 
     weights: np.ndarray
-    means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        mu = np.array(self.means, dtype=complex)
         v = np.array(self.variances, dtype=float)
-        if not (w.ndim == mu.ndim == v.ndim == 1 and len(w) == len(mu) == len(v) >= 1):
-            raise ValueError("need nonempty 1-D weights, means and variances of one length")
+        if not (w.ndim == v.ndim == 1 and len(w) == len(v) >= 1):
+            raise ValueError("need nonempty 1-D weights and variances of one length")
         if not ((w > 0.0) & (w <= 1.0)).all():
             raise ValueError(f"component weights must be in (0, 1], got {w}")
         total = math.fsum(w)
@@ -124,9 +125,9 @@ class GaussianMixture:
             raise ValueError(f"component weights must sum to 1, got {total!r}")
         if not (v > VARIANCE_FLOOR).all():
             raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}, got {v}")
-        if not (np.isfinite(v).all() and np.isfinite(mu).all()):
-            raise ValueError("component parameters must be finite")
-        for name, a in (("weights", w), ("means", mu), ("variances", v)):
+        if not np.isfinite(v).all():
+            raise ValueError("component variances must be finite")
+        for name, a in (("weights", w), ("variances", v)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -134,27 +135,21 @@ class GaussianMixture:
         return len(self.weights)
 
     @property
-    def is_zero_mean(self) -> bool:
-        return bool((self.means == 0).all())
-
-    @property
     def mean_power(self) -> float:
-        """E|A|^2 = sum_l beta_l (sigma_l^2 + |mu_l|^2)."""
-        return float(np.sum(self.weights * (self.variances + np.abs(self.means) ** 2)))
+        """E|A|^2 = sum_l beta_l sigma_l^2."""
+        return float(np.sum(self.weights * self.variances))
 
 
 def mixture_from_arrays(
-    weights: Sequence[float],
-    means: Sequence[complex],
-    variances: Sequence[float],
+    weights: Sequence[float], variances: Sequence[float]
 ) -> GaussianMixture:
-    return GaussianMixture(weights, means, variances)
+    return GaussianMixture(weights, variances)
 
 
 def equal_weight_zero_mean_mixture(variances: Sequence[float]) -> GaussianMixture:
     n = len(variances)
     # Dividing the array, not 1.0 by n, lets n = 0 reach the constructor's ValueError.
-    return mixture_from_arrays(np.full(n, 1.0) / n, np.zeros(n), variances)
+    return mixture_from_arrays(np.full(n, 1.0) / n, variances)
 
 
 @dataclass(frozen=True)
@@ -180,18 +175,13 @@ class EntropyEstimate:
 def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
     """Natural log of the mixture PDF, evaluated via log-sum-exp.
 
-    A zero-mean mixture is radial: |a|^2 is taken once per point and shared
-    by every component. It has the bits of |a - 0|^2, since a - 0 is exact
-    and abs ignores the sign of zero.
+    The density is radial: |a|^2 is taken once per point and shared by
+    every component.
     """
     a = np.asarray(points, dtype=complex)
     per_component = (len(mixture),) + (1,) * a.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
-    if mixture.is_zero_mean:
-        sq = np.abs(a) ** 2
-    else:
-        sq = np.abs(a - mixture.means.reshape(per_component)) ** 2
-    log_terms = np.divide(sq, mixture.variances.reshape(per_component))
+    log_terms = np.divide(np.abs(a) ** 2, mixture.variances.reshape(per_component))
     np.subtract(log_coef.reshape(per_component), log_terms, out=log_terms)
     return _logsumexp_overwrite(log_terms)
 
@@ -204,7 +194,7 @@ def pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
 def sample(
     mixture: GaussianMixture, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """i.i.d. draws: component chosen by weight, then CN(mu_l, sigma_l^2).
+    """i.i.d. draws: component chosen by weight, then CN(0, sigma_l^2).
 
     The stream is read in the order component indices, then every real
     part, then every imaginary part; callers' seeded results depend on it.
@@ -216,20 +206,15 @@ def sample(
     draws.real = rng.standard_normal(count)
     draws.imag = rng.standard_normal(count)
     draws *= np.sqrt(mixture.variances / 2.0)[idx]
-    if not mixture.is_zero_mean:
-        draws += mixture.means[idx]
     return draws
 
 
 def overlap_matrix(mixture: GaussianMixture) -> np.ndarray:
     """z[l, t]: the integral over the plane of the product of the densities
-    of components l and t, exp(-|mu_l - mu_t|^2 / s) / (pi s) with
-    s = sigma_l^2 + sigma_t^2."""
+    of components l and t, 1 / (pi s) with s = sigma_l^2 + sigma_t^2."""
     v = mixture.variances
-    mu = mixture.means
     s = v[:, None] + v[None, :]
-    d = np.abs(mu[:, None] - mu[None, :]) ** 2
-    return np.exp(-d / s) / (math.pi * s)
+    return 1.0 / (math.pi * s)
 
 
 def entropy_lower_bound(mixture: GaussianMixture) -> float:
@@ -258,7 +243,7 @@ def entropy_bounds_equal_weight_zero_mean(
 
 
 def gaussian_entropy(variance: float) -> float:
-    """Exact differential entropy of CN(mu, sigma^2) in bits."""
+    """Exact differential entropy of CN(0, sigma^2) in bits."""
     return math.log2(math.pi * math.e * variance)
 
 
@@ -319,9 +304,9 @@ QUADRATURE_MEMO_SIZE = 1 << 16
 def entropy_radial_quadrature(
     mixture: GaussianMixture, tolerance: float = 1e-10
 ) -> EntropyEstimate:
-    """Adaptive 1-D quadrature entropy for zero-mean mixtures.
+    """Adaptive 1-D quadrature entropy of the mixture.
 
-    A zero-mean mixture is radially symmetric, so with u = |a|^2 the
+    The mixture is radially symmetric, so with u = |a|^2 the
     entropy reduces to h = -int_0^inf pi f(u) log2 f(u) du where
     f(u) = sum_l beta_l / (pi sigma_l^2) exp(-u / sigma_l^2). Geometric
     Gauss-Legendre panels resolve every variance scale; the error estimate
@@ -335,8 +320,6 @@ def entropy_radial_quadrature(
     repeated call returns the same EntropyEstimate object, and the warning
     fires once per distinct mixture.
     """
-    if not mixture.is_zero_mean:
-        raise ValueError("radial quadrature requires a zero-mean mixture")
     return _radial_quadrature(
         mixture.weights.tobytes(), mixture.variances.tobytes(), tolerance
     )
@@ -410,8 +393,7 @@ def entropy_exact(
 ) -> EntropyEstimate:
     """Entropy of the mixture via the selected estimator.
 
-    method: "radial_quadrature" (zero-mean mixtures only) or "monte_carlo"
-    (requires an explicit rng).
+    method: "radial_quadrature" or "monte_carlo" (requires an explicit rng).
     """
     if method == "radial_quadrature":
         return entropy_radial_quadrature(mixture, tolerance)

@@ -28,11 +28,8 @@ LOG2E = math.log2(math.e)
 class MiResult:
     """Exact MI and its closed-form lower bound at one (r, k, SNR) point."""
 
-    decoder_user: int
-    message_index: int
     mi_exact: EntropyEstimate
     mi_lower_bound: float
-    snr_db: float
 
     def __post_init__(self):
         if not math.isnan(self.mi_lower_bound):
@@ -92,13 +89,7 @@ def mi_exact(
         lb = mi_lower_bound_k2(realization, config, r, k)
     else:
         lb = math.nan
-    return MiResult(
-        decoder_user=r,
-        message_index=k,
-        mi_exact=EntropyEstimate(value, std_error, count),
-        mi_lower_bound=lb,
-        snr_db=config.snr_db,
-    )
+    return MiResult(mi_exact=EntropyEstimate(value, std_error, count), mi_lower_bound=lb)
 
 
 def mi_lower_bound_k2(
@@ -163,20 +154,3 @@ def asymptotes(config: SystemConfig, r: int, k: int) -> AsymptoteReport:
         high_snr_lb_limit=ceiling + shift,
         constant_shift=shift,
     )
-
-
-def sum_mi(results: list[MiResult]) -> tuple[float, float]:
-    """Sum MI over users, sum_k I_{k,k}, with root-sum-square std errors."""
-    if not results:
-        raise ValueError("need at least one per-user MI result")
-    if any(res.decoder_user != res.message_index for res in results):
-        raise ValueError("sum MI uses each user's own message: r must equal k")
-    users = sorted(res.decoder_user for res in results)
-    if users != list(range(1, len(results) + 1)):
-        raise ValueError(f"need exactly one result per user 1..K, got users {users}")
-    snrs = {res.snr_db for res in results}
-    if len(snrs) != 1:
-        raise ValueError(f"results are at mismatched SNRs: {sorted(snrs)}")
-    total = sum(res.mi_exact.value for res in results)
-    err = math.sqrt(sum(res.mi_exact.std_error ** 2 for res in results))
-    return total, err

@@ -389,7 +389,7 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
         w, v = mix.weights, mix.variances
         split_w = np.concatenate([w[:1] / 2, w[:1] / 2, w[1:]])
         split_v = np.concatenate([v[:1], v[:1], v[1:]])
-        split = gmd.mixture_from_arrays(split_w, np.zeros(len(split_w)), split_v)
+        split = gmd.mixture_from_arrays(split_w, split_v)
         max_lb_dev = max(max_lb_dev, abs(
             gmd.entropy_lower_bound(split) - gmd.entropy_lower_bound(mix)))
         max_ub_dev = max(max_ub_dev, abs(

@@ -144,10 +144,6 @@ class ChannelRealization:
                 g.setflags(write=False)
         return cls(h, gains)
 
-    def gain(self, r: int, k: int, n: int) -> complex:
-        """b_{r,k}^(n) with 1-based indices."""
-        return complex(self.effective_gains[r - 1][k - 1][n - 1])
-
     def gains_of(self, r: int, k: int) -> np.ndarray:
         """All b_{r,k}^(n) for n = 1..N_k (1-based r, k)."""
         return self.effective_gains[r - 1][k - 1]

@@ -106,12 +106,13 @@ class TestSmTdma:
         assert values[2] == pytest.approx(4 * values[0], abs=1e-10)
 
     def test_uses_total_power_budget(self):
+        # The slot carries the sum of the power levels, however it is split.
         cfg = config_at_snr(10.0, powers=(4.0, 1.0))
         realization = realization_for(cfg, 7)
         default = sm_tdma_mi(realization, cfg, 1, 1.0)
-        explicit = sm_tdma_mi(realization, cfg, 1, 1.0, total_power=5.0)
-        assert default == pytest.approx(explicit, abs=1e-12)
-        less = sm_tdma_mi(realization, cfg, 1, 1.0, total_power=1.0)
+        even = sm_tdma_mi(realization, config_at_snr(10.0, powers=(2.5, 2.5)), 1, 1.0)
+        assert even == default
+        less = sm_tdma_mi(realization, config_at_snr(10.0, powers=(0.5, 0.5)), 1, 1.0)
         assert less < default
 
     def test_invalid_time_share_rejected(self):

@@ -27,7 +27,6 @@ GOLDEN_H_L3 = 3.276924114545157  # equal weights, zero mean, var {0.5, 1, 2}
 GOLDEN_H_L2_1_10 = 5.252259700560866
 GOLDEN_H_L2_1_4 = 4.344232367624173
 GOLDEN_LB_UB_L4 = (3.8432939632637173, 6.2404317955415705)  # var {1, 2, 3, 4}
-GOLDEN_OVERLAP = 0.054475248241358035  # mu 0 and 1+1j, var 1 and 2
 
 
 def unit_mixture():
@@ -37,29 +36,28 @@ def unit_mixture():
 class TestConstruction:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            gmd.mixture_from_arrays([0.4, 0.4], [0, 0], [1, 1])
+            gmd.mixture_from_arrays([0.4, 0.4], [1, 1])
 
     def test_empty_mixture_rejected(self):
         with pytest.raises(ValueError):
-            gmd.GaussianMixture([], [], [])
+            gmd.GaussianMixture([], [])
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            gmd.mixture_from_arrays([0.0, 1.0], [0, 0], [1, 1])
+            gmd.mixture_from_arrays([0.0, 1.0], [1, 1])
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
-            gmd.mixture_from_arrays([1.0], [0.0], [0.0])
+            gmd.mixture_from_arrays([1.0], [0.0])
         with pytest.raises(ValueError, match="exceed"):
-            gmd.mixture_from_arrays([1.0], [0.0], [1e-301])
+            gmd.mixture_from_arrays([1.0], [1e-301])
 
     @pytest.mark.parametrize("build", [
-        lambda: gmd.mixture_from_arrays([0.5, 0.5], [0, 0], [1.0]),
-        lambda: gmd.mixture_from_arrays([[0.5, 0.5]], [[0, 0]], [[1, 1]]),
-        lambda: gmd.mixture_from_arrays([1.0], [complex(math.nan, 0.0)], [1.0]),
-        lambda: gmd.mixture_from_arrays([1.0], [0], [math.inf]),
+        lambda: gmd.mixture_from_arrays([0.5, 0.5], [1.0]),
+        lambda: gmd.mixture_from_arrays([[0.5, 0.5]], [[1, 1]]),
+        lambda: gmd.mixture_from_arrays([1.0], [math.inf]),
         lambda: unit_mixture().variances.__setitem__(0, 2.0),
-    ], ids=["length_mismatch", "2d", "nan_mean", "inf_variance", "write"])
+    ], ids=["length_mismatch", "2d", "inf_variance", "write"])
     def test_malformed_arrays_rejected(self, build):
         with pytest.raises(ValueError):
             build()
@@ -70,42 +68,44 @@ class TestPdf:
         assert gmd.pdf(unit_mixture(), 0j) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_duplicate_components_collapse(self):
-        mix = gmd.mixture_from_arrays([0.5, 0.5], [0, 0], [1, 1])
+        mix = gmd.mixture_from_arrays([0.5, 0.5], [1, 1])
         assert gmd.pdf(mix, 0j) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_two_component_value(self):
         # Direct sum-of-exponentials evaluation, frozen:
         # 0.5/(pi)*e^-1 + 0.5/(4 pi)*e^-0.25
-        mix = gmd.mixture_from_arrays([0.5, 0.5], [0, 0], [1, 4])
+        mix = gmd.mixture_from_arrays([0.5, 0.5], [1, 4])
         assert gmd.pdf(mix, 1 + 0j) == pytest.approx(0.08953733010173241, rel=1e-12)
 
     def test_strictly_positive_far_out(self):
-        mix = gmd.mixture_from_arrays([0.5, 0.5], [0, 0], [1, 4])
+        mix = gmd.mixture_from_arrays([0.5, 0.5], [1, 4])
         assert gmd.log_pdf(mix, 40 + 0j) > -np.inf
 
 
 class TestSample:
     def test_moments(self):
         rng = np.random.default_rng(0)
-        mix = gmd.mixture_from_arrays([1.0], [0], [2.0])
+        mix = gmd.mixture_from_arrays([1.0], [2.0])
         draws = gmd.sample(mix, rng, 10**6)
         assert abs(np.mean(draws)) < 0.01
         assert 1.98 <= np.mean(np.abs(draws) ** 2) <= 2.02
 
     def test_deterministic_for_fixed_stream(self):
-        mix = gmd.mixture_from_arrays([0.3, 0.7], [0, 1j], [1, 2])
+        mix = gmd.mixture_from_arrays([0.3, 0.7], [1, 2])
         a = gmd.sample(mix, np.random.default_rng(42), 1000)
         b = gmd.sample(mix, np.random.default_rng(42), 1000)
         np.testing.assert_array_equal(a, b)
 
     def test_component_selection_frequency(self):
-        # Widely separated means let us count component picks; check the
-        # frequency against a 3-sigma binomial band.
+        # Variances 12 decades apart let us count component picks: a draw
+        # of the narrow one lies inside the unit disc, one of the wide one
+        # almost never does. Check the frequency against a 3-sigma
+        # binomial band.
         n = 100_000
         p = 0.25
-        mix = gmd.mixture_from_arrays([p, 1 - p], [0, 100], [1, 1])
+        mix = gmd.mixture_from_arrays([p, 1 - p], [1e-6, 1e6])
         draws = gmd.sample(mix, np.random.default_rng(3), n)
-        count = int(np.sum(draws.real < 50))
+        count = int(np.sum(np.abs(draws) < 1))
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(count - n * p) < 3 * sigma
 
@@ -122,10 +122,6 @@ class TestOverlapIntegral:
     def test_zero_mean_formula(self):
         z = gmd.overlap_matrix(gmd.equal_weight_zero_mean_mixture([1.0, 3.0]))
         assert z[0, 1] == pytest.approx(1 / (4 * math.pi), rel=1e-12)
-
-    def test_offset_means_against_quadrature_oracle(self):
-        z = gmd.overlap_matrix(gmd.mixture_from_arrays([0.5, 0.5], [0, 1 + 1j], [1, 2]))
-        assert z[0, 1] == pytest.approx(GOLDEN_OVERLAP, abs=1e-8)
 
 
 class TestEntropyBounds:
@@ -146,7 +142,7 @@ class TestEntropyBounds:
         assert gap == pytest.approx(math.log2(math.e / 2), rel=1e-12)
 
     def test_duplicate_split_keeps_lower_bound(self):
-        mix = gmd.mixture_from_arrays([0.5, 0.5], [0, 0], [1, 1])
+        mix = gmd.mixture_from_arrays([0.5, 0.5], [1, 1])
         assert gmd.entropy_lower_bound(mix) == pytest.approx(LOG2_2PI, rel=1e-12)
 
     def test_l3_bounds_sandwich_golden_entropy(self):
@@ -189,11 +185,6 @@ class TestEntropyExact:
         quad = gmd.entropy_radial_quadrature(mix)
         assert abs(mc.value - quad.value) <= 3 * mc.std_error
         assert quad.value == pytest.approx(GOLDEN_H_L2_1_4, abs=1e-9)
-
-    def test_quadrature_rejects_nonzero_mean(self):
-        mix = gmd.mixture_from_arrays([1.0], [1 + 0j], [1.0])
-        with pytest.raises(ValueError, match="zero-mean"):
-            gmd.entropy_radial_quadrature(mix)
 
     def test_dispatcher(self):
         mix = unit_mixture()
@@ -276,7 +267,7 @@ def random_mixtures(draw):
     n = draw(st.integers(1, 8))
     variances = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
     raw = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
-    return gmd.mixture_from_arrays(raw / raw.sum(), np.zeros(n), variances)
+    return gmd.mixture_from_arrays(raw / raw.sum(), variances)
 
 
 class TestQuadratureMemo:
@@ -308,17 +299,16 @@ class TestQuadratureMemo:
         elif change == "permuted":
             mix = gmd.equal_weight_zero_mean_mixture(variances[::-1])
         else:
-            mix = gmd.mixture_from_arrays([0.1, 0.2, 0.3, 0.4], [0] * 4, variances)
+            mix = gmd.mixture_from_arrays([0.1, 0.2, 0.3, 0.4], variances)
         est = gmd.entropy_radial_quadrature(mix, tolerance)
         info = gmd._radial_quadrature.cache_info()
         assert (info.misses, info.hits) == (2, 0)
         assert est == unmemoized(mix, tolerance)
 
     def test_integer_parameters_key_as_floats(self):
-        ints = gmd.GaussianMixture([1], [0], [2])
+        ints = gmd.GaussianMixture([1], [2])
         floats = gmd.equal_weight_zero_mean_mixture([2.0])
         assert ints.weights.dtype == ints.variances.dtype == np.float64
-        assert ints.means.dtype == np.complex128
         assert gmd.entropy_radial_quadrature(ints) == gmd.entropy_radial_quadrature(floats)
         assert gmd.entropy_radial_quadrature(floats).value == pytest.approx(
             gmd.gaussian_entropy(2.0), abs=1e-9)
@@ -433,13 +423,18 @@ class TestComponentMajorKernel:
         assert gmd._panel_edges(lo, hi).tobytes() == expected.tobytes()
 
 
+def zero_means(mixture):
+    """The means mu_l = 0 that the general-mean oracles below take."""
+    return np.zeros(len(mixture), dtype=complex)
+
+
 def oracle_log_pdf(mixture, points):
     """log_pdf as one (L, *points.shape) array of |a - mu_l|^2 terms, the
     general formula for any means."""
     a = np.asarray(points, dtype=complex)
     per_component = (len(mixture),) + (1,) * a.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
-    sq = np.abs(a - mixture.means.reshape(per_component)) ** 2
+    sq = np.abs(a - zero_means(mixture).reshape(per_component)) ** 2
     return gmd.logsumexp(
         log_coef.reshape(per_component) - sq / mixture.variances.reshape(per_component))
 
@@ -449,7 +444,7 @@ def oracle_sample(mixture, rng, count):
     idx = rng.choice(len(mixture), size=count, p=mixture.weights)
     x = rng.standard_normal(count)
     y = rng.standard_normal(count)
-    return mixture.means[idx] + np.sqrt(mixture.variances[idx] / 2.0) * (x + 1j * y)
+    return zero_means(mixture)[idx] + np.sqrt(mixture.variances[idx] / 2.0) * (x + 1j * y)
 
 
 def oracle_entropy_monte_carlo(mixture, rng, samples):
@@ -461,10 +456,25 @@ def oracle_entropy_monte_carlo(mixture, rng, samples):
     return gmd.EntropyEstimate(float(np.mean(neg_log2_f)), std_error, samples)
 
 
+def oracle_overlap_matrix(mixture):
+    """The overlap integral with its general-mean factor,
+    exp(-|mu_l - mu_t|^2 / s) / (pi s)."""
+    v, mu = mixture.variances, zero_means(mixture)
+    s = v[:, None] + v[None, :]
+    d = np.abs(mu[:, None] - mu[None, :]) ** 2
+    return np.exp(-d / s) / (math.pi * s)
+
+
+def oracle_mean_power(mixture):
+    """E|A|^2 = sum_l beta_l (sigma_l^2 + |mu_l|^2)."""
+    mu = zero_means(mixture)
+    return float(np.sum(mixture.weights * (mixture.variances + np.abs(mu) ** 2)))
+
+
 @st.composite
-def monte_carlo_mixtures(draw, zero_mean=None):
-    """Mixtures of 1..20 components: equal or unequal weights, zero or
-    offset means, variances over 6 decades."""
+def weighted_mixtures(draw):
+    """Mixtures of 1..20 components: equal or unequal weights, variances
+    over 6 decades."""
     n = draw(st.integers(1, 20))
     if draw(st.booleans()):
         w = np.full(n, 1.0 / n)
@@ -472,11 +482,7 @@ def monte_carlo_mixtures(draw, zero_mean=None):
         raw = draw(arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
         w = raw / raw.sum()
     v = 10.0 ** draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
-    mu = np.zeros(n, dtype=complex)
-    if not (draw(st.booleans()) if zero_mean is None else zero_mean):
-        mu.real = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
-        mu.imag = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
-    return gmd.mixture_from_arrays(w, mu, v)
+    return gmd.mixture_from_arrays(w, v)
 
 
 @st.composite
@@ -494,7 +500,7 @@ class TestMonteCarloBlocks:
     """The blocked, radial Monte Carlo path against the one-shot formulas
     it replaced, bit for bit."""
 
-    @given(monte_carlo_mixtures(),
+    @given(weighted_mixtures(),
            st.sampled_from(["1", "2", "block-1", "block", "block+1", "3block+5"]),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -509,10 +515,9 @@ class TestMonteCarloBlocks:
         draws = gmd.sample(mix, np.random.default_rng(seed), samples)
         assert np.array_equal(draws, oracle_sample(mix, np.random.default_rng(seed), samples))
 
-    @given(monte_carlo_mixtures(zero_mean=True), signed_zero_points())
+    @given(weighted_mixtures(), signed_zero_points())
     @settings(max_examples=200, deadline=None)
     def test_radial_log_pdf_matches_general_formula(self, mix, points):
-        assert mix.is_zero_mean
         # A 0-d point also as a numpy scalar; other shapes also transposed.
         for a in (points, points[()] if points.ndim == 0 else points.T):
             got, expected = gmd.log_pdf(mix, a), oracle_log_pdf(mix, a)
@@ -531,6 +536,20 @@ class TestMonteCarloBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestZeroMeanFormulas:
+    """The overlap, lower bound and mean power against the general-mean
+    formulas they replaced, bit for bit."""
+
+    @given(weighted_mixtures())
+    @settings(max_examples=200, deadline=None)
+    def test_match_general_mean_formulas(self, mix):
+        z = oracle_overlap_matrix(mix)
+        assert gmd.overlap_matrix(mix).tobytes() == z.tobytes()
+        lb = float(-np.sum(mix.weights * np.log2(z @ mix.weights)))
+        assert gmd.entropy_lower_bound(mix).hex() == lb.hex()
+        assert mix.mean_power.hex() == oracle_mean_power(mix).hex()
 
 
 @st.composite
@@ -603,7 +622,7 @@ class TestRandomizedProperties:
         w = np.full(n, 1.0 / n)
         split_w = np.concatenate([[w[0] / 2, w[0] / 2], w[1:]])
         split_v = np.concatenate([[variances[0]], variances])
-        split = gmd.mixture_from_arrays(split_w, np.zeros(n + 1), split_v)
+        split = gmd.mixture_from_arrays(split_w, split_v)
         # lower bound unchanged; upper bound grows by exactly beta * log2(2)
         assert gmd.entropy_lower_bound(split) == pytest.approx(
             gmd.entropy_lower_bound(mix), abs=1e-10

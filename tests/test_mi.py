@@ -13,7 +13,6 @@ from sm_noma.mi import (
     asymptotes,
     mi_exact,
     mi_lower_bound_k2,
-    sum_mi,
 )
 from sm_noma.runner import default_snr_grid
 from sm_noma.system import (
@@ -207,34 +206,10 @@ class TestAsymptotes:
             asymptotes(config_at_snr(0.0), 1, 2)
 
 
-def make_result(r, k, value, err, snr_db):
-    return MiResult(r, k, gmd.EntropyEstimate(value, err, 0), math.nan, snr_db)
-
-
-class TestSumMi:
-    def test_definition(self):
-        total, err = sum_mi(
-            [make_result(1, 1, 1.0, 0.1, 10.0), make_result(2, 2, 2.0, 0.2, 10.0)]
-        )
-        assert total == pytest.approx(3.0)
-        assert err == pytest.approx(math.hypot(0.1, 0.2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sum_mi([])
-
-    def test_cross_decoded_messages_rejected(self):
-        with pytest.raises(ValueError, match="r must equal k"):
-            sum_mi([make_result(2, 1, 1.0, 0.0, 10.0)])
-
-    def test_mismatched_snr_rejected(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            sum_mi(
-                [make_result(1, 1, 1.0, 0.0, 10.0), make_result(2, 2, 2.0, 0.0, 12.0)]
-            )
-
-    def test_missing_user_rejected(self):
-        with pytest.raises(ValueError, match="one result per user"):
-            sum_mi(
-                [make_result(1, 1, 1.0, 0.0, 10.0), make_result(1, 1, 2.0, 0.0, 10.0)]
-            )
+class TestMiResult:
+    def test_lower_bound_above_exact_rejected(self):
+        exact = gmd.EntropyEstimate(1.0, 0.1, 0)
+        assert MiResult(exact, 1.3).mi_lower_bound == 1.3
+        assert math.isnan(MiResult(exact, math.nan).mi_lower_bound)
+        with pytest.raises(ValueError, match="exceeds exact MI"):
+            MiResult(exact, 1.31)
