@@ -20,14 +20,11 @@ from .gmd import (
 )
 from .system import (
     ChannelRealization,
-    Codebook,
     SystemConfig,
     draw_channel,
-    make_conventional_sm_codebooks,
     mixture_of_interference,
     mixture_of_received,
     simulate_received_symbol,
-    synthesize_transmit_signal,
 )
 from .mi import (
     AsymptoteReport,

@@ -97,7 +97,7 @@ def sm_tdma_mi(
     if not (1 <= k <= config.num_users):
         raise ValueError(f"user index {k} out of range")
     power = sum(config.power_levels)
-    gains_sq = np.abs(realization.gains_of(k, k)) ** 2
+    gains_sq = np.abs(realization.channel_vectors[k - 1]) ** 2
     variances = config.noise_power + config.signal_power * power * gains_sq
     received = gmd.equal_weight_zero_mean_mixture(variances)
     h_y = gmd.entropy_radial_quadrature(received, tolerance).value

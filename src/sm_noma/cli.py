@@ -86,22 +86,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
+        if args.command == "props":
+            report = run_property_suite(config)
+        else:
+            run, x_axis = _RUNNERS[args.command]
+            curves = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     if args.command == "props":
-        report = run_property_suite(config)
         for line in report.lines():
             print(line)
         return 0 if report.all_passed else 2
 
-    run, x_axis = _RUNNERS[args.command]
-    try:
-        curves = run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     out = config.output_path or f"{args.command}.csv"
     write_curves(out, curves, config, x_axis=x_axis)
     print(f"wrote {len(curves)} curves to {out}")

@@ -176,12 +176,15 @@ def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarra
     """Natural log of the mixture PDF, evaluated via log-sum-exp.
 
     The density is radial: |a|^2 is taken once per point and shared by
-    every component.
+    every component. It is squared as an array of at least one dimension:
+    on a 0-d point, ** 2 would act on a numpy scalar, whose power can round
+    differently from the array loop's product.
     """
     a = np.asarray(points, dtype=complex)
     per_component = (len(mixture),) + (1,) * a.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
-    log_terms = np.divide(np.abs(a) ** 2, mixture.variances.reshape(per_component))
+    abs_sq = (np.abs(np.atleast_1d(a)) ** 2).reshape(a.shape)
+    log_terms = np.divide(abs_sq, mixture.variances.reshape(per_component))
     np.subtract(log_coef.reshape(per_component), log_terms, out=log_terms)
     return _logsumexp_overwrite(log_terms)
 

@@ -107,27 +107,18 @@ def mi_lower_bound_k2(
         raise ValueError(f"invalid decoder/message pair ({r}, {k}) for K = 2")
     rho = config.snr
     a1, a2 = config.power_levels
-    g2 = np.abs(realization.gains_of(r, 2)) ** 2  # |b_{r,2}^(n)|^2
-    n2 = len(g2)
-    p2 = g2[:, None] + g2[None, :]  # pairwise sums incl. diagonal
+    g = np.abs(realization.channel_vectors[r - 1]) ** 2  # |b_{r,k}^(n)|^2 = |h_r[n]|^2
+    p = g[:, None] + g[None, :]  # pairwise sums incl. diagonal
 
     if k == 2:
-        # log2(N2/e) - (1/N2) sum_n log2( sum_m 1 / (2 + rho a2^2 p2[n,m]) )
-        inner = np.sum(1.0 / (2.0 + rho * a2 * p2), axis=1)
-        return math.log2(n2) - LOG2E - float(np.mean(np.log2(inner)))
-
-    g1 = np.abs(realization.gains_of(r, 1)) ** 2
-    n1 = len(g1)
-    p1 = g1[:, None] + g1[None, :]
-    # denom[n1, n2, m1, m2] = 2 + rho (a1^2 p1[n1,m1] + a2^2 p2[n2,m2])
-    denom = (
-        2.0
-        + rho * a1 * p1[:, None, :, None]
-        + rho * a2 * p2[None, :, None, :]
-    )
-    numer = 1.0 + rho * a2 * g2[None, :, None, None]
-    inner = np.sum(numer / denom, axis=(2, 3))
-    return math.log2(n1) - LOG2E - float(np.mean(np.log2(inner)))
+        # log2(M/e) - (1/M) sum_n log2( sum_m 1 / (2 + rho a2^2 p[n,m]) )
+        inner = np.sum(1.0 / (2.0 + rho * a2 * p), axis=1)
+    else:
+        # denom[n1, n2, m1, m2] = 2 + rho (a1^2 p[n1,m1] + a2^2 p[n2,m2])
+        denom = 2.0 + rho * a1 * p[:, None, :, None] + rho * a2 * p[None, :, None, :]
+        numer = 1.0 + rho * a2 * g[None, :, None, None]
+        inner = np.sum(numer / denom, axis=(2, 3))
+    return math.log2(len(g)) - LOG2E - float(np.mean(np.log2(inner)))
 
 
 def asymptotes(config: SystemConfig, r: int, k: int) -> AsymptoteReport:

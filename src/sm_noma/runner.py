@@ -22,7 +22,6 @@ from .system import (
     ChannelRealization,
     SystemConfig,
     draw_channel,
-    make_conventional_sm_codebooks,
     mixture_of_interference,
     mixture_of_received,
     require_integer,
@@ -218,15 +217,12 @@ def _mean_curves(
 
 def _require_paired_sm(config: ExperimentConfig) -> None:
     if config.system.num_users != 2:
-        raise ConfigError("figure reproduction needs K = 2")
-    if any(n != config.system.num_tx_antennas for n in config.system.codebook_sizes):
-        raise ConfigError("figure reproduction needs conventional SM (N_k = M)")
+        raise ConfigError("figure reproduction and the property suite need K = 2")
 
 
 def _draw_realizations(config: ExperimentConfig) -> list[ChannelRealization]:
-    codebooks = make_conventional_sm_codebooks(config.system)
     return [
-        draw_channel(config.system, codebooks, substream(config.seed, _TAG_CHANNEL, i))
+        draw_channel(config.system, substream(config.seed, _TAG_CHANNEL, i))
         for i in range(config.realizations)
     ]
 
@@ -359,6 +355,7 @@ def _random_zero_mean_mixture(rng: np.random.Generator) -> gmd.GaussianMixture:
 
 def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     """Randomized cross-module invariant checks with the configured seed."""
+    _require_paired_sm(config)
     rng = substream(config.seed, _TAG_PROPS)
     results: list[PropertyResult] = []
 
@@ -425,10 +422,9 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     record("variance_scaling", max_dev < 1e-8, f"max deviation {max_dev:.3e} bits")
 
     # Closed-form K=2 lower bound equals the bound assembly from mixtures.
-    codebooks = make_conventional_sm_codebooks(config.system)
     max_dev = 0.0
     for i in range(100):
-        realization = draw_channel(config.system, codebooks, rng)
+        realization = draw_channel(config.system, rng)
         snr_db = float(rng.uniform(-40, 40))
         system = _at_snr(config.system, snr_db, config.system.power_levels[:2])
         for (r, k) in ((1, 1), (2, 1), (2, 2)):
@@ -445,7 +441,7 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     violations = 0
     worst = -math.inf
     for i in range(100):
-        realization = draw_channel(config.system, codebooks, rng)
+        realization = draw_channel(config.system, rng)
         snr_db = float(rng.uniform(-40, 40))
         system = _at_snr(config.system, snr_db, config.system.power_levels[:2])
         for (r, k) in ((1, 1), (2, 1), (2, 2)):
@@ -473,7 +469,7 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     a1, a2 = config.system.power_levels[:2]
     n2 = config.system.codebook_sizes[1]
     for i in range(n_real):
-        realization = draw_channel(config.system, codebooks, rng)
+        realization = draw_channel(config.system, rng)
         res = mi_exact(realization, sys_high, 1, 1,
                        tolerance=config.quadrature_tolerance)
         i11[i] = res.mi_exact.value
@@ -520,7 +516,7 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
 
     # Empirical second moment of simulated symbols matches the mixture power.
     system = _at_snr(config.system, 10.0, config.system.power_levels[:2])
-    realization = draw_channel(system, codebooks, rng)
+    realization = draw_channel(system, rng)
     mix = mixture_of_received(realization, system, 1, 1)
     draws = 200_000
     sizes = system.codebook_sizes

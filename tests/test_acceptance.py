@@ -33,14 +33,12 @@ from sm_noma.runner import (
 from sm_noma.system import (
     SystemConfig,
     draw_channel,
-    make_conventional_sm_codebooks,
     mixture_of_interference,
     mixture_of_received,
 )
 
 LOG2E = math.log2(math.e)
 BASE = SystemConfig(4, 2, (4, 4), (4.0, 1.0), 1.0, 1.0)
-CODEBOOKS = make_conventional_sm_codebooks(BASE)
 N_REALIZATIONS = 200
 SEED = 2024
 
@@ -53,7 +51,7 @@ def report(name: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def realizations():
     return [
-        draw_channel(BASE, CODEBOOKS, substream(SEED, 0, i))
+        draw_channel(BASE, substream(SEED, 0, i))
         for i in range(N_REALIZATIONS)
     ]
 
@@ -163,7 +161,7 @@ def test_lower_bound_path_equivalence():
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for _ in range(100):
-        realization = draw_channel(BASE, CODEBOOKS, rng)
+        realization = draw_channel(BASE, rng)
         system = _at_snr(BASE, float(rng.uniform(-40, 40)), (4.0, 1.0))
         for r, k in ((1, 1), (2, 1), (2, 2)):
             direct = mi_lower_bound_k2(realization, system, r, k)
@@ -188,7 +186,7 @@ def test_estimator_cross_validation():
     for snr_db in (-10.0, 0.0, 10.0, 30.0):
         system = _at_snr(BASE, snr_db, (4.0, 1.0))
         for _ in range(2):
-            realization = draw_channel(BASE, CODEBOOKS, rng)
+            realization = draw_channel(BASE, rng)
             for mix in (
                 mixture_of_received(realization, system, 1, 1),
                 mixture_of_interference(realization, system, 1, 1),

@@ -13,7 +13,7 @@ from sm_noma.baselines import (
     sm_tdma_mi,
 )
 from sm_noma.runner import ConfigError, config_from_dict
-from sm_noma.system import SystemConfig, draw_channel, make_conventional_sm_codebooks
+from sm_noma.system import SystemConfig, draw_channel
 
 
 def config_at_snr(snr_db, powers=(4.0, 1.0)):
@@ -28,8 +28,7 @@ def config_at_snr(snr_db, powers=(4.0, 1.0)):
 
 
 def realization_for(cfg, seed):
-    books = make_conventional_sm_codebooks(cfg)
-    return draw_channel(cfg, books, np.random.default_rng(seed))
+    return draw_channel(cfg, np.random.default_rng(seed))
 
 
 class TestBaselineKind:

@@ -92,3 +92,15 @@ def test_make_reference_monte_carlo_call():
     ).mi_exact
     assert res.sample_count == 20
     assert res.std_error > 0.0
+
+
+def test_realizations_hold_their_channel_matrix():
+    # bench/tracing.py keys repeated mi_exact and sm_tdma_mi calls on
+    # args[0].channel_vectors.tobytes(), an attribute the scan above
+    # cannot see.
+    config = runner.figure1_config(seed=0, realizations=2)
+    for realization in runner._draw_realizations(config):
+        h = realization.channel_vectors
+        assert h.shape == (config.system.num_users, config.system.num_tx_antennas)
+        assert h.dtype == complex
+        assert not h.flags.writeable

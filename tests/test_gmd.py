@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp as scipy_logsumexp
@@ -516,9 +516,13 @@ class TestMonteCarloBlocks:
         assert np.array_equal(draws, oracle_sample(mix, np.random.default_rng(seed), samples))
 
     @given(weighted_mixtures(), signed_zero_points())
+    @example(gmd.mixture_from_arrays([1.0], [1.0]),
+             np.array(28.999989883314665 + 10.207993637840355j))
     @settings(max_examples=200, deadline=None)
     def test_radial_log_pdf_matches_general_formula(self, mix, points):
         # A 0-d point also as a numpy scalar; other shapes also transposed.
+        # At the pinned 0-d point, a numpy scalar's |a| ** 2 is 1 ulp off
+        # the array loop's product.
         for a in (points, points[()] if points.ndim == 0 else points.T):
             got, expected = gmd.log_pdf(mix, a), oracle_log_pdf(mix, a)
             assert np.shape(got) == np.shape(expected) == np.shape(a)

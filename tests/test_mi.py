@@ -19,7 +19,6 @@ from sm_noma.system import (
     ChannelRealization,
     SystemConfig,
     draw_channel,
-    make_conventional_sm_codebooks,
     mixture_of_interference,
     mixture_of_received,
 )
@@ -39,15 +38,13 @@ def config_at_snr(snr_db, powers=(4.0, 1.0)):
 
 
 def random_realization(cfg, seed):
-    books = make_conventional_sm_codebooks(cfg)
-    return draw_channel(cfg, books, np.random.default_rng(seed))
+    return draw_channel(cfg, np.random.default_rng(seed))
 
 
 def flat_gain_realization(cfg, b):
     """Channel whose entries all equal b, so every effective gain equals b."""
-    books = make_conventional_sm_codebooks(cfg)
     h = np.full((cfg.num_users, cfg.num_tx_antennas), b, dtype=complex)
-    return ChannelRealization.from_channels(h, books)
+    return ChannelRealization(h)
 
 
 class TestMiExact:
@@ -146,8 +143,7 @@ class TestMiLowerBound:
 
     def test_rejects_more_than_two_users(self):
         cfg = SystemConfig(4, 3, (4, 4, 4), (4.0, 2.0, 1.0), 1.0, 1.0)
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(6))
+        realization = draw_channel(cfg, np.random.default_rng(6))
         with pytest.raises(ValueError, match="K = 2"):
             mi_lower_bound_k2(realization, cfg, 1, 1)
 

@@ -122,6 +122,7 @@ class TestConfig:
         {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 8}]},
         {"baselines": [{"variant": "sm_tdma", "time_shares": [0.2, 0.3, 0.5]}]},
         {"system": {"num_tx_antennas": 128, "codebook_sizes": [128, 128]}},
+        {"system": {"codebook_sizes": [4, 2]}},
         *NON_REAL_INPUTS,
     ])
     def test_bad_input_rejected(self, data):
@@ -312,6 +313,15 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"system": {"num_tx_antennas": 4.0}}))
         assert main(["fig1", "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fig1", "props"])
+    def test_three_user_config_exit_code(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"system": {
+            "num_users": 3, "codebook_sizes": [4, 4, 4], "power_levels": [4.0, 2.0, 1.0]}}))
+        assert main([command, "--config", str(cfg_path), "--realizations", "1",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
 

@@ -8,14 +8,11 @@ import pytest
 from sm_noma import gmd
 from sm_noma.system import (
     ChannelRealization,
-    Codebook,
     SystemConfig,
     draw_channel,
-    make_conventional_sm_codebooks,
     mixture_of_interference,
     mixture_of_received,
     simulate_received_symbol,
-    synthesize_transmit_signal,
 )
 
 
@@ -34,7 +31,6 @@ class TestSystemConfig:
     def test_snr_is_derived(self):
         cfg = paper_config(signal_power=100.0, noise_power=4.0)
         assert cfg.snr == pytest.approx(25.0)
-        assert cfg.snr_db == pytest.approx(10 * math.log10(25.0))
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -45,134 +41,149 @@ class TestSystemConfig:
             SystemConfig(4, 2, (4, 4), (4.0, -1.0), 1.0, 1.0)
 
 
-class TestCodebooks:
+class TestConventionalSm:
+    """Conventional SM: symbol index n of every user switches on antenna n,
+    so codebook k is the standard basis of C^M and N_k = M."""
+
     def test_conventional_sm_is_standard_basis(self):
-        books = make_conventional_sm_codebooks(paper_config())
-        assert len(books) == 2
-        for book in books:
-            np.testing.assert_array_equal(book.vectors, np.eye(4, dtype=complex))
+        # The mixtures equal those built from explicit eye(M) codebooks,
+        # b_{r,k}^(n) = h_r^T e_n, to the bit.
+        cfg = paper_config(signal_power=3.0, noise_power=0.5)
+        realization = draw_channel(cfg, np.random.default_rng(15))
+        for r in (1, 2):
+            gains = np.eye(4, dtype=complex) @ realization.channel_vectors[r - 1]
+            g = np.abs(gains) ** 2
+            pairs = (4.0 * g[:, None] + 1.0 * g[None, :]).ravel()
+            recv = mixture_of_received(realization, cfg, r, 1)
+            assert recv.variances.tobytes() == (0.5 + 3.0 * pairs).tobytes()
+            intf = mixture_of_interference(realization, cfg, r, 1)
+            assert intf.variances.tobytes() == (0.5 + 3.0 * (1.0 * g)).tobytes()
 
     def test_single_antenna_degenerate(self):
-        book = Codebook.conventional_sm(1)
-        np.testing.assert_array_equal(book.vectors, [[1.0 + 0j]])
-
-    def test_all_vectors_unit_norm(self):
-        for book in make_conventional_sm_codebooks(paper_config()):
-            norms = np.sum(np.abs(book.vectors) ** 2, axis=1)
-            np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+        cfg = SystemConfig(1, 2, (1, 1), (4.0, 1.0), 1.0, 1.0)
+        realization = draw_channel(cfg, np.random.default_rng(16))
+        assert realization.channel_vectors.shape == (2, 1)
+        mix = mixture_of_received(realization, cfg, 1, 1)
+        assert len(mix) == 1
+        assert mix.variances[0] == pytest.approx(
+            1.0 + 5.0 * abs(realization.channel_vectors[0, 0]) ** 2)
 
     def test_size_mismatch_rejected(self):
-        cfg = SystemConfig(4, 2, (4, 2), (4.0, 1.0), 1.0, 1.0)
         with pytest.raises(ValueError, match="codebook size"):
-            make_conventional_sm_codebooks(cfg)
-
-    def test_non_unit_vectors_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            Codebook(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+            SystemConfig(4, 2, (4, 2), (4.0, 1.0), 1.0, 1.0)
+        with pytest.raises(ValueError, match="codebook size"):
+            SystemConfig(2, 2, (4, 4), (4.0, 1.0), 1.0, 1.0)
 
 
 class TestDrawChannel:
     def test_entry_variance(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
         rng = np.random.default_rng(0)
         entries = np.concatenate(
-            [draw_channel(cfg, books, rng).channel_vectors.ravel() for _ in range(6250)]
+            [draw_channel(cfg, rng).channel_vectors.ravel() for _ in range(6250)]
         )
         # 6250 draws x (2 x 4) entries = 5e4; variance band per spec
         assert 0.99 <= np.mean(np.abs(entries) ** 2) <= 1.01
         assert abs(np.mean(entries)) < 0.01
 
     def test_conventional_sm_gain_is_channel_entry(self):
-        cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(1))
+        # Only user 2 transmits, a unit symbol on antenna n: decoder r
+        # receives b_{r,2}^(n) = h_r[n].
+        cfg = SystemConfig(4, 2, (4, 4), (0.0, 1.0), 1.0, 1.0)
+        realization = draw_channel(cfg, np.random.default_rng(1))
         for r in (1, 2):
-            for k in (1, 2):
-                np.testing.assert_array_equal(
-                    realization.gains_of(r, k), realization.channel_vectors[r - 1]
-                )
+            for n in range(1, 5):
+                y = simulate_received_symbol(realization, cfg, r, 1, np.ones(2), (1, n), 0.0)
+                assert y == realization.channel_vectors[r - 1, n - 1]
 
     def test_deterministic_for_fixed_seed(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        a = draw_channel(cfg, books, np.random.default_rng(7))
-        b = draw_channel(cfg, books, np.random.default_rng(7))
+        a = draw_channel(cfg, np.random.default_rng(7))
+        b = draw_channel(cfg, np.random.default_rng(7))
         np.testing.assert_array_equal(a.channel_vectors, b.channel_vectors)
 
     def test_gains_recomputable(self):
+        # A realization rebuilt from its channel matrix holds an equal,
+        # read-only complex copy and gives the same mixtures.
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(2))
-        rebuilt = ChannelRealization.from_channels(realization.channel_vectors, books)
-        for r in (1, 2):
-            for k in (1, 2):
-                np.testing.assert_allclose(
-                    realization.gains_of(r, k), rebuilt.gains_of(r, k), atol=1e-12
-                )
+        realization = draw_channel(cfg, np.random.default_rng(2))
+        h = np.array(realization.channel_vectors)
+        rebuilt = ChannelRealization(h)
+        h[0, 0] = 99.0
+        assert rebuilt.channel_vectors.dtype == complex
+        assert not rebuilt.channel_vectors.flags.writeable
+        assert rebuilt.channel_vectors.tobytes() == realization.channel_vectors.tobytes()
+        for r, k in ((1, 1), (2, 1), (2, 2)):
+            assert (mixture_of_received(rebuilt, cfg, r, k).variances.tobytes()
+                    == mixture_of_received(realization, cfg, r, k).variances.tobytes())
+
+    @pytest.mark.parametrize("h", [np.ones(4), np.ones((2, 0)), np.ones((1, 2, 2)),
+                                   [[1.0, np.nan]], [[np.inf, 1.0]]])
+    def test_malformed_channel_rejected(self, h):
+        with pytest.raises(ValueError, match="channel_vectors"):
+            ChannelRealization(h)
 
 
 class TestTransmitSignal:
-    def test_paper_example(self):
+    """The transmit vector x = sum_k alpha_k s_k e_{n_k} of conventional SM,
+    seen through the noiseless received symbol h_r^T x at decoder r."""
+
+    @staticmethod
+    def received(indices, symbols=(1.0, 1.0)):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        x, n_rf = synthesize_transmit_signal(cfg, books, np.array([1.0, 1.0]), (1, 2))
-        np.testing.assert_allclose(x, [2.0, 1.0, 0.0, 0.0])
-        assert n_rf == 2
+        realization = draw_channel(cfg, np.random.default_rng(17))
+        y = [simulate_received_symbol(realization, cfg, r, 1, np.array(symbols), indices, 0.0)
+             for r in (1, 2)]
+        return realization.channel_vectors, y
+
+    def test_paper_example(self):
+        h, y = self.received((1, 2))
+        x = np.array([2.0, 1.0, 0.0, 0.0])
+        for r in (1, 2):
+            assert y[r - 1] == pytest.approx(h[r - 1] @ x)
 
     def test_antenna_collision(self):
-        cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        x, n_rf = synthesize_transmit_signal(cfg, books, np.array([1.0, 1.0]), (3, 3))
-        np.testing.assert_allclose(x, [0.0, 0.0, 3.0, 0.0])
-        assert n_rf == 1
+        h, y = self.received((3, 3))
+        for r in (1, 2):
+            assert y[r - 1] == pytest.approx(3.0 * h[r - 1, 2])
 
     def test_zero_symbols(self):
-        cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        x, n_rf = synthesize_transmit_signal(cfg, books, np.zeros(2), (1, 4))
-        np.testing.assert_array_equal(x, np.zeros(4))
-        assert n_rf == 0
+        _, y = self.received((1, 4), symbols=(0.0, 0.0))
+        assert y == [0.0, 0.0]
 
     def test_index_out_of_range(self):
-        cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        with pytest.raises(ValueError, match="out of range"):
-            synthesize_transmit_signal(cfg, books, np.ones(2), (0, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            synthesize_transmit_signal(cfg, books, np.ones(2), (1, 5))
+        for indices in ((0, 2), (1, 5)):
+            with pytest.raises(ValueError, match="active indices"):
+                self.received(indices)
 
 
 class TestReceivedSymbol:
     def test_last_message_has_no_interference(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(3))
+        realization = draw_channel(cfg, np.random.default_rng(3))
         s = np.array([0.7 + 0.1j, -0.3 + 0.5j])
         y = simulate_received_symbol(realization, cfg, 2, 2, s, (1, 3), 0.25j)
-        expected = realization.gains_of(2, 2)[2] * 1.0 * s[1] + 0.25j
+        expected = realization.channel_vectors[1, 2] * 1.0 * s[1] + 0.25j
         assert y == pytest.approx(expected)
 
     def test_first_message_expansion_zero_noise(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(4))
+        realization = draw_channel(cfg, np.random.default_rng(4))
         s = np.array([1.0 + 0j, 1.0 + 0j])
         y = simulate_received_symbol(realization, cfg, 1, 1, s, (2, 4), 0.0)
-        expected = 2.0 * realization.gains_of(1, 1)[1] + 1.0 * realization.gains_of(1, 2)[3]
+        h = realization.channel_vectors[0]
+        expected = 2.0 * h[1] + 1.0 * h[3]
         assert y == pytest.approx(expected)
 
     def test_decoding_order_enforced(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(5))
+        realization = draw_channel(cfg, np.random.default_rng(5))
         with pytest.raises(ValueError, match="SIC"):
             simulate_received_symbol(realization, cfg, 1, 2, np.ones(2), (1, 1), 0.0)
 
     def test_batched_call_equals_scalar_calls(self):
         cfg = paper_config(signal_power=10.0)
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(7))
+        realization = draw_channel(cfg, np.random.default_rng(7))
         rng = np.random.default_rng(70)
         n = 100
         sym = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
@@ -192,8 +203,7 @@ class TestReceivedSymbol:
 
     def test_second_moment_matches_mixture(self):
         cfg = paper_config(signal_power=10.0)
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(6))
+        realization = draw_channel(cfg, np.random.default_rng(6))
         rng = np.random.default_rng(60)
         n = 100_000
         sym = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) * math.sqrt(
@@ -217,16 +227,14 @@ class TestReceivedSymbol:
 class TestMixtures:
     def test_last_message_interference_is_pure_noise(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(8))
+        realization = draw_channel(cfg, np.random.default_rng(8))
         mix = mixture_of_interference(realization, cfg, 2, 2)
         assert len(mix) == 1
         assert mix.variances[0] == pytest.approx(cfg.noise_power)
 
     def test_component_counts(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(9))
+        realization = draw_channel(cfg, np.random.default_rng(9))
         assert len(mixture_of_interference(realization, cfg, 1, 1)) == 4
         assert len(mixture_of_received(realization, cfg, 1, 1)) == 16
         assert len(mixture_of_received(realization, cfg, 2, 2)) == 4
@@ -236,24 +244,21 @@ class TestMixtures:
 
     def test_component_variances(self):
         cfg = paper_config(signal_power=3.0, noise_power=0.5)
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(10))
+        realization = draw_channel(cfg, np.random.default_rng(10))
         mix = mixture_of_received(realization, cfg, 2, 2)
-        g = np.abs(realization.gains_of(2, 2)) ** 2
+        g = np.abs(realization.channel_vectors[1]) ** 2
         np.testing.assert_allclose(mix.variances, 0.5 + 3.0 * 1.0 * g, atol=1e-12)
         assert np.all(mix.variances >= cfg.noise_power)
 
     def test_zero_power_collapses_to_noise(self):
         cfg = SystemConfig(4, 2, (4, 4), (0.0, 0.0), 1.0, 1.0)
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(11))
+        realization = draw_channel(cfg, np.random.default_rng(11))
         mix = mixture_of_received(realization, cfg, 1, 1)
         np.testing.assert_allclose(mix.variances, cfg.noise_power, atol=1e-12)
 
     def test_received_dominates_interference_componentwise(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(12))
+        realization = draw_channel(cfg, np.random.default_rng(12))
         recv = mixture_of_received(realization, cfg, 1, 1)
         intf = mixture_of_interference(realization, cfg, 1, 1)
         # received tuples (n1, n2) iterate with n2 fastest; matched on n2
@@ -262,8 +267,7 @@ class TestMixtures:
 
     def test_all_mixtures_zero_mean_equal_weight(self):
         cfg = paper_config()
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(13))
+        realization = draw_channel(cfg, np.random.default_rng(13))
         for r, k in ((1, 1), (2, 1), (2, 2)):
             for mix in (
                 mixture_of_received(realization, cfg, r, k),
@@ -274,8 +278,7 @@ class TestMixtures:
 
     def test_sampled_interference_entropy_matches_quadrature(self):
         cfg = paper_config(signal_power=10.0)
-        books = make_conventional_sm_codebooks(cfg)
-        realization = draw_channel(cfg, books, np.random.default_rng(14))
+        realization = draw_channel(cfg, np.random.default_rng(14))
         mix = mixture_of_interference(realization, cfg, 1, 1)
         mc = gmd.entropy_monte_carlo(mix, np.random.default_rng(140), 200_000)
         quad = gmd.entropy_radial_quadrature(mix)
