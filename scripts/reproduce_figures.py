@@ -6,7 +6,8 @@ Runs the per-user MI sweep (fig1), the sum-MI sweep at fixed total power
 CLI with its default configs, writing CSV + JSON sidecars into the chosen
 output directory. Each figure's line reports its elapsed time and the
 radial quadratures it computed and reused from the quadrature memo; a last
-line gives the total elapsed time and the process's peak resident set size.
+line gives the total elapsed time, the process's peak resident set size
+and its minor page faults.
 """
 
 import argparse
@@ -38,10 +39,11 @@ def main() -> int:
         after = gmd._radial_quadrature.cache_info()
         print(f"{name}: {out} ({time.perf_counter() - start:.1f}s, quadratures computed "
               f"{after.misses - before.misses}, reused {after.hits - before.hits})")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss is in KiB on Linux.
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"total: {time.perf_counter() - first:.1f}s for fig1, fig2a and fig2b "
-          f"at R={args.realizations}, peak RSS {peak_mb:.1f} MB")
+          f"at R={args.realizations}, peak RSS {usage.ru_maxrss / 1024:.1f} MB, "
+          f"{usage.ru_minflt} minor page faults")
     return 0
 
 

@@ -15,7 +15,6 @@ from .gmd import (
     gaussian_entropy,
     mixture_from_arrays,
     overlap_matrix,
-    pdf,
     sample,
 )
 from .system import (

@@ -50,16 +50,21 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray | np.float64:
     pairwise, then the tail rows; longer runs split at half the length,
     rounded down to a multiple of 8. Each accumulator starts from
     row + 0.0, which gives numpy's sign for a zero total.
+
+    The accumulators are x's own leading rows, so x is overwritten and no
+    array of its size is allocated.
     """
     n = len(x)
     if n < 8:
-        s = x[0] + 0.0
+        s = x[0]
+        s += 0.0
         for row in x[1:]:
             s += row
         return s
     if n <= 128:
         end = n - n % 8
-        r = x[:8] + 0.0
+        r = x[:8]
+        r += 0.0
         for i in range(8, end, 8):
             r += x[i : i + 8]
         s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
@@ -86,17 +91,28 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
 
 def _logsumexp_overwrite(a: np.ndarray) -> np.ndarray | np.float64:
     """logsumexp of a float64 array that the caller no longer needs: the
-    shifted exponentials are written into a. The kernel's term arrays are
-    (L, 40, 72); a second array of that size per call would cost a round of
-    page faults each time the allocator hands its pages back."""
+    shifted exponentials and their partial sums are written into a. The
+    kernel's term arrays are (L, 40, 72); a second array of that size per
+    call would cost a round of page faults each time the allocator hands
+    its pages back.
+
+    When every slice has exactly one maximum, the tie count is skipped:
+    s / 1 is s, log(1) is +0.0, and log1p(s) + 0.0 is log1p(s) for the
+    s >= +0 that the other terms' exponentials sum to, so scipy's bits are
+    kept. That holds for an infinite maximum too, where the other terms
+    add exp(-inf) = 0; a slice holding nan has no term equal to its nan
+    maximum, so it takes the general path.
+    """
     a_max = np.max(a, axis=0)
     is_max = a == a_max
-    count = np.sum(is_max, axis=0, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan slices
         shifted = np.subtract(a, a_max, out=a)
         np.exp(shifted, out=shifted)
-        shifted[is_max] = 0.0
+        np.copyto(shifted, 0.0, where=is_max)
         s = _pairwise_sum(shifted)
+        if np.count_nonzero(is_max) == a_max.size:
+            return np.log1p(s) + a_max
+        count = np.sum(is_max, axis=0, dtype=float)
         return np.log1p(s / count) + np.log(count) + a_max
 
 
@@ -173,25 +189,28 @@ class EntropyEstimate:
 
 
 def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
-    """Natural log of the mixture PDF, evaluated via log-sum-exp.
+    """Natural log of the mixture PDF, evaluated via log-sum-exp."""
+    a = np.asarray(points, dtype=complex)
+    return _log_pdf_into(mixture, a, np.empty((len(mixture),) + a.shape))
+
+
+def _log_pdf_into(
+    mixture: GaussianMixture, a: np.ndarray, terms: np.ndarray
+) -> np.ndarray:
+    """log_pdf of the complex array a, with the (L, *a.shape) component
+    terms written into the float64 array terms.
 
     The density is radial: |a|^2 is taken once per point and shared by
     every component. It is squared as an array of at least one dimension:
     on a 0-d point, ** 2 would act on a numpy scalar, whose power can round
     differently from the array loop's product.
     """
-    a = np.asarray(points, dtype=complex)
     per_component = (len(mixture),) + (1,) * a.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
     abs_sq = (np.abs(np.atleast_1d(a)) ** 2).reshape(a.shape)
-    log_terms = np.divide(abs_sq, mixture.variances.reshape(per_component))
-    np.subtract(log_coef.reshape(per_component), log_terms, out=log_terms)
-    return _logsumexp_overwrite(log_terms)
-
-
-def pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
-    """Mixture PDF; strictly positive for finite inputs."""
-    return np.exp(log_pdf(mixture, points))
+    np.divide(abs_sq, mixture.variances.reshape(per_component), out=terms)
+    np.subtract(log_coef.reshape(per_component), terms, out=terms)
+    return _logsumexp_overwrite(terms)
 
 
 def sample(
@@ -201,15 +220,64 @@ def sample(
 
     The stream is read in the order component indices, then every real
     part, then every imaginary part; callers' seeded results depend on it.
+    The component indices are the ones rng.choice(L, size=count, p=weights)
+    returns on the same stream. For equal weights they are computed here
+    from the same rng.random(count) draws (see _equal_weight_choice).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    idx = rng.choice(len(mixture), size=count, p=mixture.weights)
-    draws = np.empty(count, dtype=complex)
-    draws.real = rng.standard_normal(count)
-    draws.imag = rng.standard_normal(count)
-    draws *= np.sqrt(mixture.variances / 2.0)[idx]
+    return _sample_into(mixture, rng, np.empty(count, dtype=complex), np.empty(count))
+
+
+def _sample_into(
+    mixture: GaussianMixture,
+    rng: np.random.Generator,
+    draws: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """sample(mixture, rng, len(draws)), written into the complex array
+    draws. The float64 array scratch, of the same length, is overwritten:
+    it holds the uniform draws, each normal part in turn, and the scales.
+    """
+    count = len(draws)
+    w = mixture.weights
+    if (w == w[0]).all():
+        # draws is not written yet, so its memory is the choice's scratch.
+        idx = _equal_weight_choice(w, rng.random(out=scratch), draws.view(float)[:count])
+    else:
+        idx = rng.choice(len(mixture), size=count, p=w)
+    draws.real = rng.standard_normal(out=scratch)
+    draws.imag = rng.standard_normal(out=scratch)
+    # take buffers its out= in the default mode="raise"; idx is in range.
+    draws *= np.take(np.sqrt(mixture.variances / 2.0), idx, out=scratch, mode="clip")
     return draws
+
+
+def _equal_weight_choice(
+    weights: np.ndarray, u: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Indices of rng.choice(L, p=weights) for equal weights and its
+    uniform draws u; the float64 array scratch, as long as u, is
+    overwritten.
+
+    numpy's choice returns cdf.searchsorted(u, side="right") for
+    cdf = weights.cumsum() / its last entry: the number of cdf entries at
+    most u. Each entry is within about L eps of (k + 1) / L, so floor(u L)
+    is off that count by at most one, and one comparison against the same
+    cdf on each side corrects it. That holds while L^2 eps is well below
+    1, far beyond the mixtures a run builds. floor(u L) needs no cap at
+    L - 1: u is at most 1 - 2^-53, and L times that rounds below L.
+    """
+    n = len(weights)
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    # lower[k] = cdf[k - 1], the least u that index k takes.
+    lower = np.concatenate([[0.0], cdf[:-1]])
+    # Truncation toward zero, as astype does, without a float temporary.
+    idx = np.multiply(u, n, out=np.empty(len(u), np.intp), casting="unsafe")
+    idx -= np.greater(np.take(lower, idx, out=scratch, mode="clip"), u)
+    idx += np.less_equal(np.take(cdf, idx, out=scratch, mode="clip"), u)
+    return idx
 
 
 def overlap_matrix(mixture: GaussianMixture) -> np.ndarray:
@@ -250,8 +318,8 @@ def gaussian_entropy(variance: float) -> float:
     return math.log2(math.pi * math.e * variance)
 
 
-# Component terms per Monte Carlo block. It bounds the (L, block) arrays of
-# log_pdf at 512 kB whatever the sample count.
+# Component terms per Monte Carlo block. It bounds the (L, block) term
+# array at 512 kB whatever the sample count.
 _MC_BLOCK_TERMS = 1 << 16
 
 
@@ -260,18 +328,31 @@ def entropy_monte_carlo(
 ) -> EntropyEstimate:
     """Sample mean of -log2 f_A(a) over draws from the mixture.
 
-    All draws come from one `sample` call, so the random stream does not
-    depend on the block size; -log2 f is then evaluated in blocks of about
-    _MC_BLOCK_TERMS component terms.
+    Every draw is made, as `sample` makes them, before any is evaluated,
+    so the random stream does not depend on the block size; -log2 f is
+    then evaluated in blocks of about _MC_BLOCK_TERMS component terms.
+
+    The draws, -log2 f and the block terms share one buffer per call: the
+    -log2 f part is the sampler's scratch until the blocks fill it, and
+    each block writes its terms over the last. glibc's malloc raises its
+    trim threshold to twice the largest mmap-served block it frees, so
+    with the call's working set in one block the heap keeps its pages from
+    call to call instead of returning them and faulting them in again.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    draws = sample(mixture, rng, samples)
-    neg_log2_f = np.empty(samples)
-    step = max(1, _MC_BLOCK_TERMS // len(mixture))
+    n = len(mixture)
+    step = max(1, _MC_BLOCK_TERMS // n)
+    buffer = np.empty(3 * samples + n * min(step, samples))
+    neg_log2_f = buffer[2 * samples : 3 * samples]
+    draws = _sample_into(mixture, rng, buffer[: 2 * samples].view(complex), neg_log2_f)
+    workspace = buffer[3 * samples :]
     for start in range(0, samples, step):
-        block = slice(start, start + step)
-        np.divide(-log_pdf(mixture, draws[block]), LN2, out=neg_log2_f[block])
+        block = draws[start : start + step]
+        terms = workspace[: n * len(block)].reshape(n, len(block))
+        # x / -LN2 has the bits of -x / LN2: IEEE division is sign-symmetric.
+        log_f = _log_pdf_into(mixture, block, terms)
+        np.divide(log_f, -LN2, out=neg_log2_f[start : start + step])
     value = float(np.mean(neg_log2_f))
     if samples > 1:
         std_error = float(np.std(neg_log2_f, ddof=1) / math.sqrt(samples))

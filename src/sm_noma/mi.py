@@ -26,19 +26,14 @@ LOG2E = math.log2(math.e)
 
 @dataclass(frozen=True)
 class MiResult:
-    """Exact MI and its closed-form lower bound at one (r, k, SNR) point."""
+    """Exact MI and its closed-form lower bound at one (r, k, SNR) point.
+
+    A bound above the exact MI is held, not rejected: the property suite's
+    lb_validity check is what reports it.
+    """
 
     mi_exact: EntropyEstimate
     mi_lower_bound: float
-
-    def __post_init__(self):
-        if not math.isnan(self.mi_lower_bound):
-            slack = self.mi_exact.value + 3.0 * self.mi_exact.std_error
-            if self.mi_lower_bound > slack + 1e-9:
-                raise ValueError(
-                    f"lower bound {self.mi_lower_bound} exceeds exact MI "
-                    f"{self.mi_exact.value} +/- {self.mi_exact.std_error}"
-                )
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sm_noma import gmd
+from sm_noma import gmd, runner
 from sm_noma.mi import (
     MiResult,
     asymptotes,
     mi_exact,
     mi_lower_bound_k2,
 )
-from sm_noma.runner import default_snr_grid
+from sm_noma.runner import default_snr_grid, figure1_config
 from sm_noma.system import (
     ChannelRealization,
     SystemConfig,
@@ -203,9 +203,13 @@ class TestAsymptotes:
 
 
 class TestMiResult:
-    def test_lower_bound_above_exact_rejected(self):
+    def test_lower_bound_violation_is_a_fail_line(self, monkeypatch):
+        # Every operating point of lb_validity gets a bound 0.01 bit above
+        # exact + 3 sigma; the suite reports it instead of raising.
         exact = gmd.EntropyEstimate(1.0, 0.1, 0)
-        assert MiResult(exact, 1.3).mi_lower_bound == 1.3
+        violating = MiResult(exact, 1.31)
+        monkeypatch.setattr(runner, "mi_exact", lambda *args, **kwargs: violating)
+        report = runner.run_property_suite(figure1_config(realizations=1, seed=3))
+        assert [line for line in report.lines() if " lb_validity:" in line] == [
+            "FAIL  lb_validity: 300 violations, worst LB excess 1.000e-02 bits"]
         assert math.isnan(MiResult(exact, math.nan).mi_lower_bound)
-        with pytest.raises(ValueError, match="exceeds exact MI"):
-            MiResult(exact, 1.31)
