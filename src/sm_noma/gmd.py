@@ -478,11 +478,15 @@ def entropy_exact(
     """Entropy of the mixture via the selected estimator.
 
     method: "radial_quadrature" or "monte_carlo" (requires an explicit rng).
+    A one-component mixture is a plain Gaussian: either method returns its
+    closed form with sample_count 0 and draws nothing from the rng.
     """
+    if method not in ("radial_quadrature", "monte_carlo"):
+        raise ValueError(f"unknown entropy method {method!r}")
+    if method == "monte_carlo" and rng is None:
+        raise ValueError("monte_carlo requires an rng")
+    if len(mixture) == 1:
+        return EntropyEstimate(gaussian_entropy(mixture.variances[0]), 0.0, 0)
     if method == "radial_quadrature":
         return entropy_radial_quadrature(mixture, tolerance)
-    if method == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo requires an rng")
-        return entropy_monte_carlo(mixture, rng, samples)
-    raise ValueError(f"unknown entropy method {method!r}")
+    return entropy_monte_carlo(mixture, rng, samples)

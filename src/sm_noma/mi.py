@@ -46,21 +46,6 @@ class AsymptoteReport:
     constant_shift: float
 
 
-def _entropy_of(
-    mixture: gmd.GaussianMixture,
-    method: str,
-    rng: np.random.Generator | None,
-    samples: int,
-    tolerance: float,
-) -> EntropyEstimate:
-    # Single-component mixtures are plain Gaussians: closed form, no estimation.
-    if len(mixture) == 1:
-        return EntropyEstimate(gmd.gaussian_entropy(mixture.variances[0]), 0.0, 0)
-    return gmd.entropy_exact(
-        mixture, method, rng=rng, samples=samples, tolerance=tolerance
-    )
-
-
 def mi_exact(
     realization: ChannelRealization,
     config: SystemConfig,
@@ -75,8 +60,10 @@ def mi_exact(
     """I_{r,k} = h(Y_{r,k}) - h(Omega_{r,k}), both entropies by the same method."""
     received = mixture_of_received(realization, config, r, k)
     interference = mixture_of_interference(realization, config, r, k)
-    h_y = _entropy_of(received, method, rng, samples, tolerance)
-    h_w = _entropy_of(interference, method, rng, samples, tolerance)
+    h_y, h_w = (
+        gmd.entropy_exact(mix, method, rng=rng, samples=samples, tolerance=tolerance)
+        for mix in (received, interference)
+    )
     value = h_y.value - h_w.value
     std_error = math.hypot(h_y.std_error, h_w.std_error)
     count = h_y.sample_count + h_w.sample_count
@@ -130,7 +117,7 @@ def asymptotes(config: SystemConfig, r: int, k: int) -> AsymptoteReport:
             high_snr_lb_limit=None,
             constant_shift=shift,
         )
-    n2 = config.codebook_sizes[1]
+    n2 = config.num_tx_antennas  # conventional SM: N_2 = M
     a1, a2 = config.power_levels
     shift = 1.0 - math.log2(math.e * n2)
     ceiling = math.log2(1.0 + a1 / a2)

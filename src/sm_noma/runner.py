@@ -40,8 +40,9 @@ _TAG_CHANNEL = 0
 _TAG_MC = 1
 _TAG_PROPS = 2
 
-# Largest mixture a run may build: prod(N_k) components. The K=2 lower bound
-# holds (N1 N2)^2 float64 terms, 134 MB at this limit.
+# Largest mixture a run may build: M^2 components, one per index pair of the
+# two users (N_k = M). The K=2 lower bound holds M^4 float64 terms, 134 MB at
+# this limit, which M = 64 reaches.
 MAX_MIXTURE_COMPONENTS = 4096
 
 
@@ -92,21 +93,12 @@ def default_snr_grid() -> tuple[float, ...]:
     return tuple(float(s) for s in range(-40, 42, 2))
 
 
-def default_system(alpha1_sq: float = 4.0, alpha2_sq: float = 1.0) -> SystemConfig:
-    """Two paired users, conventional SM on M = 4 antennas, unit noise power."""
-    return SystemConfig(
-        num_tx_antennas=4,
-        num_users=2,
-        codebook_sizes=(4, 4),
-        power_levels=(alpha1_sq, alpha2_sq),
-        signal_power=1.0,
-        noise_power=1.0,
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    system: SystemConfig = default_system()
+    """One run's settings. The system has two users (K = 2) on conventional
+    SM with M = num_tx_antennas; power_split gives their power levels."""
+
+    num_tx_antennas: int = 4
     snr_grid_db: tuple[float, ...] = default_snr_grid()
     power_split: FixedPowerSplit | TotalPowerSweep = FixedPowerSplit(4.0, 1.0)
     realizations: int = 200
@@ -125,7 +117,7 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         if any(b >= a for a, b in zip(self.snr_grid_db[1:], self.snr_grid_db)):
             raise ConfigError("snr_grid_db must be strictly increasing")
-        for name in ("realizations", "mc_samples", "seed"):
+        for name in ("realizations", "mc_samples", "seed", "num_tx_antennas"):
             require_integer(name, getattr(self, name), ConfigError)
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
@@ -138,18 +130,29 @@ class ExperimentConfig:
             raise ConfigError("quadrature_tolerance must be positive")
         if self.method not in ("quadrature", "montecarlo"):
             raise ConfigError(f"unknown method {self.method!r}")
+        if self.num_tx_antennas < 1:
+            raise ConfigError("num_tx_antennas must be >= 1")
+        components = self.num_tx_antennas ** 2
+        if components > MAX_MIXTURE_COMPONENTS:
+            raise ConfigError(f"num_tx_antennas gives {components} mixture components, "
+                              f"more than the limit of {MAX_MIXTURE_COMPONENTS}")
         if len({type(b) for b in self.baselines}) < len(self.baselines):
             raise ConfigError("at most one baseline of each variant")
-        system = self.system
         for b in self.baselines:
-            if isinstance(b, MisoNoma) and b.num_tx_antennas > system.num_tx_antennas:
+            if isinstance(b, MisoNoma) and b.num_tx_antennas > self.num_tx_antennas:
                 raise ConfigError("miso_noma uses more antennas than the system has")
-            if isinstance(b, SmTdma) and len(b.time_shares) != system.num_users:
+            if isinstance(b, SmTdma) and len(b.time_shares) != 2:
                 raise ConfigError("sm_tdma needs one time share per user")
-        components = math.prod(system.codebook_sizes)
-        if components > MAX_MIXTURE_COMPONENTS:
-            raise ConfigError(f"codebook sizes give {components} mixture components, "
-                              f"more than the limit of {MAX_MIXTURE_COMPONENTS}")
+
+    @property
+    def system(self) -> SystemConfig:
+        """The two-user system at the first power pair of the split, unit
+        signal and noise power. _at_snr sets the powers and the SNR at each
+        grid point."""
+        split = self.power_split
+        powers = ((split.alpha1_sq, split.alpha2_sq) if isinstance(split, FixedPowerSplit)
+                  else split.split(split.ratio_grid[0]))
+        return SystemConfig(self.num_tx_antennas, 2, powers, 1.0, 1.0)
 
     @property
     def entropy_method(self) -> str:
@@ -215,16 +218,19 @@ def _mean_curves(
     return curves
 
 
-def _require_paired_sm(config: ExperimentConfig) -> None:
-    if config.system.num_users != 2:
-        raise ConfigError("figure reproduction and the property suite need K = 2")
-
-
 def _draw_realizations(config: ExperimentConfig) -> list[ChannelRealization]:
+    system = config.system
     return [
-        draw_channel(config.system, substream(config.seed, _TAG_CHANNEL, i))
+        draw_channel(system, substream(config.seed, _TAG_CHANNEL, i))
         for i in range(config.realizations)
     ]
+
+
+def _fixed_powers(config: ExperimentConfig) -> tuple[float, float]:
+    """(alpha1^2, alpha2^2) of a fixed power split; ConfigError for a sweep."""
+    if not isinstance(config.power_split, FixedPowerSplit):
+        raise ConfigError("this run needs a fixed power split")
+    return config.power_split.alpha1_sq, config.power_split.alpha2_sq
 
 
 # Curve labels of each baseline, in output order: per user k, and the sum.
@@ -278,11 +284,8 @@ def _snr_sweep(
 ) -> tuple[dict, list[MisoNoma | SmTdma]]:
     """The sweep over the SNR grid at the fixed power split, with the
     configured baselines in curve order."""
-    _require_paired_sm(config)
-    if not isinstance(config.power_split, FixedPowerSplit):
-        raise ConfigError("this figure needs a fixed power split")
-    powers = (config.power_split.alpha1_sq, config.power_split.alpha2_sq)
-    systems = [_at_snr(config.system, snr_db, powers) for snr_db in config.snr_grid_db]
+    base, powers = config.system, _fixed_powers(config)
+    systems = [_at_snr(base, snr_db, powers) for snr_db in config.snr_grid_db]
     baselines = [b for kind in _BASELINE_LABELS for b in config.baselines if type(b) is kind]
     return _sweep(config, systems, lower_bound, baselines), baselines
 
@@ -312,13 +315,12 @@ def run_figure2a(config: ExperimentConfig) -> list[MiCurve]:
 def run_figure2b(config: ExperimentConfig) -> list[MiCurve]:
     """Per-user MI at a fixed SNR versus the power ratio alpha1^2/alpha2^2,
     with the total power held constant. Curve x-values are the ratios."""
-    _require_paired_sm(config)
     if not isinstance(config.power_split, TotalPowerSweep):
         raise ConfigError("figure 2(b) needs a total_power_sweep power split")
     if len(config.snr_grid_db) != 1:
         raise ConfigError("figure 2(b) fixes a single SNR point")
-    sweep = config.power_split
-    systems = [_at_snr(config.system, config.snr_grid_db[0], sweep.split(ratio))
+    sweep, base = config.power_split, config.system
+    systems = [_at_snr(base, config.snr_grid_db[0], sweep.split(ratio))
                for ratio in sweep.ratio_grid]
     mi = _sweep(config, systems, lower_bound=False, baselines=[])["I"]
     return _mean_curves({"SM-NOMA I(1,1)": mi[0], "SM-NOMA I(2,2)": mi[1]},
@@ -354,8 +356,10 @@ def _random_zero_mean_mixture(rng: np.random.Generator) -> gmd.GaussianMixture:
 
 
 def run_property_suite(config: ExperimentConfig) -> PropertyReport:
-    """Randomized cross-module invariant checks with the configured seed."""
-    _require_paired_sm(config)
+    """Randomized cross-module invariant checks with the configured seed,
+    at the powers of the configured fixed split."""
+    powers = _fixed_powers(config)
+    base = config.system
     rng = substream(config.seed, _TAG_PROPS)
     results: list[PropertyResult] = []
 
@@ -424,9 +428,9 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     # Closed-form K=2 lower bound equals the bound assembly from mixtures.
     max_dev = 0.0
     for i in range(100):
-        realization = draw_channel(config.system, rng)
+        realization = draw_channel(base, rng)
         snr_db = float(rng.uniform(-40, 40))
-        system = _at_snr(config.system, snr_db, config.system.power_levels[:2])
+        system = _at_snr(base, snr_db, powers)
         for (r, k) in ((1, 1), (2, 1), (2, 2)):
             direct = mi_lower_bound_k2(realization, system, r, k)
             assembled = gmd.entropy_lower_bound(
@@ -441,9 +445,9 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     violations = 0
     worst = -math.inf
     for i in range(100):
-        realization = draw_channel(config.system, rng)
+        realization = draw_channel(base, rng)
         snr_db = float(rng.uniform(-40, 40))
-        system = _at_snr(config.system, snr_db, config.system.power_levels[:2])
+        system = _at_snr(base, snr_db, powers)
         for (r, k) in ((1, 1), (2, 1), (2, 2)):
             res = mi_exact(realization, system, r, k,
                            tolerance=config.quadrature_tolerance)
@@ -457,19 +461,18 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
 
     # Asymptotic behavior averaged over realizations at the SNR extremes.
     n_real = max(config.realizations, 200)
-    sys_high = _at_snr(config.system, 40.0, config.system.power_levels[:2])
-    sys_low = _at_snr(config.system, -40.0, config.system.power_levels[:2])
-    mid_systems = [_at_snr(config.system, s, config.system.power_levels[:2])
-                   for s in (10.0, 20.0, 30.0)]
+    sys_high = _at_snr(base, 40.0, powers)
+    sys_low = _at_snr(base, -40.0, powers)
+    mid_systems = [_at_snr(base, s, powers) for s in (10.0, 20.0, 30.0)]
     i11 = np.zeros(n_real)
     shift11 = np.zeros(n_real)
     low_dev = 0.0
     lb_low_dev = 0.0
     sic_gap = np.zeros((n_real, len(mid_systems)))
-    a1, a2 = config.system.power_levels[:2]
-    n2 = config.system.codebook_sizes[1]
+    a1, a2 = powers
+    n2 = config.num_tx_antennas  # conventional SM: N_2 = M
     for i in range(n_real):
-        realization = draw_channel(config.system, rng)
+        realization = draw_channel(base, rng)
         res = mi_exact(realization, sys_high, 1, 1,
                        tolerance=config.quadrature_tolerance)
         i11[i] = res.mi_exact.value
@@ -515,14 +518,14 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
            f"mean std-error ratio {mean_ratio:.3f} (expect 2)")
 
     # Empirical second moment of simulated symbols matches the mixture power.
-    system = _at_snr(config.system, 10.0, config.system.power_levels[:2])
+    system = _at_snr(base, 10.0, powers)
     realization = draw_channel(system, rng)
     mix = mixture_of_received(realization, system, 1, 1)
     draws = 200_000
-    sizes = system.codebook_sizes
     symbols = (rng.standard_normal((draws, 2)) + 1j * rng.standard_normal((draws, 2))) \
         * math.sqrt(system.signal_power / 2.0)
-    idx = np.column_stack([rng.integers(1, n + 1, size=draws) for n in sizes])
+    idx = np.column_stack([rng.integers(1, config.num_tx_antennas + 1, size=draws)
+                           for _ in range(2)])
     noise = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) \
         * math.sqrt(system.noise_power / 2.0)
     power = float(np.mean(np.abs(
@@ -569,10 +572,10 @@ def _reject_unknown(data: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
-def _from_plain(cls, data, context: str, base=None):
+def _from_plain(cls, data, context: str):
     """Build `cls` from a JSON object. Unknown keys are rejected; missing keys
-    keep the field defaults, or the values of `base`. Lists become tuples and
-    nested or tagged objects are built the same way."""
+    keep the field defaults. Lists become tuples and tagged objects are built
+    the same way."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
     defaults = {f.name: f.default for f in fields(cls)}
@@ -582,12 +585,10 @@ def _from_plain(cls, data, context: str, base=None):
         if name in _TAGGED:
             value = (tuple(_from_tagged(name, v) for v in value)
                      if isinstance(defaults[name], tuple) else _from_tagged(name, value))
-        elif is_dataclass(defaults[name]):
-            value = _from_plain(type(defaults[name]), value, name, defaults[name])
         elif isinstance(value, list):
             value = tuple(value)
         values[name] = value
-    return cls(**values) if base is None else replace(base, **values)
+    return cls(**values)
 
 
 def _from_tagged(field_name: str, data):

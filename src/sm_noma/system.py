@@ -4,8 +4,8 @@ Configuration, Rayleigh channel draws, the post-SIC received symbol, and
 the exact Gaussian mixtures of the interference-plus-noise and
 received-signal variables seen by each decoder under the fixed SIC order
 (1, ..., K). SM is conventional: symbol index n of any user switches on
-antenna n, so every codebook size equals M and the effective gain
-b_{r,k}^(n) is the channel entry h_r[n].
+antenna n, so every codebook size N_k is M by construction and the
+effective gain b_{r,k}^(n) is the channel entry h_r[n].
 
 User and message indices in the public API are 1-based, matching the
 usual (r, k) decoder/message notation.
@@ -40,13 +40,11 @@ class SystemConfig:
 
     num_tx_antennas: int
     num_users: int
-    codebook_sizes: tuple[int, ...]
     power_levels: tuple[float, ...]  # alpha_k^2, linear
     signal_power: float  # sigma_s^2
     noise_power: float  # sigma_v^2
 
     def __post_init__(self):
-        object.__setattr__(self, "codebook_sizes", tuple(self.codebook_sizes))
         levels = tuple(self.power_levels)
         for p in levels:
             require_real("each power level", p)
@@ -55,19 +53,10 @@ class SystemConfig:
         object.__setattr__(self, "power_levels", tuple(float(p) for p in levels))
         require_integer("num_tx_antennas", self.num_tx_antennas)
         require_integer("num_users", self.num_users)
-        for n in self.codebook_sizes:
-            require_integer("each codebook size", n)
         if self.num_tx_antennas < 1 or self.num_users < 1:
             raise ValueError("need at least one antenna and one user")
-        if len(self.codebook_sizes) != self.num_users:
-            raise ValueError("codebook_sizes must have one entry per user")
         if len(self.power_levels) != self.num_users:
             raise ValueError("power_levels must have one entry per user")
-        if any(n != self.num_tx_antennas for n in self.codebook_sizes):
-            raise ValueError(
-                f"conventional SM needs every codebook size equal to "
-                f"M={self.num_tx_antennas}, got {self.codebook_sizes}"
-            )
         if any(p < 0 for p in self.power_levels):
             raise ValueError("power levels must be nonnegative")
         powers = (*self.power_levels, self.signal_power, self.noise_power)

@@ -38,7 +38,7 @@ from sm_noma.system import (
 )
 
 LOG2E = math.log2(math.e)
-BASE = SystemConfig(4, 2, (4, 4), (4.0, 1.0), 1.0, 1.0)
+BASE = SystemConfig(4, 2, (4.0, 1.0), 1.0, 1.0)
 N_REALIZATIONS = 200
 SEED = 2024
 

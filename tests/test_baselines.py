@@ -20,7 +20,6 @@ def config_at_snr(snr_db, powers=(4.0, 1.0)):
     return SystemConfig(
         num_tx_antennas=4,
         num_users=2,
-        codebook_sizes=(4, 4),
         power_levels=powers,
         signal_power=10.0 ** (snr_db / 10.0),
         noise_power=1.0,
@@ -83,7 +82,7 @@ class TestMisoNoma:
         realization = realization_for(cfg, 4)
         with pytest.raises(ValueError):
             miso_noma_mi(realization, cfg, 1, 2)
-        cfg3 = SystemConfig(4, 3, (4, 4, 4), (4.0, 2.0, 1.0), 1.0, 1.0)
+        cfg3 = SystemConfig(4, 3, (4.0, 2.0, 1.0), 1.0, 1.0)
         realization3 = realization_for(cfg3, 4)
         with pytest.raises(ValueError, match="K = 2"):
             miso_noma_mi(realization3, cfg3, 1, 1)

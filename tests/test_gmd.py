@@ -225,15 +225,29 @@ class TestEntropyExact:
         assert quad.value == pytest.approx(GOLDEN_H_L2_1_4, abs=1e-9)
 
     def test_dispatcher(self):
-        mix = unit_mixture()
+        mix = gmd.equal_weight_zero_mean_mixture([1.0, 4.0])
         est = gmd.entropy_exact(mix, "radial_quadrature")
         assert est.sample_count == 0
+        assert est == gmd.entropy_radial_quadrature(mix)
         est = gmd.entropy_exact(mix, "monte_carlo", rng=np.random.default_rng(0), samples=100)
         assert est.sample_count == 100
-        with pytest.raises(ValueError):
-            gmd.entropy_exact(mix, "monte_carlo")
-        with pytest.raises(ValueError):
-            gmd.entropy_exact(mix, "cubature")
+        assert est == gmd.entropy_monte_carlo(mix, np.random.default_rng(0), 100)
+        for m in (mix, unit_mixture()):
+            with pytest.raises(ValueError):
+                gmd.entropy_exact(m, "monte_carlo")
+            with pytest.raises(ValueError):
+                gmd.entropy_exact(m, "cubature")
+
+    @pytest.mark.parametrize("method", ["radial_quadrature", "monte_carlo"])
+    def test_one_component_closed_form(self, method):
+        # A plain Gaussian needs no estimator: the closed form, no samples,
+        # and the rng is left as it was.
+        mix = gmd.equal_weight_zero_mean_mixture([2.5])
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        est = gmd.entropy_exact(mix, method, rng=rng, samples=100)
+        assert est == gmd.EntropyEstimate(gmd.gaussian_entropy(2.5), 0.0, 0)
+        assert rng.bit_generator.state == state
 
     def test_monte_carlo_error_halves_with_4x_samples(self):
         mix = gmd.equal_weight_zero_mean_mixture([0.3, 1.0, 9.0])

@@ -30,7 +30,6 @@ def config_at_snr(snr_db, powers=(4.0, 1.0)):
     return SystemConfig(
         num_tx_antennas=4,
         num_users=2,
-        codebook_sizes=(4, 4),
         power_levels=powers,
         signal_power=10.0 ** (snr_db / 10.0),
         noise_power=1.0,
@@ -142,7 +141,7 @@ class TestMiLowerBound:
                 assert res.mi_lower_bound <= res.mi_exact.value + 1e-8
 
     def test_rejects_more_than_two_users(self):
-        cfg = SystemConfig(4, 3, (4, 4, 4), (4.0, 2.0, 1.0), 1.0, 1.0)
+        cfg = SystemConfig(4, 3, (4.0, 2.0, 1.0), 1.0, 1.0)
         realization = draw_channel(cfg, np.random.default_rng(6))
         with pytest.raises(ValueError, match="K = 2"):
             mi_lower_bound_k2(realization, cfg, 1, 1)
@@ -195,7 +194,7 @@ class TestAsymptotes:
         assert report.constant_shift == pytest.approx(1.0 - LOG2E)
 
     def test_rejections(self):
-        cfg3 = SystemConfig(4, 3, (4, 4, 4), (4.0, 2.0, 1.0), 1.0, 1.0)
+        cfg3 = SystemConfig(4, 3, (4.0, 2.0, 1.0), 1.0, 1.0)
         with pytest.raises(ValueError):
             asymptotes(cfg3, 1, 1)
         with pytest.raises(ValueError):

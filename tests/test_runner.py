@@ -8,15 +8,15 @@ property suite at seed 0. To regenerate it from a given checkout:
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sm_noma import gmd
+from sm_noma import gmd, runner
 from sm_noma.baselines import SmTdma
 from sm_noma.cli import main
+from sm_noma.mi import MiResult
 from sm_noma.runner import (
     ConfigError,
     ExperimentConfig,
@@ -25,7 +25,6 @@ from sm_noma.runner import (
     config_from_dict,
     config_to_dict,
     default_snr_grid,
-    default_system,
     figure1_config,
     figure2b_config,
     load_config,
@@ -35,6 +34,7 @@ from sm_noma.runner import (
     run_property_suite,
     write_curves,
 )
+from sm_noma.system import SystemConfig
 
 # Properties that embody the source analysis' merged-Gaussian high-SNR
 # approximation; its error exceeds the stated 0.1-bit tolerance, so a
@@ -42,6 +42,7 @@ from sm_noma.runner import (
 KNOWN_DEFECT_PROPERTIES = {"high_snr_saturation", "constant_shift_convergence"}
 NAN, INF = math.nan, math.inf
 PINNED_PROPS = Path(__file__).parent / "data" / "pinned_props.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def property_suite_results():
@@ -59,14 +60,14 @@ def tiny_config(**overrides):
 # a real number belongs.
 NON_REAL_INPUTS = [
     {"snr_grid_db": ["10"]},
-    {"system": {"power_levels": ["4", True]}},
-    {"system": {"signal_power": "1"}},
-    {"system": {"noise_power": True}},
+    {"snr_grid_db": [0.0, True]},
+    {"power_split": {"mode": "total_power_sweep", "total": True, "ratio_grid": [1.0]}},
     {"power_split": {"mode": "total_power_sweep", "total": 5.0, "ratio_grid": [True, "2"]}},
     {"power_split": {"mode": "total_power_sweep", "total": "5", "ratio_grid": [1.0]}},
     {"power_split": {"mode": "fixed", "alpha1_sq": True, "alpha2_sq": 1.0}},
     {"power_split": {"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": "1"}},
     {"quadrature_tolerance": True},
+    {"quadrature_tolerance": "1e-10"},
     {"baselines": [{"variant": "sm_tdma", "time_shares": ["0.5", "0.5"]}]},
 ]
 
@@ -85,16 +86,18 @@ class TestConfig:
             config_from_dict({"snr_grid": [0.0]})
 
     def test_unknown_system_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown system keys"):
-            config_from_dict({"system": {"antennas": 4}})
+        # The system is fixed but for num_tx_antennas, so an old `system`
+        # block is an unknown key.
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['system'\]"):
+            config_from_dict({"system": {"num_tx_antennas": 4}})
 
     def test_bad_power_split_mode_rejected(self):
         with pytest.raises(ConfigError, match="power_split mode"):
             config_from_dict({"power_split": {"mode": "adaptive"}})
 
     @pytest.mark.parametrize("data", [
-        {"system": {"power_levels": [NAN, 1.0]}},
-        {"system": {"signal_power": INF}},
+        {"power_split": {"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": INF}},
+        {"snr_grid_db": [0.0, INF]},
         {"snr_grid_db": [0.0, NAN]},
         {"snr_grid_db": [-INF, 0.0]},
         {"power_split": {"mode": "fixed", "alpha1_sq": NAN, "alpha2_sq": 1.0}},
@@ -114,15 +117,15 @@ class TestConfig:
         {"baselines": [{"time_shares": [0.5, 0.5]}]},
         {"baselines": {"variant": "sm_tdma"}},
         {"power_split": [{"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": 1.0}]},
-        {"system": {"num_tx_antennas": 4.0}},
-        {"system": {"num_tx_antennas": True}},
-        {"system": {"num_users": 2.0}},
-        {"system": {"codebook_sizes": [4, 4.0]}},
+        {"num_tx_antennas": 4.0},
+        {"num_tx_antennas": True},
+        {"num_tx_antennas": 0},
+        {"system": {"num_tx_antennas": 4}},
         {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 2.0}]},
         {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 8}]},
         {"baselines": [{"variant": "sm_tdma", "time_shares": [0.2, 0.3, 0.5]}]},
-        {"system": {"num_tx_antennas": 128, "codebook_sizes": [128, 128]}},
-        {"system": {"codebook_sizes": [4, 2]}},
+        {"num_tx_antennas": 65},  # 65^2 = 4225 mixture components
+        {"num_users": 2},
         *NON_REAL_INPUTS,
     ])
     def test_bad_input_rejected(self, data):
@@ -138,10 +141,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown baseline keys"):
             config_from_dict({"baselines": [{"variant": "sm_tdma", "params": {}}]})
 
+    def test_largest_antenna_count_accepted(self):
+        # 64^2 = 4096 mixture components, exactly the limit.
+        assert config_from_dict({"num_tx_antennas": 64}).system.num_tx_antennas == 64
+
     def test_missing_keys_take_defaults(self):
-        cfg = config_from_dict({"system": {"signal_power": 2.0},
+        cfg = config_from_dict({"num_tx_antennas": 2,
                                 "baselines": [{"variant": "sm_tdma"}]})
-        assert cfg.system == replace(default_system(), signal_power=2.0)
+        assert cfg.system == SystemConfig(2, 2, (4.0, 1.0), 1.0, 1.0)
+        assert config_from_dict({}).num_tx_antennas == 4
         assert cfg.power_split == FixedPowerSplit(4.0, 1.0)
         assert cfg.snr_grid_db == default_snr_grid()
         assert cfg.baselines == (SmTdma((0.5, 0.5)),)
@@ -153,6 +161,13 @@ class TestConfig:
             {"variant": "miso_noma", "num_tx_antennas": 2},
             {"variant": "sm_tdma", "time_shares": [0.5, 0.5]},
         ]
+
+    def test_readme_example_matches_schema(self):
+        # The README's config example is valid and names every config key.
+        block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
+        example = json.loads(block)
+        config_from_dict(example)
+        assert set(example) == set(config_to_dict(ExperimentConfig()))
 
     def test_roundtrip(self):
         cfg = tiny_config()
@@ -283,6 +298,32 @@ class TestPropertySuite:
         # the entropy kernel's arithmetic to the last bit.
         assert results == json.loads(PINNED_PROPS.read_text())
 
+    def test_follows_power_split_and_antenna_count(self, monkeypatch):
+        # With every exact MI and lower bound at 0, the high-SNR details print
+        # the ceiling log2(1 + a1/a2) and the target shift log2(e M) - 1
+        # themselves, so they show which powers and M the suite read.
+        zero = MiResult(gmd.EntropyEstimate(0.0, 0.0, 0), 0.0)
+        monkeypatch.setattr(runner, "mi_exact", lambda *args, **kwargs: zero)
+
+        def details(**overrides):
+            report = run_property_suite(ExperimentConfig(realizations=1, seed=3, **overrides))
+            return {r.name: r.detail for r in report.results}
+
+        split = details(power_split=FixedPowerSplit(3.0, 2.0), num_tx_antennas=2)
+        default = details()
+        assert split["high_snr_saturation"] == (
+            f"mean I(1,1) at 40 dB off the merged-Gaussian ceiling by "
+            f"{math.log2(1.0 + 3.0 / 2.0):.4f} bits (tolerance 0.1)")
+        assert default["high_snr_saturation"] != split["high_snr_saturation"]
+        assert split["constant_shift_convergence"].startswith(
+            f"mean I-I_LB at 40 dB off {math.log2(math.e * 2) - 1.0:.4f} ")
+        assert default["constant_shift_convergence"].startswith(
+            f"mean I-I_LB at 40 dB off {math.log2(math.e * 4) - 1.0:.4f} ")
+
+    def test_needs_fixed_power_split(self):
+        with pytest.raises(ConfigError, match="fixed power split"):
+            run_property_suite(figure2b_config(realizations=1))
+
 
 class TestCli:
     def test_fig1_writes_output(self, tmp_path, capsys):
@@ -311,19 +352,21 @@ class TestCli:
 
     def test_float_antenna_count_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"system": {"num_tx_antennas": 4.0}}))
+        cfg_path.write_text(json.dumps({"num_tx_antennas": 4.0}))
         assert main(["fig1", "--config", str(cfg_path), "--realizations", "1",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fig1", "props"])
     def test_three_user_config_exit_code(self, tmp_path, capsys, command):
+        # K = 2 is fixed: a third user could be written only in the old
+        # `system` block, which is now an unknown key.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"system": {
-            "num_users": 3, "codebook_sizes": [4, 4, 4], "power_levels": [4.0, 2.0, 1.0]}}))
+            "num_users": 3, "power_levels": [4.0, 2.0, 1.0]}}))
         assert main([command, "--config", str(cfg_path), "--realizations", "1",
                      "--out", str(tmp_path / "x.csv")]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert "config error: unknown config keys: ['system']" in capsys.readouterr().err
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["fig1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1

@@ -20,7 +20,6 @@ def paper_config(signal_power=1.0, noise_power=1.0):
     return SystemConfig(
         num_tx_antennas=4,
         num_users=2,
-        codebook_sizes=(4, 4),
         power_levels=(4.0, 1.0),
         signal_power=signal_power,
         noise_power=noise_power,
@@ -35,10 +34,10 @@ class TestSystemConfig:
     def test_field_validation(self):
         with pytest.raises(ValueError):
             paper_config(noise_power=0.0)
+        with pytest.raises(ValueError, match="one entry per user"):
+            SystemConfig(4, 2, (4.0,), 1.0, 1.0)
         with pytest.raises(ValueError):
-            SystemConfig(4, 2, (4,), (4.0, 1.0), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            SystemConfig(4, 2, (4, 4), (4.0, -1.0), 1.0, 1.0)
+            SystemConfig(4, 2, (4.0, -1.0), 1.0, 1.0)
 
 
 class TestConventionalSm:
@@ -60,19 +59,13 @@ class TestConventionalSm:
             assert intf.variances.tobytes() == (0.5 + 3.0 * (1.0 * g)).tobytes()
 
     def test_single_antenna_degenerate(self):
-        cfg = SystemConfig(1, 2, (1, 1), (4.0, 1.0), 1.0, 1.0)
+        cfg = SystemConfig(1, 2, (4.0, 1.0), 1.0, 1.0)
         realization = draw_channel(cfg, np.random.default_rng(16))
         assert realization.channel_vectors.shape == (2, 1)
         mix = mixture_of_received(realization, cfg, 1, 1)
         assert len(mix) == 1
         assert mix.variances[0] == pytest.approx(
             1.0 + 5.0 * abs(realization.channel_vectors[0, 0]) ** 2)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="codebook size"):
-            SystemConfig(4, 2, (4, 2), (4.0, 1.0), 1.0, 1.0)
-        with pytest.raises(ValueError, match="codebook size"):
-            SystemConfig(2, 2, (4, 4), (4.0, 1.0), 1.0, 1.0)
 
 
 class TestDrawChannel:
@@ -89,7 +82,7 @@ class TestDrawChannel:
     def test_conventional_sm_gain_is_channel_entry(self):
         # Only user 2 transmits, a unit symbol on antenna n: decoder r
         # receives b_{r,2}^(n) = h_r[n].
-        cfg = SystemConfig(4, 2, (4, 4), (0.0, 1.0), 1.0, 1.0)
+        cfg = SystemConfig(4, 2, (0.0, 1.0), 1.0, 1.0)
         realization = draw_channel(cfg, np.random.default_rng(1))
         for r in (1, 2):
             for n in range(1, 5):
@@ -251,7 +244,7 @@ class TestMixtures:
         assert np.all(mix.variances >= cfg.noise_power)
 
     def test_zero_power_collapses_to_noise(self):
-        cfg = SystemConfig(4, 2, (4, 4), (0.0, 0.0), 1.0, 1.0)
+        cfg = SystemConfig(4, 2, (0.0, 0.0), 1.0, 1.0)
         realization = draw_channel(cfg, np.random.default_rng(11))
         mix = mixture_of_received(realization, cfg, 1, 1)
         np.testing.assert_allclose(mix.variances, cfg.noise_power, atol=1e-12)
