@@ -32,13 +32,12 @@ from .mi import (
     mi_exact,
     mi_lower_bound_k2,
 )
-from .baselines import MisoNoma, SmTdma, miso_noma_mi, sm_tdma_mi
+from .baselines import miso_noma_mi, sm_tdma_mi
 from .runner import (
     ConfigError,
     ExperimentConfig,
-    FixedPowerSplit,
     MiCurve,
-    TotalPowerSweep,
+    PowerSplit,
     run_figure1,
     run_figure2a,
     run_figure2b,

@@ -11,40 +11,11 @@ SM mutual information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gmd
-from .system import ChannelRealization, SystemConfig, require_integer, require_real
-
-
-@dataclass(frozen=True)
-class MisoNoma:
-    """MISO-NOMA baseline: each user's symbol over the first M' antennas."""
-
-    num_tx_antennas: int = 2
-
-    def __post_init__(self):
-        require_integer("miso_noma num_tx_antennas", self.num_tx_antennas)
-        if self.num_tx_antennas < 1:
-            raise ValueError("miso_noma needs num_tx_antennas >= 1")
-
-
-@dataclass(frozen=True)
-class SmTdma:
-    """SM-TDMA baseline: user k owns the fraction time_shares[k-1] of the frame."""
-
-    time_shares: tuple[float, ...] = (0.5, 0.5)
-
-    def __post_init__(self):
-        object.__setattr__(self, "time_shares", tuple(self.time_shares))
-        for share in self.time_shares:
-            require_real("each sm_tdma time share", share)
-        if any(not (0.0 < s < 1.0) for s in self.time_shares) or abs(
-            sum(self.time_shares) - 1.0
-        ) > 1e-12:
-            raise ValueError("sm_tdma time shares must lie in (0, 1) and sum to 1")
+from .system import ChannelRealization, SystemConfig
 
 
 def miso_noma_effective_gain(
@@ -52,8 +23,8 @@ def miso_noma_effective_gain(
 ) -> complex:
     """Equal-weight superposition gain g_r over the first M' antennas."""
     h = realization.channel_vectors[r - 1]
-    if num_tx_antennas > h.shape[0]:
-        raise ValueError("baseline antenna count exceeds drawn channel length")
+    if not 1 <= num_tx_antennas <= h.shape[0]:
+        raise ValueError("baseline antenna count must lie in 1..M")
     return complex(np.sum(h[:num_tx_antennas]) / math.sqrt(num_tx_antennas))
 
 

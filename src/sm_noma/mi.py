@@ -26,14 +26,9 @@ LOG2E = math.log2(math.e)
 
 @dataclass(frozen=True)
 class MiResult:
-    """Exact MI and its closed-form lower bound at one (r, k, SNR) point.
-
-    A bound above the exact MI is held, not rejected: the property suite's
-    lb_validity check is what reports it.
-    """
+    """Exact MI at one (r, k, SNR) point."""
 
     mi_exact: EntropyEstimate
-    mi_lower_bound: float
 
 
 @dataclass(frozen=True)
@@ -67,11 +62,7 @@ def mi_exact(
     value = h_y.value - h_w.value
     std_error = math.hypot(h_y.std_error, h_w.std_error)
     count = h_y.sample_count + h_w.sample_count
-    if config.num_users == 2:
-        lb = mi_lower_bound_k2(realization, config, r, k)
-    else:
-        lb = math.nan
-    return MiResult(mi_exact=EntropyEstimate(value, std_error, count), mi_lower_bound=lb)
+    return MiResult(mi_exact=EntropyEstimate(value, std_error, count))
 
 
 def mi_lower_bound_k2(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import gmd
-from .baselines import MisoNoma, SmTdma, miso_noma_mi, sm_tdma_mi
+from .baselines import miso_noma_mi, sm_tdma_mi
 from .mi import asymptotes, mi_exact, mi_lower_bound_k2
 from .system import (
     ChannelRealization,
@@ -45,6 +46,11 @@ _TAG_PROPS = 2
 # this limit, which M = 64 reaches.
 MAX_MIXTURE_COMPONENTS = 4096
 
+# The paper's baselines in Figs. 1 and 2(a): MISO-NOMA on 2 antennas and
+# SM-TDMA with one half of the frame per user.
+MISO_NOMA_ANTENNAS = 2
+SM_TDMA_SHARE = 0.5
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
@@ -59,20 +65,12 @@ def _require_finite(name: str, *values: float) -> None:
 
 
 @dataclass(frozen=True)
-class FixedPowerSplit:
-    alpha1_sq: float
-    alpha2_sq: float
+class PowerSplit:
+    """The power levels alpha1^2 : alpha2^2 = ratio for each ratio of the
+    grid, at alpha1^2 + alpha2^2 = total."""
 
-    def __post_init__(self):
-        _require_finite("power levels", self.alpha1_sq, self.alpha2_sq)
-        if self.alpha1_sq < 0 or self.alpha2_sq < 0:
-            raise ConfigError("power levels must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TotalPowerSweep:
-    total: float
-    ratio_grid: tuple[float, ...]
+    total: float = 5.0
+    ratio_grid: tuple[float, ...] = (4.0,)
 
     def __post_init__(self):
         ratios = tuple(self.ratio_grid)
@@ -98,14 +96,15 @@ class ExperimentConfig:
     """One run's settings. The system has two users (K = 2) on conventional
     SM with M = num_tx_antennas; power_split gives their power levels."""
 
+    # Each entropy's error bound for the radial quadrature.
+    quadrature_tolerance: ClassVar[float] = 1e-10
+
     num_tx_antennas: int = 4
     snr_grid_db: tuple[float, ...] = default_snr_grid()
-    power_split: FixedPowerSplit | TotalPowerSweep = FixedPowerSplit(4.0, 1.0)
+    power_split: PowerSplit = PowerSplit()
     realizations: int = 200
     mc_samples: int = 10**6
-    quadrature_tolerance: float = 1e-10
     seed: int = 0
-    baselines: tuple[MisoNoma | SmTdma, ...] = ()
     output_path: str | None = None
     method: str = "quadrature"
 
@@ -125,9 +124,6 @@ class ExperimentConfig:
             raise ConfigError("mc_samples must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        _require_finite("quadrature_tolerance", self.quadrature_tolerance)
-        if self.quadrature_tolerance <= 0:
-            raise ConfigError("quadrature_tolerance must be positive")
         if self.method not in ("quadrature", "montecarlo"):
             raise ConfigError(f"unknown method {self.method!r}")
         if self.num_tx_antennas < 1:
@@ -136,23 +132,14 @@ class ExperimentConfig:
         if components > MAX_MIXTURE_COMPONENTS:
             raise ConfigError(f"num_tx_antennas gives {components} mixture components, "
                               f"more than the limit of {MAX_MIXTURE_COMPONENTS}")
-        if len({type(b) for b in self.baselines}) < len(self.baselines):
-            raise ConfigError("at most one baseline of each variant")
-        for b in self.baselines:
-            if isinstance(b, MisoNoma) and b.num_tx_antennas > self.num_tx_antennas:
-                raise ConfigError("miso_noma uses more antennas than the system has")
-            if isinstance(b, SmTdma) and len(b.time_shares) != 2:
-                raise ConfigError("sm_tdma needs one time share per user")
 
     @property
     def system(self) -> SystemConfig:
-        """The two-user system at the first power pair of the split, unit
-        signal and noise power. _at_snr sets the powers and the SNR at each
-        grid point."""
+        """The two-user system at the split's first power ratio, unit signal
+        and noise power. _at_snr sets the powers and the SNR at each grid
+        point."""
         split = self.power_split
-        powers = ((split.alpha1_sq, split.alpha2_sq) if isinstance(split, FixedPowerSplit)
-                  else split.split(split.ratio_grid[0]))
-        return SystemConfig(self.num_tx_antennas, 2, powers, 1.0, 1.0)
+        return SystemConfig(self.num_tx_antennas, 2, split.split(split.ratio_grid[0]), 1.0, 1.0)
 
     @property
     def entropy_method(self) -> str:
@@ -167,19 +154,16 @@ class MiCurve:
     points: tuple[tuple[float, float, float], ...]
 
 
-def default_baselines() -> tuple[MisoNoma | SmTdma, ...]:
-    return (MisoNoma(), SmTdma())
-
-
 def figure1_config(**overrides) -> ExperimentConfig:
-    """Figures 1 and 2(a): the default SNR grid and 4:1 split, both baselines."""
-    return ExperimentConfig(**{"baselines": default_baselines(), **overrides})
+    """Figures 1 and 2(a) and the property suite: the default SNR grid at
+    total power 5 and ratio 4, so the powers are (4, 1)."""
+    return ExperimentConfig(**overrides)
 
 
 def figure2b_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**{
         "snr_grid_db": (30.0,),
-        "power_split": TotalPowerSweep(5.0, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)),
+        "power_split": PowerSplit(5.0, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)),
         **overrides,
     })
 
@@ -192,6 +176,25 @@ def _at_snr(system: SystemConfig, snr_db: float, powers: tuple[float, float]) ->
         noise_power=1.0,
         signal_power=10.0 ** (snr_db / 10.0),
     )
+
+
+def _only(values: tuple[float, ...], what: str) -> float:
+    """The one value of a grid that a run holds fixed; ConfigError otherwise."""
+    if len(values) != 1:
+        raise ConfigError(f"this run needs exactly one {what}, got {len(values)}")
+    return values[0]
+
+
+def _grid(config: ExperimentConfig, x_axis: str) -> list[SystemConfig]:
+    """The system at each point of a sweep: the SNR grid at the split's one
+    power ratio (x_axis "snr_db"), or the ratio grid at the one SNR point
+    (x_axis "power_ratio")."""
+    base, split = config.system, config.power_split
+    if x_axis == "power_ratio":
+        snr_db = _only(config.snr_grid_db, "SNR point")
+        return [_at_snr(base, snr_db, split.split(ratio)) for ratio in split.ratio_grid]
+    powers = split.split(_only(split.ratio_grid, "power ratio"))
+    return [_at_snr(base, snr_db, powers) for snr_db in config.snr_grid_db]
 
 
 def _mean_curves(
@@ -226,105 +229,74 @@ def _draw_realizations(config: ExperimentConfig) -> list[ChannelRealization]:
     ]
 
 
-def _fixed_powers(config: ExperimentConfig) -> tuple[float, float]:
-    """(alpha1^2, alpha2^2) of a fixed power split; ConfigError for a sweep."""
-    if not isinstance(config.power_split, FixedPowerSplit):
-        raise ConfigError("this run needs a fixed power split")
-    return config.power_split.alpha1_sq, config.power_split.alpha2_sq
-
-
-# Curve labels of each baseline, in output order: per user k, and the sum.
-_BASELINE_LABELS = {
-    MisoNoma: ("MISO-NOMA I({k},{k})", "MISO-NOMA sum"),
-    SmTdma: ("SM-TDMA I({k})", "SM-TDMA sum"),
-}
-
-
 def _sweep(
-    config: ExperimentConfig,
-    systems: list[SystemConfig],
-    lower_bound: bool,
-    baselines: list[MisoNoma | SmTdma],
-) -> dict:
+    config: ExperimentConfig, x_axis: str, lower_bound: bool, baselines: bool
+) -> dict[str, np.ndarray]:
     """Per-user quantities over (user k, realization i, grid point j).
 
     Returns one (2, R, G) array per quantity: "I" holds I(k,k) (Monte Carlo
     substream key (i, j, k-1)), "I_LB" the closed-form I_LB(k,k) when
-    lower_bound is set, and each baseline object its per-user MI. Grid
-    point j is evaluated on systems[j].
+    lower_bound is set, and "MISO-NOMA" and "SM-TDMA" the baselines' per-user
+    MI when baselines is set. The grid runs along x_axis (see _grid).
     """
-    rows = {key: np.zeros((2, config.realizations, len(systems)))
-            for key in ["I", *(["I_LB"] if lower_bound else []), *baselines]}
+    if baselines and config.num_tx_antennas < MISO_NOMA_ANTENNAS:
+        raise ConfigError(f"the MISO-NOMA baseline needs {MISO_NOMA_ANTENNAS} antennas, "
+                          f"the system has {config.num_tx_antennas}")
+    systems = _grid(config, x_axis)
+    keys = ["I", *(["I_LB"] if lower_bound else []),
+            *(["MISO-NOMA", "SM-TDMA"] if baselines else [])]
+    rows = {key: np.zeros((2, config.realizations, len(systems))) for key in keys}
     for i, realization in enumerate(_draw_realizations(config)):
         for j, system in enumerate(systems):
             for k in (1, 2):
                 rng = None
                 if config.method == "montecarlo":
                     rng = substream(config.seed, _TAG_MC, i, j, k - 1)
-                res = mi_exact(
+                rows["I"][k - 1, i, j] = mi_exact(
                     realization, system, k, k, config.entropy_method,
                     rng=rng, samples=config.mc_samples,
                     tolerance=config.quadrature_tolerance,
-                )
-                rows["I"][k - 1, i, j] = res.mi_exact.value
+                ).mi_exact.value
                 if lower_bound:
-                    rows["I_LB"][k - 1, i, j] = res.mi_lower_bound
-                for b in baselines:
-                    if isinstance(b, MisoNoma):
-                        value = miso_noma_mi(realization, system, k, k, b.num_tx_antennas)
-                    else:
-                        value = sm_tdma_mi(realization, system, k, b.time_shares[k - 1],
-                                           tolerance=config.quadrature_tolerance)
-                    rows[b][k - 1, i, j] = value
+                    rows["I_LB"][k - 1, i, j] = mi_lower_bound_k2(realization, system, k, k)
+                if baselines:
+                    rows["MISO-NOMA"][k - 1, i, j] = miso_noma_mi(
+                        realization, system, k, k, MISO_NOMA_ANTENNAS)
+                    rows["SM-TDMA"][k - 1, i, j] = sm_tdma_mi(
+                        realization, system, k, SM_TDMA_SHARE,
+                        tolerance=config.quadrature_tolerance)
     return rows
 
 
-def _snr_sweep(
-    config: ExperimentConfig, lower_bound: bool
-) -> tuple[dict, list[MisoNoma | SmTdma]]:
-    """The sweep over the SNR grid at the fixed power split, with the
-    configured baselines in curve order."""
-    base, powers = config.system, _fixed_powers(config)
-    systems = [_at_snr(base, snr_db, powers) for snr_db in config.snr_grid_db]
-    baselines = [b for kind in _BASELINE_LABELS for b in config.baselines if type(b) is kind]
-    return _sweep(config, systems, lower_bound, baselines), baselines
-
-
 def run_figure1(config: ExperimentConfig) -> list[MiCurve]:
-    """Per-user MI of SM-NOMA and baselines plus the closed-form lower bounds,
-    on the SNR grid with a fixed power split."""
-    rows, baselines = _snr_sweep(config, lower_bound=True)
+    """Per-user MI of SM-NOMA and the baselines plus the closed-form lower
+    bounds, on the SNR grid at the split's one power ratio."""
+    rows = _sweep(config, "snr_db", lower_bound=True, baselines=True)
     rows["I_LB+"] = np.maximum(rows["I_LB"], 0.0)
     curves = {f"SM-NOMA {name}({k},{k})": rows[name][k - 1]
               for name in ("I", "I_LB", "I_LB+") for k in (1, 2)}
-    for b in baselines:
-        for k in (1, 2):
-            curves[_BASELINE_LABELS[type(b)][0].format(k=k)] = rows[b][k - 1]
+    curves.update({f"MISO-NOMA I({k},{k})": rows["MISO-NOMA"][k - 1] for k in (1, 2)})
+    curves.update({f"SM-TDMA I({k})": rows["SM-TDMA"][k - 1] for k in (1, 2)})
     return _mean_curves(curves, config.snr_grid_db)
 
 
 def run_figure2a(config: ExperimentConfig) -> list[MiCurve]:
-    """Sum MI of SM-NOMA and baselines on the SNR grid at a fixed total power."""
-    rows, baselines = _snr_sweep(config, lower_bound=False)
-    curves = {"SM-NOMA sum": rows["I"][0] + rows["I"][1]}
-    for b in baselines:
-        curves[_BASELINE_LABELS[type(b)][1]] = rows[b][0] + rows[b][1]
+    """Sum MI of SM-NOMA and the baselines on the SNR grid at the split's
+    one power ratio."""
+    rows = _sweep(config, "snr_db", lower_bound=False, baselines=True)
+    curves = {f"{name} sum": rows[key][0] + rows[key][1]
+              for name, key in (("SM-NOMA", "I"), ("MISO-NOMA", "MISO-NOMA"),
+                                ("SM-TDMA", "SM-TDMA"))}
     return _mean_curves(curves, config.snr_grid_db)
 
 
 def run_figure2b(config: ExperimentConfig) -> list[MiCurve]:
-    """Per-user MI at a fixed SNR versus the power ratio alpha1^2/alpha2^2,
-    with the total power held constant. Curve x-values are the ratios."""
-    if not isinstance(config.power_split, TotalPowerSweep):
-        raise ConfigError("figure 2(b) needs a total_power_sweep power split")
-    if len(config.snr_grid_db) != 1:
-        raise ConfigError("figure 2(b) fixes a single SNR point")
-    sweep, base = config.power_split, config.system
-    systems = [_at_snr(base, config.snr_grid_db[0], sweep.split(ratio))
-               for ratio in sweep.ratio_grid]
-    mi = _sweep(config, systems, lower_bound=False, baselines=[])["I"]
+    """Per-user MI at the one SNR point versus the power ratio
+    alpha1^2/alpha2^2, with the total power held constant. Curve x-values
+    are the ratios."""
+    mi = _sweep(config, "power_ratio", lower_bound=False, baselines=False)["I"]
     return _mean_curves({"SM-NOMA I(1,1)": mi[0], "SM-NOMA I(2,2)": mi[1]},
-                        sweep.ratio_grid)
+                        config.power_split.ratio_grid)
 
 
 @dataclass(frozen=True)
@@ -357,8 +329,8 @@ def _random_zero_mean_mixture(rng: np.random.Generator) -> gmd.GaussianMixture:
 
 def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     """Randomized cross-module invariant checks with the configured seed,
-    at the powers of the configured fixed split."""
-    powers = _fixed_powers(config)
+    at the powers of the split's one power ratio."""
+    powers = config.power_split.split(_only(config.power_split.ratio_grid, "power ratio"))
     base = config.system
     rng = substream(config.seed, _TAG_PROPS)
     results: list[PropertyResult] = []
@@ -449,10 +421,10 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
         snr_db = float(rng.uniform(-40, 40))
         system = _at_snr(base, snr_db, powers)
         for (r, k) in ((1, 1), (2, 1), (2, 2)):
-            res = mi_exact(realization, system, r, k,
-                           tolerance=config.quadrature_tolerance)
-            excess = res.mi_lower_bound - (
-                res.mi_exact.value + 3.0 * res.mi_exact.std_error)
+            exact = mi_exact(realization, system, r, k,
+                             tolerance=config.quadrature_tolerance).mi_exact
+            excess = mi_lower_bound_k2(realization, system, r, k) - (
+                exact.value + 3.0 * exact.std_error)
             worst = max(worst, excess)
             if excess > 0:
                 violations += 1
@@ -469,20 +441,18 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     low_dev = 0.0
     lb_low_dev = 0.0
     sic_gap = np.zeros((n_real, len(mid_systems)))
-    a1, a2 = powers
-    n2 = config.num_tx_antennas  # conventional SM: N_2 = M
     for i in range(n_real):
         realization = draw_channel(base, rng)
-        res = mi_exact(realization, sys_high, 1, 1,
-                       tolerance=config.quadrature_tolerance)
-        i11[i] = res.mi_exact.value
-        shift11[i] = res.mi_exact.value - res.mi_lower_bound
+        i11[i] = mi_exact(realization, sys_high, 1, 1,
+                          tolerance=config.quadrature_tolerance).mi_exact.value
+        shift11[i] = i11[i] - mi_lower_bound_k2(realization, sys_high, 1, 1)
         for (r, k) in ((1, 1), (2, 1), (2, 2)):
-            res_low = mi_exact(realization, sys_low, r, k,
-                               tolerance=config.quadrature_tolerance)
-            low_dev = max(low_dev, abs(res_low.mi_exact.value))
+            low = mi_exact(realization, sys_low, r, k,
+                           tolerance=config.quadrature_tolerance).mi_exact.value
+            low_dev = max(low_dev, abs(low))
             limit = asymptotes(sys_low, r, k).low_snr_lb_limit
-            lb_low_dev = max(lb_low_dev, abs(res_low.mi_lower_bound - limit))
+            lb_low_dev = max(lb_low_dev,
+                             abs(mi_lower_bound_k2(realization, sys_low, r, k) - limit))
         for j, system in enumerate(mid_systems):
             sic_gap[i, j] = (
                 mi_exact(realization, system, 2, 2,
@@ -492,12 +462,12 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
             )
     record("low_snr_limits", low_dev < 0.02 and lb_low_dev < 0.02,
            f"max |MI| {low_dev:.4f}, max LB deviation {lb_low_dev:.4f} bits at -40 dB")
-    ceiling = math.log2(1.0 + a1 / a2)
-    dev = abs(float(i11.mean()) - ceiling)
+    high = asymptotes(sys_high, 1, 1)
+    dev = abs(float(i11.mean()) - high.high_snr_mi_limit)
     record("high_snr_saturation", dev < 0.1,
            f"mean I(1,1) at 40 dB off the merged-Gaussian ceiling by {dev:.4f} bits "
            f"(tolerance 0.1)")
-    target_shift = math.log2(math.e * n2) - 1.0
+    target_shift = -high.constant_shift
     dev = abs(float(shift11.mean()) - target_shift)
     record("constant_shift_convergence", dev < 0.1,
            f"mean I-I_LB at 40 dB off {target_shift:.4f} by {dev:.4f} bits "
@@ -538,74 +508,29 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     return PropertyReport(tuple(results))
 
 
-# The union-typed config fields: the name used in errors, the JSON key that
-# names the member, and the member class of each tag value.
-_TAGGED = {
-    "power_split": ("power_split", "mode",
-                    {"fixed": FixedPowerSplit, "total_power_sweep": TotalPowerSweep}),
-    "baselines": ("baseline", "variant", {"miso_noma": MisoNoma, "sm_tdma": SmTdma}),
-}
-_TAG_OF = {cls: (key, tag)
-           for _, key, members in _TAGGED.values() for tag, cls in members.items()}
-
-
-def _to_plain(value):
-    if is_dataclass(value):
-        plain = {}
-        if type(value) in _TAG_OF:
-            key, tag = _TAG_OF[type(value)]
-            plain[key] = tag
-        plain.update((f.name, _to_plain(getattr(value, f.name))) for f in fields(value))
-        return plain
-    if isinstance(value, tuple):
-        return [_to_plain(v) for v in value]
-    return value
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return _to_plain(config)
+    return asdict(config)
 
 
-def _reject_unknown(data: dict, allowed: set[str], context: str) -> None:
-    unknown = set(data) - allowed
+def _fields_from(cls, data, context: str) -> dict:
+    """The keyword arguments of `cls` in a JSON object: unknown keys are
+    rejected, missing keys keep the field defaults, lists become tuples."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-
-
-def _from_plain(cls, data, context: str):
-    """Build `cls` from a JSON object. Unknown keys are rejected; missing keys
-    keep the field defaults. Lists become tuples and tagged objects are built
-    the same way."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    defaults = {f.name: f.default for f in fields(cls)}
-    _reject_unknown(data, set(defaults), context)
-    values = {}
-    for name, value in data.items():
-        if name in _TAGGED:
-            value = (tuple(_from_tagged(name, v) for v in value)
-                     if isinstance(defaults[name], tuple) else _from_tagged(name, value))
-        elif isinstance(value, list):
-            value = tuple(value)
-        values[name] = value
-    return cls(**values)
-
-
-def _from_tagged(field_name: str, data):
-    context, key, members = _TAGGED[field_name]
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    data = dict(data)
-    tag = data.pop(key, None)
-    if tag not in members:
-        raise ConfigError(f"{context} {key} must be one of {sorted(members)}, got {tag!r}")
-    return _from_plain(members[tag], data, context)
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in data.items()}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a plain dict; unknown keys rejected."""
     try:
-        return _from_plain(ExperimentConfig, data, "config")
+        values = _fields_from(ExperimentConfig, data, "config")
+        if "power_split" in values:
+            values["power_split"] = PowerSplit(
+                **_fields_from(PowerSplit, values["power_split"], "power_split"))
+        return ExperimentConfig(**values)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

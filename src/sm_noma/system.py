@@ -96,7 +96,15 @@ def draw_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelReali
     return ChannelRealization(h)
 
 
-def _check_decoding_pair(config: SystemConfig, r: int, k: int) -> None:
+def _check_decoding_pair(
+    realization: ChannelRealization, config: SystemConfig, r: int, k: int
+) -> None:
+    """Raise ValueError unless the channel matrix is (K, M) for this system
+    and decoder r may decode message k."""
+    shape = (config.num_users, config.num_tx_antennas)
+    if realization.channel_vectors.shape != shape:
+        raise ValueError(f"channel matrix has shape {realization.channel_vectors.shape}, "
+                         f"the system needs (K, M) = {shape}")
     if not (1 <= k <= r <= config.num_users):
         raise ValueError(
             f"decoder {r} cannot handle message {k}: SIC order requires 1 <= k <= r <= K"
@@ -119,7 +127,7 @@ def simulate_received_symbol(
     axis and any leading axes index draws; `noise_sample` has the leading
     shape. A single draw returns one complex.
     """
-    _check_decoding_pair(config, r, k)
+    _check_decoding_pair(realization, config, r, k)
     symbols = np.asarray(symbols)
     indices = np.asarray(active_indices)
     if np.any((indices < 1) | (indices > config.num_tx_antennas)):
@@ -150,7 +158,7 @@ def mixture_of_interference(
 ) -> GaussianMixture:
     """Exact mixture of the interference-plus-noise variable at decoder r,
     message k: equal weights over index tuples of users t > k."""
-    _check_decoding_pair(config, r, k)
+    _check_decoding_pair(realization, config, r, k)
     variances = config.noise_power + _signal_variance_grid(realization, config, r, k + 1)
     return equal_weight_zero_mean_mixture(variances)
 
@@ -160,6 +168,6 @@ def mixture_of_received(
 ) -> GaussianMixture:
     """Exact mixture of the post-SIC received signal at decoder r, message k:
     equal weights over index tuples of users t >= k."""
-    _check_decoding_pair(config, r, k)
+    _check_decoding_pair(realization, config, r, k)
     variances = config.noise_power + _signal_variance_grid(realization, config, r, k)
     return equal_weight_zero_mean_mixture(variances)

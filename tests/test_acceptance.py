@@ -62,9 +62,8 @@ def high_snr_stats(realizations):
     mi = np.empty(N_REALIZATIONS)
     shift = np.empty(N_REALIZATIONS)
     for i, realization in enumerate(realizations):
-        res = mi_exact(realization, system, 1, 1)
-        mi[i] = res.mi_exact.value
-        shift[i] = res.mi_exact.value - res.mi_lower_bound
+        mi[i] = mi_exact(realization, system, 1, 1).mi_exact.value
+        shift[i] = mi[i] - mi_lower_bound_k2(realization, system, 1, 1)
     return mi, shift
 
 

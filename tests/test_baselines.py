@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sm_noma.baselines import (
-    MisoNoma,
-    SmTdma,
-    miso_noma_effective_gain,
-    miso_noma_mi,
-    sm_tdma_mi,
-)
-from sm_noma.runner import ConfigError, config_from_dict
+from sm_noma.baselines import miso_noma_effective_gain, miso_noma_mi, sm_tdma_mi
 from sm_noma.system import SystemConfig, draw_channel
 
 
@@ -28,26 +21,6 @@ def config_at_snr(snr_db, powers=(4.0, 1.0)):
 
 def realization_for(cfg, seed):
     return draw_channel(cfg, np.random.default_rng(seed))
-
-
-class TestBaselineKind:
-    def test_valid_variants(self):
-        assert MisoNoma().num_tx_antennas == 2
-        assert SmTdma().time_shares == (0.5, 0.5)
-        assert MisoNoma(3).num_tx_antennas == 3
-        assert SmTdma([0.25, 0.75]).time_shares == (0.25, 0.75)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError, match="baseline variant"):
-            config_from_dict({"baselines": [{"variant": "ofdma"}]})
-
-    def test_bad_time_shares_rejected(self):
-        with pytest.raises(ValueError):
-            SmTdma((0.7, 0.7))
-        with pytest.raises(ValueError):
-            SmTdma((1.0, 0.0))
-        with pytest.raises(ValueError):
-            MisoNoma(0)
 
 
 class TestMisoNoma:
@@ -82,6 +55,9 @@ class TestMisoNoma:
         realization = realization_for(cfg, 4)
         with pytest.raises(ValueError):
             miso_noma_mi(realization, cfg, 1, 2)
+        for antennas in (0, 5):
+            with pytest.raises(ValueError, match="antenna count"):
+                miso_noma_mi(realization, cfg, 1, 1, antennas)
         cfg3 = SystemConfig(4, 3, (4.0, 2.0, 1.0), 1.0, 1.0)
         realization3 = realization_for(cfg3, 4)
         with pytest.raises(ValueError, match="K = 2"):

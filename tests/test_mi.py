@@ -137,8 +137,8 @@ class TestMiLowerBound:
             cfg = config_at_snr(snr)
             realization = random_realization(cfg, seed)
             for r, k in ((1, 1), (2, 1), (2, 2)):
-                res = mi_exact(realization, cfg, r, k)
-                assert res.mi_lower_bound <= res.mi_exact.value + 1e-8
+                exact = mi_exact(realization, cfg, r, k).mi_exact.value
+                assert mi_lower_bound_k2(realization, cfg, r, k) <= exact + 1e-8
 
     def test_rejects_more_than_two_users(self):
         cfg = SystemConfig(4, 3, (4.0, 2.0, 1.0), 1.0, 1.0)
@@ -205,10 +205,9 @@ class TestMiResult:
     def test_lower_bound_violation_is_a_fail_line(self, monkeypatch):
         # Every operating point of lb_validity gets a bound 0.01 bit above
         # exact + 3 sigma; the suite reports it instead of raising.
-        exact = gmd.EntropyEstimate(1.0, 0.1, 0)
-        violating = MiResult(exact, 1.31)
-        monkeypatch.setattr(runner, "mi_exact", lambda *args, **kwargs: violating)
+        exact = MiResult(gmd.EntropyEstimate(1.0, 0.1, 0))
+        monkeypatch.setattr(runner, "mi_exact", lambda *args, **kwargs: exact)
+        monkeypatch.setattr(runner, "mi_lower_bound_k2", lambda *args: 1.31)
         report = runner.run_property_suite(figure1_config(realizations=1, seed=3))
         assert [line for line in report.lines() if " lb_validity:" in line] == [
             "FAIL  lb_validity: 300 violations, worst LB excess 1.000e-02 bits"]
-        assert math.isnan(MiResult(exact, math.nan).mi_lower_bound)

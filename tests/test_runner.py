@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from sm_noma import gmd, runner
-from sm_noma.baselines import SmTdma
+from sm_noma.baselines import miso_noma_mi, sm_tdma_mi
 from sm_noma.cli import main
 from sm_noma.mi import MiResult
 from sm_noma.runner import (
     ConfigError,
     ExperimentConfig,
-    FixedPowerSplit,
-    TotalPowerSweep,
+    PowerSplit,
+    _at_snr,
+    _draw_realizations,
     config_from_dict,
     config_to_dict,
     default_snr_grid,
@@ -61,14 +62,24 @@ def tiny_config(**overrides):
 NON_REAL_INPUTS = [
     {"snr_grid_db": ["10"]},
     {"snr_grid_db": [0.0, True]},
-    {"power_split": {"mode": "total_power_sweep", "total": True, "ratio_grid": [1.0]}},
-    {"power_split": {"mode": "total_power_sweep", "total": 5.0, "ratio_grid": [True, "2"]}},
-    {"power_split": {"mode": "total_power_sweep", "total": "5", "ratio_grid": [1.0]}},
-    {"power_split": {"mode": "fixed", "alpha1_sq": True, "alpha2_sq": 1.0}},
-    {"power_split": {"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": "1"}},
-    {"quadrature_tolerance": True},
-    {"quadrature_tolerance": "1e-10"},
-    {"baselines": [{"variant": "sm_tdma", "time_shares": ["0.5", "0.5"]}]},
+    {"power_split": {"total": True, "ratio_grid": [1.0]}},
+    {"power_split": {"total": 5.0, "ratio_grid": [True, "2"]}},
+    {"power_split": {"total": "5", "ratio_grid": [1.0]}},
+    {"power_split": {"total": None}},
+    {"power_split": {"total": [5.0]}},
+    {"power_split": {"ratio_grid": ["4"]}},
+    {"power_split": {"ratio_grid": "4"}},
+    {"snr_grid_db": [None]},
+]
+
+# Inputs in the schema before the power split became one flat object and the
+# baselines and tolerance became constants.
+OLD_SCHEMA_INPUTS = [
+    {"power_split": {"mode": "total_power_sweep", "total": 5.0, "ratio_grid": [4.0]}},
+    {"power_split": {"alpha1_sq": 4.0, "alpha2_sq": 1.0}},
+    {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 2}]},
+    {"baselines": []},
+    {"quadrature_tolerance": 1e-10},
 ]
 
 
@@ -92,41 +103,42 @@ class TestConfig:
             config_from_dict({"system": {"num_tx_antennas": 4}})
 
     def test_bad_power_split_mode_rejected(self):
-        with pytest.raises(ConfigError, match="power_split mode"):
+        # The power split is one type, so a `mode` tag is an unknown key.
+        with pytest.raises(ConfigError, match=r"unknown power_split keys: \['mode'\]"):
             config_from_dict({"power_split": {"mode": "adaptive"}})
 
     @pytest.mark.parametrize("data", [
-        {"power_split": {"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": INF}},
+        {"power_split": {"total": 5.0, "ratio_grid": [4.0, INF]}},
         {"snr_grid_db": [0.0, INF]},
         {"snr_grid_db": [0.0, NAN]},
         {"snr_grid_db": [-INF, 0.0]},
-        {"power_split": {"mode": "fixed", "alpha1_sq": NAN, "alpha2_sq": 1.0}},
-        {"power_split": {"mode": "total_power_sweep", "total": INF, "ratio_grid": [1.0]}},
-        {"power_split": {"mode": "total_power_sweep", "total": 5.0, "ratio_grid": [NAN]}},
-        {"quadrature_tolerance": NAN},
+        {"power_split": {"total": NAN}},
+        {"power_split": {"total": INF, "ratio_grid": [1.0]}},
+        {"power_split": {"total": 5.0, "ratio_grid": [NAN]}},
+        {"power_split": {"total": 0.0}},
         {"realizations": 2.5},
         {"realizations": True},
         {"mc_samples": 100.0},
         {"seed": -1},
         {"seed": False},
-        {"power_split": {"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": 1.0,
-                         "alpha3_sq": 1.0}},
-        {"baselines": [{"variant": "miso_noma", "num_tx_antenas": 3}]},
-        {"baselines": [{"variant": "sm_tdma", "time_share": [0.9, 0.1]}]},
-        {"baselines": [{"variant": "sm_tdma"}, {"variant": "sm_tdma"}]},
-        {"baselines": [{"time_shares": [0.5, 0.5]}]},
-        {"baselines": {"variant": "sm_tdma"}},
-        {"power_split": [{"mode": "fixed", "alpha1_sq": 4.0, "alpha2_sq": 1.0}]},
+        {"power_split": {"total": 5.0, "ratio_grid": [4.0], "alpha3_sq": 1.0}},
+        {"power_split": {"ratio_grid": []}},
+        {"power_split": {"ratio_grid": [-1.0]}},
+        {"power_split": {"total": -5.0}},
+        {"snr_grid_db": []},
+        {"method": "simulation"},
+        {"power_split": [{"total": 5.0, "ratio_grid": [4.0]}]},
         {"num_tx_antennas": 4.0},
         {"num_tx_antennas": True},
         {"num_tx_antennas": 0},
         {"system": {"num_tx_antennas": 4}},
-        {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 2.0}]},
-        {"baselines": [{"variant": "miso_noma", "num_tx_antennas": 8}]},
-        {"baselines": [{"variant": "sm_tdma", "time_shares": [0.2, 0.3, 0.5]}]},
+        {"power_split": "4:1"},
+        {"mc_samples": 0},
+        {"power_split": {"ratio_grid": 4.0}},
         {"num_tx_antennas": 65},  # 65^2 = 4225 mixture components
         {"num_users": 2},
         *NON_REAL_INPUTS,
+        *OLD_SCHEMA_INPUTS,
     ])
     def test_bad_input_rejected(self, data):
         with pytest.raises(ConfigError):
@@ -137,37 +149,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be a real number, got"):
             config_from_dict(data)
 
-    def test_unknown_baseline_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown baseline keys"):
-            config_from_dict({"baselines": [{"variant": "sm_tdma", "params": {}}]})
-
     def test_largest_antenna_count_accepted(self):
         # 64^2 = 4096 mixture components, exactly the limit.
         assert config_from_dict({"num_tx_antennas": 64}).system.num_tx_antennas == 64
 
     def test_missing_keys_take_defaults(self):
-        cfg = config_from_dict({"num_tx_antennas": 2,
-                                "baselines": [{"variant": "sm_tdma"}]})
-        assert cfg.system == SystemConfig(2, 2, (4.0, 1.0), 1.0, 1.0)
-        assert config_from_dict({}).num_tx_antennas == 4
-        assert cfg.power_split == FixedPowerSplit(4.0, 1.0)
+        cfg = config_from_dict({"num_tx_antennas": 2, "power_split": {"ratio_grid": [1.5]}})
+        assert cfg.system == SystemConfig(2, 2, (3.0, 2.0), 1.0, 1.0)
+        assert cfg.power_split == PowerSplit(5.0, (1.5,))
         assert cfg.snr_grid_db == default_snr_grid()
-        assert cfg.baselines == (SmTdma((0.5, 0.5)),)
-        assert config_from_dict({}).baselines == ()
+        default = config_from_dict({})
+        assert default.num_tx_antennas == 4
+        assert default.power_split == PowerSplit(5.0, (4.0,))
+        # The default split gives the paper's powers exactly.
+        assert default.system.power_levels == (4.0, 1.0)
 
-    def test_flat_baseline_entries(self):
-        data = config_to_dict(figure1_config())
-        assert data["baselines"] == [
-            {"variant": "miso_noma", "num_tx_antennas": 2},
-            {"variant": "sm_tdma", "time_shares": [0.5, 0.5]},
-        ]
+    def test_flat_schema(self):
+        # Nine settable values; the tolerance and the baselines are constants.
+        assert config_to_dict(figure2b_config()) == {
+            "num_tx_antennas": 4, "snr_grid_db": (30.0,),
+            "power_split": {"total": 5.0,
+                            "ratio_grid": (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)},
+            "realizations": 200, "mc_samples": 10**6, "seed": 0,
+            "output_path": None, "method": "quadrature",
+        }
+        assert ExperimentConfig.quadrature_tolerance == 1e-10
 
     def test_readme_example_matches_schema(self):
-        # The README's config example is valid and names every config key.
+        # The README's config example is valid and names every config key,
+        # the power split's included.
         block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
         example = json.loads(block)
         config_from_dict(example)
-        assert set(example) == set(config_to_dict(ExperimentConfig()))
+        schema = config_to_dict(ExperimentConfig())
+        assert set(example) == set(schema)
+        assert set(example["power_split"]) == set(schema["power_split"])
 
     def test_roundtrip(self):
         cfg = tiny_config()
@@ -191,10 +207,10 @@ class TestConfig:
             load_config(path)
 
     def test_total_power_split_arithmetic(self):
-        sweep = TotalPowerSweep(5.0, (4.0,))
-        a1, a2 = sweep.split(4.0)
-        assert a1 == pytest.approx(4.0)
-        assert a2 == pytest.approx(1.0)
+        split = PowerSplit(5.0, (4.0,))
+        assert split.split(4.0) == (4.0, 1.0)
+        a1, a2 = split.split(0.25)
+        assert a1 / a2 == pytest.approx(0.25)
         assert a1 + a2 == pytest.approx(5.0)
 
 
@@ -237,13 +253,28 @@ class TestFigureRuns:
             assert [p[0] for p in curve.points] == list(cfg.power_split.ratio_grid)
 
     def test_figure2b_requires_sweep_split(self):
-        with pytest.raises(ConfigError, match="total_power_sweep"):
+        with pytest.raises(ConfigError, match="exactly one SNR point, got 3"):
             run_figure2b(tiny_config())
 
     def test_figure1_requires_fixed_split(self):
         cfg = figure2b_config(realizations=2)
-        with pytest.raises(ConfigError, match="fixed power split"):
+        with pytest.raises(ConfigError, match="exactly one power ratio, got 7"):
             run_figure1(cfg)
+        with pytest.raises(ConfigError, match="exactly one power ratio, got 7"):
+            run_figure2a(cfg)
+
+    def test_fixed_baselines_are_the_papers(self):
+        # MISO-NOMA on the first 2 antennas, SM-TDMA with half the frame each.
+        cfg = tiny_config(realizations=2)
+        curves = {c.label: [m for _, m, _ in c.points] for c in run_figure1(cfg)}
+        realizations = _draw_realizations(cfg)
+        for j, snr_db in enumerate(cfg.snr_grid_db):
+            system = _at_snr(cfg.system, snr_db, (4.0, 1.0))
+            for k in (1, 2):
+                miso = [miso_noma_mi(h, system, k, k, 2) for h in realizations]
+                tdma = [sm_tdma_mi(h, system, k, 0.5) for h in realizations]
+                assert curves[f"MISO-NOMA I({k},{k})"][j] == pytest.approx(np.mean(miso))
+                assert curves[f"SM-TDMA I({k})"][j] == pytest.approx(np.mean(tdma))
 
     def test_montecarlo_method_agrees_with_quadrature(self):
         quad = {c.label: c for c in run_figure1(tiny_config(realizations=2,
@@ -302,14 +333,15 @@ class TestPropertySuite:
         # With every exact MI and lower bound at 0, the high-SNR details print
         # the ceiling log2(1 + a1/a2) and the target shift log2(e M) - 1
         # themselves, so they show which powers and M the suite read.
-        zero = MiResult(gmd.EntropyEstimate(0.0, 0.0, 0), 0.0)
+        zero = MiResult(gmd.EntropyEstimate(0.0, 0.0, 0))
         monkeypatch.setattr(runner, "mi_exact", lambda *args, **kwargs: zero)
+        monkeypatch.setattr(runner, "mi_lower_bound_k2", lambda *args: 0.0)
 
         def details(**overrides):
             report = run_property_suite(ExperimentConfig(realizations=1, seed=3, **overrides))
             return {r.name: r.detail for r in report.results}
 
-        split = details(power_split=FixedPowerSplit(3.0, 2.0), num_tx_antennas=2)
+        split = details(power_split=PowerSplit(5.0, (1.5,)), num_tx_antennas=2)
         default = details()
         assert split["high_snr_saturation"] == (
             f"mean I(1,1) at 40 dB off the merged-Gaussian ceiling by "
@@ -321,7 +353,7 @@ class TestPropertySuite:
             f"mean I-I_LB at 40 dB off {math.log2(math.e * 4) - 1.0:.4f} ")
 
     def test_needs_fixed_power_split(self):
-        with pytest.raises(ConfigError, match="fixed power split"):
+        with pytest.raises(ConfigError, match="exactly one power ratio, got 7"):
             run_property_suite(figure2b_config(realizations=1))
 
 
@@ -367,6 +399,37 @@ class TestCli:
         assert main([command, "--config", str(cfg_path), "--realizations", "1",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error: unknown config keys: ['system']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2a"])
+    def test_single_antenna_baseline_exit_code(self, tmp_path, capsys, command):
+        # The fixed MISO-NOMA baseline needs 2 antennas.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_tx_antennas": 1}))
+        assert main([command, "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert ("config error: the MISO-NOMA baseline needs 2 antennas, the system has 1"
+                in capsys.readouterr().err)
+
+    def test_single_antenna_without_baselines_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config_to_dict(figure2b_config()),
+                                        "num_tx_antennas": 1}))
+        assert main(["fig2b", "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        cfg_path.write_text(json.dumps({"num_tx_antennas": 1}))
+        assert main(["props", "--config", str(cfg_path), "--realizations", "1"]) != 1
+        assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2b"])
+    def test_sidecar_config_reproduces_csv(self, tmp_path, command):
+        first = tmp_path / "first.csv"
+        assert main([command, "--realizations", "1", "--seed", "5", "--out", str(first)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        sidecar = json.loads(first.with_suffix(".csv.json").read_text())
+        cfg_path.write_text(json.dumps(sidecar["config"]))
+        second = tmp_path / "second.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["fig1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1

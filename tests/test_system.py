@@ -218,6 +218,18 @@ class TestReceivedSymbol:
 
 
 class TestMixtures:
+    @pytest.mark.parametrize("call", [
+        lambda h, cfg: mixture_of_received(h, cfg, 1, 1),
+        lambda h, cfg: mixture_of_interference(h, cfg, 1, 1),
+        lambda h, cfg: simulate_received_symbol(h, cfg, 1, 1, np.ones(2), (1, 3), 0.0),
+    ], ids=["received", "interference", "simulate"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (2, 5)])
+    def test_channel_shape_must_match_system(self, call, shape):
+        # The (K, M) = (2, 4) system on a channel matrix of another shape.
+        h = ChannelRealization(np.ones(shape, dtype=complex))
+        with pytest.raises(ValueError, match=r"the system needs \(K, M\) = \(2, 4\)"):
+            call(h, paper_config())
+
     def test_last_message_interference_is_pure_noise(self):
         cfg = paper_config()
         realization = draw_channel(cfg, np.random.default_rng(8))
