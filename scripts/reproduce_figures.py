@@ -31,14 +31,14 @@ def main() -> int:
     for name in ("fig1", "fig2a", "fig2b"):
         out = args.out_dir / f"{name}.csv"
         start = time.perf_counter()
-        before = gmd._radial_quadrature.cache_info()
+        computed, reused = gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits
         code = sm_noma([name, "--seed", str(args.seed),
                         "--realizations", str(args.realizations), "--out", str(out)])
         if code != 0:
             return code
-        after = gmd._radial_quadrature.cache_info()
         print(f"{name}: {out} ({time.perf_counter() - start:.1f}s, quadratures computed "
-              f"{after.misses - before.misses}, reused {after.hits - before.hits})")
+              f"{gmd.QUADRATURE_MEMO.misses - computed}, "
+              f"reused {gmd.QUADRATURE_MEMO.hits - reused})")
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss is in KiB on Linux.
     print(f"total: {time.perf_counter() - first:.1f}s for fig1, fig2a and fig2b "

@@ -22,10 +22,22 @@ def miso_noma_effective_gain(
     realization: ChannelRealization, r: int, num_tx_antennas: int = 2
 ) -> complex:
     """Equal-weight superposition gain g_r over the first M' antennas."""
-    h = realization.channel_vectors[r - 1]
-    if not 1 <= num_tx_antennas <= h.shape[0]:
+    return complex(_superposition_gains(realization.channel_vectors[r - 1], num_tx_antennas))
+
+
+def _superposition_gains(channels: np.ndarray, num_tx_antennas: int) -> np.ndarray:
+    """sum of the first M' entries of each channel vector (..., M) / sqrt(M')."""
+    if not 1 <= num_tx_antennas <= channels.shape[-1]:
         raise ValueError("baseline antenna count must lie in 1..M")
-    return complex(np.sum(h[:num_tx_antennas]) / math.sqrt(num_tx_antennas))
+    return np.sum(channels[..., :num_tx_antennas], axis=-1) / math.sqrt(num_tx_antennas)
+
+
+def miso_noma_gains_sq(channels: np.ndarray, num_tx_antennas: int = 2) -> np.ndarray:
+    """|g_r|^2 of miso_noma_effective_gain for stacked channel vectors
+    (..., M). abs is Python's complex abs (hypot), as in a one-realization
+    call; np.abs rounds differently on some gains."""
+    g = _superposition_gains(channels, num_tx_antennas)
+    return np.reshape([abs(complex(c)) ** 2 for c in np.ravel(g)], g.shape)
 
 
 def miso_noma_mi(
@@ -41,12 +53,25 @@ def miso_noma_mi(
     if not (1 <= k <= r <= 2):
         raise ValueError(f"invalid decoder/message pair ({r}, {k})")
     g_sq = abs(miso_noma_effective_gain(realization, r, num_tx_antennas)) ** 2
-    signal = config.power_levels[k - 1] * config.signal_power * g_sq
+    return float(miso_noma_rows(g_sq, np.array(config.power_levels),
+                                config.signal_power, config.noise_power, k))
+
+
+def miso_noma_rows(
+    gain_sq, power_levels: np.ndarray, signal_power, noise_power: float, k: int
+) -> np.ndarray:
+    """log2(1 + SINR) of message k at a decoder with superposition gain
+    |g_r|^2 = gain_sq, power levels (..., K) and signal power, broadcast
+    against each other. log2 is math.log2 per cell, as in a
+    one-realization call: np.log2 differs from it in the last bit on
+    about 0.1% of inputs."""
+    signal = power_levels[..., k - 1] * signal_power * gain_sq
     interference = sum(
-        config.power_levels[t - 1] * config.signal_power * g_sq
-        for t in range(k + 1, config.num_users + 1)
+        power_levels[..., t - 1] * signal_power * gain_sq
+        for t in range(k + 1, power_levels.shape[-1] + 1)
     )
-    return math.log2(1.0 + signal / (config.noise_power + interference))
+    ratio = 1.0 + signal / (noise_power + interference)
+    return np.reshape([math.log2(x) for x in np.ravel(ratio)], np.shape(ratio))
 
 
 def sm_tdma_mi(
@@ -63,13 +88,28 @@ def sm_tdma_mi(
     interference-free SM mixture and the interference entropy is the AWGN
     closed form.
     """
-    if not (0.0 < time_share <= 1.0):
-        raise ValueError("time_share must lie in (0, 1]")
     if not (1 <= k <= config.num_users):
         raise ValueError(f"user index {k} out of range")
-    power = sum(config.power_levels)
     gains_sq = np.abs(realization.channel_vectors[k - 1]) ** 2
-    variances = config.noise_power + config.signal_power * power * gains_sq
-    received = gmd.equal_weight_zero_mean_mixture(variances)
-    h_y = gmd.entropy_radial_quadrature(received, tolerance).value
-    return time_share * (h_y - gmd.gaussian_entropy(config.noise_power))
+    return float(sm_tdma_rows(gains_sq, np.array(config.power_levels), config.signal_power,
+                              config.noise_power, time_share, tolerance))
+
+
+def sm_tdma_rows(
+    gains_sq: np.ndarray,
+    power_levels: np.ndarray,
+    signal_power,
+    noise_power: float,
+    time_share: float,
+    tolerance: float = 1e-10,
+) -> np.ndarray:
+    """sm_tdma_mi for user k's |h_k|^2 (..., M), the power levels (..., K)
+    and the signal power, broadcast against each other. Every received
+    mixture goes through one gmd.entropy_radial_quadrature_rows call."""
+    if not (0.0 < time_share <= 1.0):
+        raise ValueError("time_share must lie in (0, 1]")
+    power = sum(power_levels[..., t] for t in range(power_levels.shape[-1]))
+    variances = noise_power + (signal_power * power)[..., None] * gains_sq
+    h_y = gmd.entropy_radial_quadrature_rows(
+        variances.reshape(-1, variances.shape[-1]), tolerance)[0]
+    return time_share * (h_y.reshape(variances.shape[:-1]) - gmd.gaussian_entropy(noise_power))

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -366,23 +366,65 @@ _GL_NODES = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
 # every panel at both orders.
 _GL_OFFSETS = np.concatenate([_GL_NODES[24][0], _GL_NODES[48][0]]) + 1.0
 _PANELS = 40
+_PANEL_INDEX = np.arange(float(_PANELS))
+# Components per kernel chunk: B rows of L components go through together
+# when L * B <= 8, and a row of more components alone. So no chunk's term
+# array exceeds the 369 kB of one 16-component row, and a 4-component
+# chunk's (B, 40, 72) temporaries keep its working set below that row's;
+# at L * B <= 16 a figures run's traced peak rose from 1.62 to 1.90 MB.
+_CHUNK_COMPONENTS = 8
 
 
-def _panel_edges(lo: float, hi: float) -> np.ndarray:
-    """0 followed by np.geomspace(lo, hi, _PANELS), with geomspace's
-    arithmetic (a linspace of log10 values, 10 ** y, both ends reset) but
-    without its per-call wrapper cost."""
+def _panel_edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row n: 0 followed by np.geomspace(lo[n], hi[n], _PANELS), with
+    geomspace's arithmetic (a linspace of log10 values, 10 ** y, both ends
+    reset) but without its per-call wrapper cost; lo and hi are 1-D."""
     log_lo, log_hi = np.log10(lo), np.log10(hi)
-    y = np.arange(float(_PANELS)) * ((log_hi - log_lo) / (_PANELS - 1)) + log_lo
-    y[-1] = log_hi
-    edges = np.concatenate([[0.0], 10.0**y])
-    edges[1], edges[-1] = lo, hi
+    y = _PANEL_INDEX * ((log_hi - log_lo) / (_PANELS - 1))[:, None] + log_lo[:, None]
+    y[:, -1] = log_hi
+    edges = np.zeros((len(lo), _PANELS + 1))
+    edges[:, 1:] = 10.0**y
+    edges[:, 1] = lo
+    edges[:, -1] = hi
     return edges
 
 
 # Distinct mixtures the radial quadrature remembers. One R=200 run of fig1,
 # fig2a and fig2b in one process fills about 44.6k entries (~540 B each).
 QUADRATURE_MEMO_SIZE = 1 << 16
+
+
+class QuadratureMemo:
+    """Least-recently-used map from (weight bytes, variance bytes,
+    tolerance) to the EntropyEstimate of that mixture, holding at most
+    `size` entries. `hits` counts the rows answered from it and `misses`
+    the rows the kernel computed, since the last clear()."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.clear()
+
+    def clear(self) -> None:
+        self._entries: OrderedDict[tuple, EntropyEstimate] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> EntropyEstimate | None:
+        found = self._entries.get(key)
+        if found is not None:
+            self._entries.move_to_end(key)
+        return found
+
+    def put(self, key: tuple, estimate: EntropyEstimate) -> None:
+        self._entries[key] = estimate
+        if len(self._entries) > self.size:
+            self._entries.popitem(last=False)
+
+
+QUADRATURE_MEMO = QuadratureMemo(QUADRATURE_MEMO_SIZE)
 
 
 def entropy_radial_quadrature(
@@ -399,46 +441,130 @@ def entropy_radial_quadrature(
     If the fallback misses it too, a RuntimeWarning names both numbers and
     the fallback's estimate is returned.
 
-    Results are memoized on the exact bytes of the weights and variances
-    and on the tolerance (fig2a and fig2b repeat fig1's mixtures), so a
-    repeated call returns the same EntropyEstimate object, and the warning
-    fires once per distinct mixture.
+    A one-row call of the kernel of entropy_radial_quadrature_rows, memo
+    included: a repeated call returns the same EntropyEstimate object, and
+    the warning fires once per distinct mixture.
     """
-    return _radial_quadrature(
-        mixture.weights.tobytes(), mixture.variances.tobytes(), tolerance
-    )
+    return _memoized_rows(mixture.weights, mixture.variances[None], tolerance)[0]
 
 
-@lru_cache(maxsize=QUADRATURE_MEMO_SIZE)
-def _radial_quadrature(
-    w_bytes: bytes, v_bytes: bytes, tolerance: float
-) -> EntropyEstimate:
-    """The quadrature of entropy_radial_quadrature on float64 byte strings.
+def entropy_radial_quadrature_rows(
+    variances: np.ndarray, tolerance: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """entropy_radial_quadrature of the equal-weight zero-mean mixture of
+    each row of variances (N, L): (values, error estimates), each (N,).
+
+    Each row gives the bits its one-row call gives, and shares its memo
+    entry: the key is the bytes of the weights np.full(L, 1.0) / L, as
+    equal_weight_zero_mean_mixture makes them, of the row and of the
+    tolerance.
+    """
+    v = np.ascontiguousarray(variances, dtype=float)
+    if v.ndim != 2 or v.size == 0:
+        raise ValueError("need a nonempty (N, L) array of variances")
+    if not (v > VARIANCE_FLOOR).all():
+        raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}")
+    if not np.isfinite(v).all():
+        raise ValueError("component variances must be finite")
+    weights = np.full(v.shape[1], 1.0) / v.shape[1]
+    estimates = _memoized_rows(weights, v, tolerance)
+    return (np.array([e.value for e in estimates]),
+            np.array([e.std_error for e in estimates]))
+
+
+def _memoized_rows(
+    weights: np.ndarray, variances: np.ndarray, tolerance: float
+) -> list[EntropyEstimate]:
+    """The quadrature of each row of the C-contiguous variances (N, L) with
+    the weights (L,), through QUADRATURE_MEMO.
 
     The key keeps the component order: it sets the order of the sums, so
     a permuted mixture is a different entry, and hits are bit-identical.
+    A row repeated within the call is computed once.
     """
-    w = np.frombuffer(w_bytes)
-    v = np.frombuffer(v_bytes)
-    log_coef = np.log(w) - np.log(math.pi * v)
-    inv_v = 1.0 / v
+    w_bytes = weights.tobytes()
+    out: list[EntropyEstimate | None] = [None] * len(variances)
+    todo: dict[tuple, list[int]] = {}
+    for n, row in enumerate(variances):
+        key = (w_bytes, row.tobytes(), tolerance)
+        out[n] = QUADRATURE_MEMO.get(key)
+        if out[n] is None:
+            todo.setdefault(key, []).append(n)
+    QUADRATURE_MEMO.misses += len(todo)
+    QUADRATURE_MEMO.hits += len(variances) - len(todo)
+    if todo:
+        first = [rows[0] for rows in todo.values()]
+        if len(first) < len(variances):
+            variances = variances[first]
+        computed = _quadrature_rows(weights, variances, tolerance)
+        for (key, rows), estimate in zip(todo.items(), computed):
+            QUADRATURE_MEMO.put(key, estimate)
+            for n in rows:
+                out[n] = estimate
+    return out
 
-    # Truncate where the mixture tail mass is below TAIL_MASS.
-    u_max = float(np.max(v)) * math.log(len(v) / TAIL_MASS)
-    edges = _panel_edges(float(np.min(v)) / 8.0, u_max)
-    # Composite Gauss-Legendre sums of -pi f(u) log2 f(u) over the panels,
-    # at both orders from one (L, _PANELS, 72) array of log-terms.
-    a = edges[:-1, None]
-    half = (edges[1:, None] - a) / 2.0
-    u = half * _GL_OFFSETS + a
-    terms = u * inv_v[:, None, None]
-    log_f = _logsumexp_overwrite(np.subtract(log_coef[:, None, None], terms, out=terms))
-    g = -math.pi * np.exp(log_f) * log_f / LN2
-    coarse = float(np.sum(half * _GL_NODES[24][1] * g[:, :24]))
-    fine = float(np.sum(half * _GL_NODES[48][1] * g[:, 24:]))
-    err = abs(fine - coarse)
-    if err <= tolerance:
-        return EntropyEstimate(fine, err, 0)
+
+def _quadrature_rows(
+    weights: np.ndarray, variances: np.ndarray, tolerance: float
+) -> list[EntropyEstimate]:
+    """The panel rule of entropy_radial_quadrature on each row of variances
+    (N, L), every row with the weights (L,); no memo.
+
+    Rows go through in chunks of B = max(1, 8 // L). Each row's numbers
+    take the operations a one-row chunk gives them: its own log_coef,
+    panel edges and nodes, a component-major (L, B, 40, 72) term array
+    reduced over its first axis, and sums over its contiguous 960 coarse
+    and 1920 fine node products. One term array is allocated per call and
+    reused by every chunk, so a call faults in its pages once.
+    """
+    n_rows, n = variances.shape
+    chunk = max(1, _CHUNK_COMPONENTS // n)
+    nodes = _PANELS * len(_GL_OFFSETS)
+    workspace = np.empty(n * min(chunk, n_rows) * nodes)
+    log_w = np.log(weights)
+    log_tail = math.log(n / TAIL_MASS)
+    out = []
+    for start in range(0, n_rows, chunk):
+        v = variances[start : start + chunk]
+        b = len(v)
+        log_coef = log_w - np.log(math.pi * v)
+        inv_v = 1.0 / v
+        # Truncate where the mixture tail mass is below TAIL_MASS.
+        u_max = np.maximum.reduce(v, axis=1) * log_tail
+        edges = _panel_edges(np.minimum.reduce(v, axis=1) / 8.0, u_max)
+        # Composite Gauss-Legendre sums of -pi f(u) log2 f(u) over the
+        # panels, at both orders from one array of log-terms.
+        a = edges[:, :-1, None]
+        half = (edges[:, 1:, None] - a) / 2.0
+        terms = workspace[: n * b * nodes].reshape(n, b, _PANELS, -1)
+        np.multiply(half * _GL_OFFSETS + a, inv_v.T[:, :, None, None], out=terms)
+        log_f = _logsumexp_overwrite(
+            np.subtract(log_coef.T[:, :, None, None], terms, out=terms))
+        # -pi f log2 f, as ((-pi * f) * log f) / ln 2, in one array.
+        g = np.exp(log_f)
+        g *= -math.pi
+        g *= log_f
+        g /= LN2
+        coarse = (half * _GL_NODES[24][1] * g[..., :24]).reshape(b, -1).sum(axis=1)
+        fine = (half * _GL_NODES[48][1] * g[..., 24:]).reshape(b, -1).sum(axis=1)
+        for m, (value, err) in enumerate(zip(fine.tolist(), np.abs(fine - coarse).tolist())):
+            if err <= tolerance:
+                out.append(EntropyEstimate(value, err, 0))
+            else:
+                out.append(_adaptive_fallback(
+                    log_coef[m], inv_v[m], edges[m], float(u_max[m]), tolerance))
+    return out
+
+
+def _adaptive_fallback(
+    log_coef: np.ndarray,
+    inv_v: np.ndarray,
+    edges: np.ndarray,
+    u_max: float,
+    tolerance: float,
+) -> EntropyEstimate:
+    """The same integral by scipy's adaptive quad, for a row whose panel
+    rules disagree by more than the tolerance."""
 
     def integrand(u: float) -> float:
         log_f = _logsumexp_overwrite(log_coef - u * inv_v)
@@ -462,7 +588,7 @@ def _radial_quadrature(
             f"radial quadrature fallback missed the tolerance: error estimate "
             f"{abs_err:.3g} > tolerance {tolerance:.3g}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=5,
         )
     return EntropyEstimate(float(value), float(abs_err), 0)
 

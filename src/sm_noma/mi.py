@@ -55,6 +55,21 @@ def mi_exact(
     """I_{r,k} = h(Y_{r,k}) - h(Omega_{r,k}), both entropies by the same method."""
     received = mixture_of_received(realization, config, r, k)
     interference = mixture_of_interference(realization, config, r, k)
+    return MiResult(mi_exact=mi_of_mixtures(
+        received, interference, method, rng=rng, samples=samples, tolerance=tolerance))
+
+
+def mi_of_mixtures(
+    received: gmd.GaussianMixture,
+    interference: gmd.GaussianMixture,
+    method: str = "radial_quadrature",
+    *,
+    rng: np.random.Generator | None = None,
+    samples: int = 10**6,
+    tolerance: float = 1e-10,
+) -> EntropyEstimate:
+    """h(received) - h(interference), in that order from one rng for Monte
+    Carlo, with the two error estimates added in quadrature."""
     h_y, h_w = (
         gmd.entropy_exact(mix, method, rng=rng, samples=samples, tolerance=tolerance)
         for mix in (received, interference)
@@ -62,36 +77,91 @@ def mi_exact(
     value = h_y.value - h_w.value
     std_error = math.hypot(h_y.std_error, h_w.std_error)
     count = h_y.sample_count + h_w.sample_count
-    return MiResult(mi_exact=EntropyEstimate(value, std_error, count))
+    return EntropyEstimate(value, std_error, count)
+
+
+def mi_exact_rows(
+    received: np.ndarray, interference: np.ndarray, tolerance: float = 1e-10
+) -> np.ndarray:
+    """The radial-quadrature value of mi_exact for stacked equal-weight
+    variance rows: received (..., L_Y) and interference (..., L_Omega) of
+    one leading shape, which the result has. A one-component row takes the
+    Gaussian closed form, as gmd.entropy_exact does, so each cell has the
+    bits of the mi_exact call whose mixtures hold its rows."""
+
+    def entropies(v: np.ndarray) -> np.ndarray:
+        if v.shape[-1] == 1:
+            values = [gmd.gaussian_entropy(x) for x in v[..., 0].ravel()]
+        else:
+            values = gmd.entropy_radial_quadrature_rows(v.reshape(-1, v.shape[-1]), tolerance)[0]
+        return np.reshape(values, v.shape[:-1])
+
+    return entropies(received) - entropies(interference)
 
 
 def mi_lower_bound_k2(
     realization: ChannelRealization, config: SystemConfig, r: int, k: int
 ) -> float:
-    """Closed-form MI lower bound h_LB(Y) - h_UB(Omega) for the two-user case.
+    """Closed-form MI lower bound h_LB(Y) - h_UB(Omega) for the two-user case:
+    one row of lower_bound_k2_rows."""
+    if config.num_users != 2:
+        raise ValueError("closed-form lower bound is derived only for K = 2")
+    if not (1 <= k <= r <= 2):
+        raise ValueError(f"invalid decoder/message pair ({r}, {k}) for K = 2")
+    gains_sq = np.abs(realization.channel_vectors[r - 1]) ** 2
+    return float(_lower_bound_chunk(gains_sq[None], np.array([config.power_levels]),
+                                    np.array([config.snr]), k)[0])
+
+
+# Terms per chunk of the lower bound's (N, M, M, M, M) arrays: each
+# temporary stays at 32 kB however many rows a sweep stacks.
+_LB_CHUNK_TERMS = 1 << 12
+
+
+def lower_bound_k2_rows(
+    gains_sq: np.ndarray, power_levels: np.ndarray, snr, k: int
+) -> np.ndarray:
+    """Closed-form K = 2 MI lower bound of message k at a decoder r >= k,
+    for decoder r's |h_r|^2 (..., M), the power levels (..., 2) and the SNR
+    (...), broadcast against each other; the result has their leading
+    shape.
 
     Pairwise gain sums include the diagonal n = m (each diagonal term is
     twice the single squared gain), matching the overlap structure of the
     entropy lower bound.
     """
-    if config.num_users != 2:
-        raise ValueError("closed-form lower bound is derived only for K = 2")
-    if not (1 <= k <= r <= 2):
-        raise ValueError(f"invalid decoder/message pair ({r}, {k}) for K = 2")
-    rho = config.snr
-    a1, a2 = config.power_levels
-    g = np.abs(realization.channel_vectors[r - 1]) ** 2  # |b_{r,k}^(n)|^2 = |h_r[n]|^2
-    p = g[:, None] + g[None, :]  # pairwise sums incl. diagonal
+    m = gains_sq.shape[-1]
+    lead = np.broadcast_shapes(gains_sq.shape[:-1], power_levels.shape[:-1], np.shape(snr))
+    g = np.broadcast_to(gains_sq, lead + (m,)).reshape(-1, m)
+    levels = np.broadcast_to(power_levels, lead + (2,)).reshape(-1, 2)
+    rho = np.broadcast_to(snr, lead).reshape(-1)
+    out = np.empty(len(g))
+    step = max(1, _LB_CHUNK_TERMS // m ** (4 if k == 1 else 2))
+    for start in range(0, len(g), step):
+        rows = slice(start, start + step)
+        out[rows] = _lower_bound_chunk(g[rows], levels[rows], rho[rows], k)
+    return out.reshape(lead)
 
+
+def _lower_bound_chunk(
+    g: np.ndarray, levels: np.ndarray, rho: np.ndarray, k: int
+) -> np.ndarray:
+    """lower_bound_k2_rows on flat rows: g (N, M), levels (N, 2), rho (N,)."""
+    n, m = g.shape
+    p = g[:, :, None] + g[:, None, :]  # pairwise sums incl. diagonal
+    c = rho[:, None] * levels  # rho a1^2, rho a2^2 per row
     if k == 2:
         # log2(M/e) - (1/M) sum_n log2( sum_m 1 / (2 + rho a2^2 p[n,m]) )
-        inner = np.sum(1.0 / (2.0 + rho * a2 * p), axis=1)
+        inner = (1.0 / (2.0 + c[:, 1, None, None] * p)).sum(axis=-1)
     else:
         # denom[n1, n2, m1, m2] = 2 + rho (a1^2 p[n1,m1] + a2^2 p[n2,m2])
-        denom = 2.0 + rho * a1 * p[:, None, :, None] + rho * a2 * p[None, :, None, :]
-        numer = 1.0 + rho * a2 * g[None, :, None, None]
-        inner = np.sum(numer / denom, axis=(2, 3))
-    return math.log2(len(g)) - LOG2E - float(np.mean(np.log2(inner)))
+        c1, c2 = c[:, 0, None, None, None, None], c[:, 1, None, None, None, None]
+        denom = 2.0 + c1 * p[:, :, None, :, None] + c2 * p[:, None, :, None, :]
+        numer = 1.0 + c2 * g[:, None, :, None, None]
+        inner = (numer / denom).sum(axis=(-2, -1))
+    # np.mean's arithmetic: the pairwise sum, then one division by the count.
+    mean = np.log2(inner).reshape(n, -1).sum(axis=-1) / inner[0].size
+    return (math.log2(m) - LOG2E) - mean
 
 
 def asymptotes(config: SystemConfig, r: int, k: int) -> AsymptoteReport:

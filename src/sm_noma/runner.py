@@ -17,8 +17,19 @@ from typing import ClassVar
 import numpy as np
 
 from . import gmd
-from .baselines import miso_noma_mi, sm_tdma_mi
-from .mi import asymptotes, mi_exact, mi_lower_bound_k2
+from .baselines import miso_noma_gains_sq, miso_noma_rows, sm_tdma_rows
+# The benchmark's traced runs patch these two names here (bench/tracing.py);
+# the sweep computes the baselines from stacked channels instead.
+from .baselines import miso_noma_mi, sm_tdma_mi  # noqa: F401
+from .gmd import equal_weight_zero_mean_mixture
+from .mi import (
+    asymptotes,
+    lower_bound_k2_rows,
+    mi_exact,
+    mi_exact_rows,
+    mi_lower_bound_k2,
+    mi_of_mixtures,
+)
 from .system import (
     ChannelRealization,
     SystemConfig,
@@ -27,6 +38,7 @@ from .system import (
     mixture_of_received,
     require_integer,
     require_real,
+    signal_variances,
     simulate_received_symbol,
 )
 
@@ -128,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.num_tx_antennas < 1:
             raise ConfigError("num_tx_antennas must be >= 1")
+        if not isinstance(self.power_split, PowerSplit):
+            raise ConfigError(f"power_split must be a PowerSplit, got {self.power_split!r}")
         components = self.num_tx_antennas ** 2
         if components > MAX_MIXTURE_COMPONENTS:
             raise ConfigError(f"num_tx_antennas gives {components} mixture components, "
@@ -168,12 +182,16 @@ def figure2b_config(**overrides) -> ExperimentConfig:
     })
 
 
+# Single-knob SNR: every grid point has this noise power.
+_NOISE_POWER = 1.0
+
+
 def _at_snr(system: SystemConfig, snr_db: float, powers: tuple[float, float]) -> SystemConfig:
     """Single-knob SNR: sigma_v^2 = 1 fixed, sigma_s^2 = rho."""
     return replace(
         system,
         power_levels=powers,
-        noise_power=1.0,
+        noise_power=_NOISE_POWER,
         signal_power=10.0 ** (snr_db / 10.0),
     )
 
@@ -237,35 +255,55 @@ def _sweep(
     Returns one (2, R, G) array per quantity: "I" holds I(k,k) (Monte Carlo
     substream key (i, j, k-1)), "I_LB" the closed-form I_LB(k,k) when
     lower_bound is set, and "MISO-NOMA" and "SM-TDMA" the baselines' per-user
-    MI when baselines is set. The grid runs along x_axis (see _grid).
+    MI when baselines is set. The grid runs along x_axis (see _grid). Each
+    quantity is computed at once from the stacked channels of the R
+    realizations and the G grid points' powers; every cell has the bits of
+    its one-realization call (mi_exact, mi_lower_bound_k2, miso_noma_mi,
+    sm_tdma_mi).
     """
     if baselines and config.num_tx_antennas < MISO_NOMA_ANTENNAS:
         raise ConfigError(f"the MISO-NOMA baseline needs {MISO_NOMA_ANTENNAS} antennas, "
                           f"the system has {config.num_tx_antennas}")
     systems = _grid(config, x_axis)
-    keys = ["I", *(["I_LB"] if lower_bound else []),
-            *(["MISO-NOMA", "SM-TDMA"] if baselines else [])]
-    rows = {key: np.zeros((2, config.realizations, len(systems))) for key in keys}
-    for i, realization in enumerate(_draw_realizations(config)):
-        for j, system in enumerate(systems):
-            for k in (1, 2):
-                rng = None
-                if config.method == "montecarlo":
-                    rng = substream(config.seed, _TAG_MC, i, j, k - 1)
-                rows["I"][k - 1, i, j] = mi_exact(
-                    realization, system, k, k, config.entropy_method,
-                    rng=rng, samples=config.mc_samples,
-                    tolerance=config.quadrature_tolerance,
-                ).mi_exact.value
-                if lower_bound:
-                    rows["I_LB"][k - 1, i, j] = mi_lower_bound_k2(realization, system, k, k)
-                if baselines:
-                    rows["MISO-NOMA"][k - 1, i, j] = miso_noma_mi(
-                        realization, system, k, k, MISO_NOMA_ANTENNAS)
-                    rows["SM-TDMA"][k - 1, i, j] = sm_tdma_mi(
-                        realization, system, k, SM_TDMA_SHARE,
-                        tolerance=config.quadrature_tolerance)
-    return rows
+    levels = np.array([system.power_levels for system in systems])  # (G, 2)
+    rho = np.array([system.snr for system in systems])  # (G,), at unit noise
+    channels = np.stack([r.channel_vectors for r in _draw_realizations(config)])
+    # Decoder k's |h_k|^2 as (R, 1, M), against the grid axis.
+    own_gains = [np.abs(channels[:, k, None, :]) ** 2 for k in (0, 1)]
+    table = {"I": _mi_table(config, own_gains, levels, rho)}
+    if lower_bound:
+        table["I_LB"] = np.stack([lower_bound_k2_rows(own_gains[k - 1], levels, rho, k)
+                                  for k in (1, 2)])
+    if baselines:
+        miso_gains = miso_noma_gains_sq(channels, MISO_NOMA_ANTENNAS)[..., None]  # (R, 2, 1)
+        table["MISO-NOMA"] = np.stack([
+            miso_noma_rows(miso_gains[:, k - 1], levels, rho, _NOISE_POWER, k) for k in (1, 2)])
+        table["SM-TDMA"] = np.stack([
+            sm_tdma_rows(g, levels, rho, _NOISE_POWER, SM_TDMA_SHARE,
+                         config.quadrature_tolerance) for g in own_gains])
+    return table
+
+
+def _mi_table(
+    config: ExperimentConfig, own_gains: list[np.ndarray], levels: np.ndarray, rho: np.ndarray
+) -> np.ndarray:
+    """I(k,k) over (k, i, j) from decoder k's received and interference
+    variance rows, the ones mixture_of_received/_interference build."""
+    # Each power level and the SNR as (G, 1), against the component axis.
+    per_point = levels.T[..., None], rho[:, None]
+    rows = [[signal_variances(gains, *per_point, _NOISE_POWER, t) for t in (k, k + 1)]
+            for k, gains in zip((1, 2), own_gains)]
+    if config.method == "quadrature":
+        return np.stack([mi_exact_rows(received, interference, config.quadrature_tolerance)
+                         for received, interference in rows])
+    table = np.empty((2, config.realizations, len(rho)))
+    for i, j, k in np.ndindex(table.shape[1], table.shape[2], 2):
+        received, interference = (equal_weight_zero_mean_mixture(v[i, j]) for v in rows[k])
+        table[k, i, j] = mi_of_mixtures(
+            received, interference, config.entropy_method,
+            rng=substream(config.seed, _TAG_MC, i, j, k), samples=config.mc_samples,
+        ).value
+    return table
 
 
 def run_figure1(config: ExperimentConfig) -> list[MiCurve]:

@@ -140,17 +140,34 @@ def simulate_received_symbol(
     return complex(y) if y.ndim == 0 else y
 
 
-def _signal_variance_grid(
+def signal_variances(
+    gains_sq: np.ndarray, power_levels, signal_power, noise_power, t_start: int
+) -> np.ndarray:
+    """All values of sigma_v^2 + sigma_s^2 * sum_{t>=t_start} alpha_t^2
+    |b_{r,t}^(n_t)|^2 over the index tuples (n_{t_start}, ..., n_K), n_K
+    fastest, along the last axis.
+
+    gains_sq (..., M) holds decoder r's |h_r|^2 and power_levels the K
+    values alpha_t^2. They, signal_power and noise_power are numbers or
+    arrays that broadcast against (..., 1), so one call builds every
+    (realization, grid point) row. Each value is
+    ((0 + alpha_{t_start}^2 g[n]) + ...), then times sigma_s^2, then plus
+    sigma_v^2: the bits of a one-realization call.
+    """
+    acc = np.zeros(gains_sq.shape[:-1] + (1,))
+    for alpha_sq in power_levels[t_start - 1 :]:
+        acc = acc[..., :, None] + (alpha_sq * gains_sq)[..., None, :]
+        acc = acc.reshape(acc.shape[:-2] + (-1,))
+    return noise_power + signal_power * acc
+
+
+def _variances(
     realization: ChannelRealization, config: SystemConfig, r: int, t_start: int
 ) -> np.ndarray:
-    """All values of sigma_s^2 * sum_{t>=t_start} alpha_t^2 |b_{r,t}^(n_t)|^2
-    over the index tuples (n_{t_start}, ..., n_K), flattened."""
+    """signal_variances of one realization at decoder r."""
     gains_sq = np.abs(realization.channel_vectors[r - 1]) ** 2
-    acc = np.zeros(1)
-    for t in range(t_start, config.num_users + 1):
-        contrib = config.power_levels[t - 1] * gains_sq
-        acc = (acc[:, None] + contrib[None, :]).ravel()
-    return config.signal_power * acc
+    return signal_variances(gains_sq, config.power_levels, config.signal_power,
+                            config.noise_power, t_start)
 
 
 def mixture_of_interference(
@@ -159,8 +176,7 @@ def mixture_of_interference(
     """Exact mixture of the interference-plus-noise variable at decoder r,
     message k: equal weights over index tuples of users t > k."""
     _check_decoding_pair(realization, config, r, k)
-    variances = config.noise_power + _signal_variance_grid(realization, config, r, k + 1)
-    return equal_weight_zero_mean_mixture(variances)
+    return equal_weight_zero_mean_mixture(_variances(realization, config, r, k + 1))
 
 
 def mixture_of_received(
@@ -169,5 +185,4 @@ def mixture_of_received(
     """Exact mixture of the post-SIC received signal at decoder r, message k:
     equal weights over index tuples of users t >= k."""
     _check_decoding_pair(realization, config, r, k)
-    variances = config.noise_power + _signal_variance_grid(realization, config, r, k)
-    return equal_weight_zero_mean_mixture(variances)
+    return equal_weight_zero_mean_mixture(_variances(realization, config, r, k))

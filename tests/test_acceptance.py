@@ -24,9 +24,7 @@ from sm_noma.mi import mi_exact, mi_lower_bound_k2
 from sm_noma.runner import (
     _at_snr,
     figure1_config,
-    figure2b_config,
     run_figure1,
-    run_figure2b,
     substream,
     write_curves,
 )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp as scipy_logsumexp
@@ -289,7 +289,7 @@ class TestQuadratureFallback:
         counter = CountingIntegrate(gmd.integrate)
         monkeypatch.setattr(gmd, "integrate", counter)
         # A warm memo would answer without calling quad.
-        gmd._radial_quadrature.cache_clear()
+        gmd.QUADRATURE_MEMO.clear()
         with pytest.warns(RuntimeWarning, match="missed the tolerance") as record:
             fallback = gmd.entropy_radial_quadrature(mix, tolerance)
         assert counter.quad_calls == 1
@@ -309,8 +309,7 @@ class TestQuadratureFallback:
 
 
 def unmemoized(mixture, tolerance=1e-10):
-    return gmd._radial_quadrature.__wrapped__(
-        mixture.weights.tobytes(), mixture.variances.tobytes(), tolerance)
+    return gmd._quadrature_rows(mixture.weights, mixture.variances[None], tolerance)[0]
 
 
 @st.composite
@@ -325,13 +324,12 @@ def random_mixtures(draw):
 class TestQuadratureMemo:
     def test_repeat_call_returns_same_object(self):
         mix = gmd.equal_weight_zero_mean_mixture([0.5, 1.0, 2.0])
-        gmd._radial_quadrature.cache_clear()
+        gmd.QUADRATURE_MEMO.clear()
         first = gmd.entropy_radial_quadrature(mix)
         second = gmd.entropy_radial_quadrature(
             gmd.equal_weight_zero_mean_mixture([0.5, 1.0, 2.0]))
         assert second is first
-        info = gmd._radial_quadrature.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (1, 1)
         assert first.value == pytest.approx(GOLDEN_H_L3, abs=1e-9)
 
     @given(random_mixtures())
@@ -344,7 +342,7 @@ class TestQuadratureMemo:
         variances = [0.3, 1.0, 9.0, 2.5]
         mix = gmd.equal_weight_zero_mean_mixture(variances)
         tolerance = 1e-10
-        gmd._radial_quadrature.cache_clear()
+        gmd.QUADRATURE_MEMO.clear()
         gmd.entropy_radial_quadrature(mix, tolerance)
         if change == "tolerance":
             tolerance = 1e-9
@@ -353,8 +351,7 @@ class TestQuadratureMemo:
         else:
             mix = gmd.mixture_from_arrays([0.1, 0.2, 0.3, 0.4], variances)
         est = gmd.entropy_radial_quadrature(mix, tolerance)
-        info = gmd._radial_quadrature.cache_info()
-        assert (info.misses, info.hits) == (2, 0)
+        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (2, 0)
         assert est == unmemoized(mix, tolerance)
 
     def test_integer_parameters_key_as_floats(self):
@@ -463,16 +460,150 @@ class TestComponentMajorKernel:
         tolerance = 1e-10
         expected = oracle_radial_quadrature(mix)
         assert expected.std_error <= tolerance  # so the panel rule, not the fallback
-        got = gmd._radial_quadrature.__wrapped__(
-            mix.weights.tobytes(), mix.variances.tobytes(), tolerance)
-        assert got == expected
+        assert unmemoized(mix, tolerance) == expected
 
-    @given(st.floats(-300.0, 280.0), st.floats(0.5, 20.0))
+    @given(st.lists(st.tuples(st.floats(-300.0, 280.0), st.floats(0.5, 20.0)),
+                    min_size=1, max_size=5))
     @settings(max_examples=300, deadline=None)
-    def test_panel_edges_match_geomspace(self, log_lo, decades):
-        lo, hi = 10.0**log_lo, 10.0 ** (log_lo + decades)
-        expected = np.concatenate([[0.0], np.geomspace(lo, hi, 40)])
-        assert gmd._panel_edges(lo, hi).tobytes() == expected.tobytes()
+    def test_panel_edges_match_geomspace(self, ends):
+        lo = np.array([10.0**log_lo for log_lo, _ in ends])
+        hi = np.array([10.0 ** (log_lo + decades) for log_lo, decades in ends])
+        expected = [np.concatenate([[0.0], np.geomspace(a, b, 40)]) for a, b in zip(lo, hi)]
+        assert gmd._panel_edges(lo, hi).tobytes() == np.array(expected).tobytes()
+
+
+_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
+
+
+def scalar_radial_quadrature(weights, variances, tolerance):
+    """The radial quadrature as it ran one mixture per call before the row
+    kernel, adaptive fallback included: the row kernel's oracle."""
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(variances, dtype=float)
+    log_coef = np.log(w) - np.log(math.pi * v)
+    inv_v = 1.0 / v
+    u_max = float(np.max(v)) * math.log(len(v) / gmd.TAIL_MASS)
+    lo = float(np.min(v)) / 8.0
+    log_lo, log_hi = np.log10(lo), np.log10(u_max)
+    y = np.arange(40.0) * ((log_hi - log_lo) / 39) + log_lo
+    y[-1] = log_hi
+    edges = np.concatenate([[0.0], 10.0**y])
+    edges[1], edges[-1] = lo, u_max
+    a = edges[:-1, None]
+    half = (edges[1:, None] - a) / 2.0
+    u = half * (np.concatenate([_LEGGAUSS[24][0], _LEGGAUSS[48][0]]) + 1.0) + a
+    terms = u * inv_v[:, None, None]
+    log_f = gmd._logsumexp_overwrite(np.subtract(log_coef[:, None, None], terms, out=terms))
+    g = -math.pi * np.exp(log_f) * log_f / gmd.LN2
+    coarse = float(np.sum(half * _LEGGAUSS[24][1] * g[:, :24]))
+    fine = float(np.sum(half * _LEGGAUSS[48][1] * g[:, 24:]))
+    err = abs(fine - coarse)
+    if err <= tolerance:
+        return gmd.EntropyEstimate(fine, err, 0)
+
+    def integrand(u):
+        log_f = gmd._logsumexp_overwrite(log_coef - u * inv_v)
+        return -math.pi * math.exp(log_f) * log_f / gmd.LN2
+
+    value, abs_err = gmd.integrate.quad(integrand, 0.0, u_max, epsabs=tolerance,
+                                        epsrel=tolerance, limit=400, points=edges[1:-1])
+    return gmd.EntropyEstimate(float(value), float(abs_err), 0)
+
+
+def estimate_bits(estimates):
+    return [(e.value.hex(), e.std_error.hex(), e.sample_count) for e in estimates]
+
+
+@st.composite
+def variance_rows(draw):
+    """(N, L) variances for L = 1..64 and N up to two kernel chunks and one
+    row past them; each row spans up to 8 decades, some entries equal."""
+    n = draw(st.integers(1, 64))
+    rows = draw(st.integers(1, 2 * max(1, 16 // n) + 1))
+    base = draw(st.floats(-6.0, 6.0))
+    spread = draw(st.floats(0.0, 8.0))
+    positions = draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1.0)))
+    v = 10.0 ** (base + spread * positions)
+    duplicates = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    v[:, duplicates] = v[:, draw(st.integers(0, n - 1)), None]
+    return v
+
+
+class TestRowKernel:
+    """entropy_radial_quadrature_rows and its one-row callers against the
+    scalar rule they replaced, bit for bit."""
+
+    @given(variance_rows(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_scalar_rule(self, v, force_fallback):
+        n = v.shape[1]
+        weights = np.full(n, 1.0) / n
+        tolerance = 1e-10
+        if force_fallback:
+            # A tolerance just below the largest panel-rule error sends the
+            # rows that have it to the adaptive fallback and lets the rest
+            # pass. A one-component row's fallback can take a second at
+            # such a tolerance, so the forced case starts at L = 2.
+            errors = [scalar_radial_quadrature(weights, row, math.inf).std_error
+                      for row in v]
+            top = max(errors)
+            assume(n > 1 and top > 0.0 and errors.count(top) <= 2)
+            tolerance = max([e for e in errors if e < top] + [top / 2])
+        counter = CountingIntegrate(gmd.integrate)
+        saved, gmd.integrate = gmd.integrate, counter
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = [scalar_radial_quadrature(weights, row, tolerance) for row in v]
+                calls = counter.quad_calls
+                got = gmd._quadrature_rows(weights, v, tolerance)
+        finally:
+            gmd.integrate = saved
+        assert estimate_bits(got) == estimate_bits(expected)
+        assert counter.quad_calls == 2 * calls
+        assert (calls > 0) == force_fallback
+
+    @given(random_mixtures())
+    @settings(max_examples=100, deadline=None)
+    def test_one_row_call_with_unequal_weights(self, mix):
+        expected = scalar_radial_quadrature(mix.weights, mix.variances, 1e-10)
+        assert estimate_bits([unmemoized(mix)]) == estimate_bits([expected])
+
+    def test_memo_answers_repeated_rows(self):
+        gmd.QUADRATURE_MEMO.clear()
+        v = 10.0 ** np.random.default_rng(3).uniform(-2, 2, (6, 4))
+        v[4] = v[1]
+        values, errors = gmd.entropy_radial_quadrature_rows(v)
+        # The repeated row is computed once and counted as reused.
+        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (5, 1)
+        again = gmd.entropy_radial_quadrature_rows(v[::-1])
+        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (5, 7)
+        assert again[0].tobytes() == values[::-1].tobytes()
+        assert again[1].tobytes() == errors[::-1].tobytes()
+        # A one-row call on the equal-weight mixture of a row hits its entry.
+        mix = gmd.equal_weight_zero_mean_mixture(v[2])
+        est = gmd.entropy_radial_quadrature(mix)
+        assert (est.value, est.std_error) == (values[2], errors[2])
+        assert gmd.QUADRATURE_MEMO.hits == 8
+        assert estimate_bits([est]) == estimate_bits(
+            [scalar_radial_quadrature(mix.weights, v[2], 1e-10)])
+
+    def test_memo_keeps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(gmd, "QUADRATURE_MEMO", gmd.QuadratureMemo(3))
+        v = np.arange(1.0, 11.0).reshape(5, 2)
+        gmd.entropy_radial_quadrature_rows(v)
+        assert len(gmd.QUADRATURE_MEMO) == 3
+        # The two oldest rows were evicted; the newest three still hit.
+        gmd.entropy_radial_quadrature_rows(v[2:])
+        assert gmd.QUADRATURE_MEMO.hits == 3
+        gmd.entropy_radial_quadrature_rows(v[:1])
+        assert gmd.QUADRATURE_MEMO.misses == 6
+
+    @pytest.mark.parametrize("variances", [
+        np.ones(3), np.ones((0, 2)), [[1.0, 0.0]], [[1.0, np.inf]], [[1.0, np.nan]]])
+    def test_bad_rows_rejected(self, variances):
+        with pytest.raises(ValueError):
+            gmd.entropy_radial_quadrature_rows(variances)
 
 
 def zero_means(mixture):

@@ -8,6 +8,7 @@ property suite at seed 0. To regenerate it from a given checkout:
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from sm_noma import gmd, runner
 from sm_noma.baselines import miso_noma_mi, sm_tdma_mi
 from sm_noma.cli import main
-from sm_noma.mi import MiResult
+from sm_noma.mi import MiResult, mi_exact, mi_lower_bound_k2
 from sm_noma.runner import (
     ConfigError,
     ExperimentConfig,
@@ -91,6 +92,11 @@ class TestConfig:
     def test_realizations_positive(self):
         with pytest.raises(ConfigError):
             tiny_config(realizations=0)
+
+    @pytest.mark.parametrize("split", [(5.0, (4.0,)), {"total": 5.0}, None])
+    def test_power_split_must_be_a_power_split(self, split):
+        with pytest.raises(ConfigError, match="power_split must be a PowerSplit"):
+            tiny_config(power_split=split)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -239,10 +245,10 @@ class TestFigureRuns:
     def test_figure2a_after_figure1_equals_cold_run(self):
         cfg = tiny_config()
         run_figure1(cfg)
-        before = gmd._radial_quadrature.cache_info()
+        hits = gmd.QUADRATURE_MEMO.hits
         warm = run_figure2a(cfg)
-        assert gmd._radial_quadrature.cache_info().hits > before.hits
-        gmd._radial_quadrature.cache_clear()
+        assert gmd.QUADRATURE_MEMO.hits > hits
+        gmd.QUADRATURE_MEMO.clear()
         cold = run_figure2a(cfg)
         assert warm == cold
 
@@ -287,6 +293,62 @@ class TestFigureRuns:
             assert mc[label].points[0][1] == pytest.approx(
                 quad[label].points[0][1], abs=0.05
             )
+
+
+class TestSweepTable:
+    """Each cell of the sweep's (2, R, G) table against the one-realization
+    call it replaces."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("x_axis", ["snr_db", "power_ratio"])
+    def test_cells_equal_scalar_calls(self, m, x_axis):
+        if x_axis == "snr_db":
+            cfg = tiny_config(num_tx_antennas=m, snr_grid_db=(-20.0, 0.0, 12.0, 40.0))
+        else:
+            cfg = figure2b_config(num_tx_antennas=m, realizations=3, seed=11)
+        table = runner._sweep(cfg, x_axis, lower_bound=True, baselines=True)
+        # The scalar calls below then run the kernel one row at a time.
+        gmd.QUADRATURE_MEMO.clear()
+        tolerance = cfg.quadrature_tolerance
+        systems = runner._grid(cfg, x_axis)
+        for i, h in enumerate(_draw_realizations(cfg)):
+            for j, system in enumerate(systems):
+                for k in (1, 2):
+                    cell = {key: rows[k - 1, i, j] for key, rows in table.items()}
+                    exact = mi_exact(h, system, k, k, tolerance=tolerance).mi_exact
+                    assert cell["I"].hex() == exact.value.hex()
+                    assert cell["I_LB"].hex() == mi_lower_bound_k2(h, system, k, k).hex()
+                    assert cell["SM-TDMA"].hex() == sm_tdma_mi(
+                        h, system, k, 0.5, tolerance).hex()
+                    assert cell["MISO-NOMA"].hex() == miso_noma_mi(h, system, k, k, 2).hex()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_monte_carlo_cells_equal_scalar_calls(self, m):
+        cfg = figure2b_config(num_tx_antennas=m, realizations=2, seed=4,
+                              method="montecarlo", mc_samples=300)
+        table = runner._sweep(cfg, "power_ratio", lower_bound=False, baselines=False)
+        for i, h in enumerate(_draw_realizations(cfg)):
+            for j, system in enumerate(runner._grid(cfg, "power_ratio")):
+                for k in (1, 2):
+                    exact = mi_exact(h, system, k, k, cfg.entropy_method,
+                                     rng=runner.substream(cfg.seed, runner._TAG_MC, i, j, k - 1),
+                                     samples=cfg.mc_samples).mi_exact
+                    assert table["I"][k - 1, i, j].hex() == exact.value.hex()
+
+    def test_fig1_sweep_peak_memory(self):
+        # The K = 2 lower bound's (..., M, M, M, M) temporaries and the
+        # quadrature's term arrays are built in chunks: unchunked, the bound
+        # alone would hold three 4.2 MB arrays at R = 50. The memo entries
+        # the sweep adds (about 4 MB) stay in the count.
+        cfg = figure1_config(realizations=50, seed=1)
+        gmd.QUADRATURE_MEMO.clear()
+        tracemalloc.start()
+        try:
+            runner._sweep(cfg, "snr_db", lower_bound=True, baselines=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestOutput:
