@@ -39,8 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, help="JSON config file")
         cmd.add_argument("--seed", type=int, help="root RNG seed")
-        cmd.add_argument("--out", type=str, help="output CSV path")
         cmd.add_argument("--realizations", type=int, help="channel realizations")
+        if name == "props":
+            continue  # the suite writes no file and estimates by quadrature
+        cmd.add_argument("--out", type=str, dest="output_path", help="output CSV path")
         cmd.add_argument(
             "--method", choices=("quadrature", "montecarlo"),
             help="entropy estimator for exact MI",
@@ -68,17 +70,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         config = load_config(args.config)
     else:
         config = _DEFAULTS[args.command]()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.mc_samples is not None:
-        overrides["mc_samples"] = args.mc_samples
+    # Every flag but --config sets the config field of its name.
+    overrides = {name: value for name, value in vars(args).items()
+                 if name not in ("command", "config") and value is not None}
     return replace(config, **overrides) if overrides else config
 
 

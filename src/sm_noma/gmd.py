@@ -92,7 +92,7 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
 def _logsumexp_overwrite(a: np.ndarray) -> np.ndarray | np.float64:
     """logsumexp of a float64 array that the caller no longer needs: the
     shifted exponentials and their partial sums are written into a. The
-    kernel's term arrays are (L, 40, 72); a second array of that size per
+    kernel's term arrays are (L, B, 40, 72); a second array of that size per
     call would cost a round of page faults each time the allocator hands
     its pages back.
 

@@ -82,21 +82,26 @@ def mi_of_mixtures(
 
 def mi_exact_rows(
     received: np.ndarray, interference: np.ndarray, tolerance: float = 1e-10
-) -> np.ndarray:
-    """The radial-quadrature value of mi_exact for stacked equal-weight
-    variance rows: received (..., L_Y) and interference (..., L_Omega) of
-    one leading shape, which the result has. A one-component row takes the
-    Gaussian closed form, as gmd.entropy_exact does, so each cell has the
-    bits of the mi_exact call whose mixtures hold its rows."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The radial-quadrature value and error estimate of mi_exact for
+    stacked equal-weight variance rows: received (..., L_Y) and
+    interference (..., L_Omega) of one leading shape, which both results
+    have. A one-component row takes the Gaussian closed form, as
+    gmd.entropy_exact does, and the errors are added in quadrature by
+    math.hypot per cell, as mi_of_mixtures adds them (np.hypot rounds
+    differently on some pairs). So each cell has the bits of the mi_exact
+    call whose mixtures hold its rows."""
 
-    def entropies(v: np.ndarray) -> np.ndarray:
+    def entropies(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lead = v.shape[:-1]
         if v.shape[-1] == 1:
             values = [gmd.gaussian_entropy(x) for x in v[..., 0].ravel()]
-        else:
-            values = gmd.entropy_radial_quadrature_rows(v.reshape(-1, v.shape[-1]), tolerance)[0]
-        return np.reshape(values, v.shape[:-1])
+            return np.reshape(values, lead), np.zeros(lead)
+        values, errors = gmd.entropy_radial_quadrature_rows(v.reshape(-1, v.shape[-1]), tolerance)
+        return values.reshape(lead), errors.reshape(lead)
 
-    return entropies(received) - entropies(interference)
+    (h_y, err_y), (h_w, err_w) = entropies(received), entropies(interference)
+    return h_y - h_w, np.vectorize(math.hypot, otypes=[float])(err_y, err_w)
 
 
 def mi_lower_bound_k2(
@@ -109,8 +114,7 @@ def mi_lower_bound_k2(
     if not (1 <= k <= r <= 2):
         raise ValueError(f"invalid decoder/message pair ({r}, {k}) for K = 2")
     gains_sq = np.abs(realization.channel_vectors[r - 1]) ** 2
-    return float(_lower_bound_chunk(gains_sq[None], np.array([config.power_levels]),
-                                    np.array([config.snr]), k)[0])
+    return float(lower_bound_k2_rows(gains_sq, np.array(config.power_levels), config.snr, k))
 
 
 # Terms per chunk of the lower bound's (N, M, M, M, M) arrays: each

@@ -1,5 +1,7 @@
 """Batch experiment engine: seeded SNR/power sweeps, realization averaging,
-and figure-ready CSV/JSON output.
+figure-ready CSV/JSON output, and a randomized property suite. The figures
+and the suite's MI checks are selections and reductions over one table
+(_mi_table) of exact MI, error estimates and lower bounds.
 
 Seeding: every random draw comes from a substream derived deterministically
 from (root seed, purpose tag, realization index), so output is bit-identical
@@ -18,29 +20,25 @@ import numpy as np
 
 from . import gmd
 from .baselines import miso_noma_gains_sq, miso_noma_rows, sm_tdma_rows
-# The benchmark's traced runs patch these two names here (bench/tracing.py);
-# the sweep computes the baselines from stacked channels instead.
-from .baselines import miso_noma_mi, sm_tdma_mi  # noqa: F401
 from .gmd import equal_weight_zero_mean_mixture
-from .mi import (
-    asymptotes,
-    lower_bound_k2_rows,
-    mi_exact,
-    mi_exact_rows,
-    mi_lower_bound_k2,
-    mi_of_mixtures,
-)
+from .mi import asymptotes, lower_bound_k2_rows, mi_exact_rows, mi_of_mixtures
 from .system import (
     ChannelRealization,
     SystemConfig,
     draw_channel,
-    mixture_of_interference,
     mixture_of_received,
     require_integer,
     require_real,
     signal_variances,
     simulate_received_symbol,
 )
+
+# Kept only for the benchmark's traced runs, which wrap these names here
+# (bench/tracing.py); the sweep and the property suite compute the same
+# quantities from stacked channels, through _mi_table and the row functions.
+from .baselines import miso_noma_mi, sm_tdma_mi  # noqa: F401
+from .mi import mi_exact, mi_lower_bound_k2  # noqa: F401
+from .system import mixture_of_interference  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -138,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.method not in ("quadrature", "montecarlo"):
             raise ConfigError(f"unknown method {self.method!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string or null, got {self.output_path!r}")
         if self.num_tx_antennas < 1:
             raise ConfigError("num_tx_antennas must be >= 1")
         if not isinstance(self.power_split, PowerSplit):
@@ -250,59 +250,69 @@ def _draw_realizations(config: ExperimentConfig) -> list[ChannelRealization]:
 def _sweep(
     config: ExperimentConfig, x_axis: str, lower_bound: bool, baselines: bool
 ) -> dict[str, np.ndarray]:
-    """Per-user quantities over (user k, realization i, grid point j).
-
-    Returns one (2, R, G) array per quantity: "I" holds I(k,k) (Monte Carlo
-    substream key (i, j, k-1)), "I_LB" the closed-form I_LB(k,k) when
-    lower_bound is set, and "MISO-NOMA" and "SM-TDMA" the baselines' per-user
-    MI when baselines is set. The grid runs along x_axis (see _grid). Each
-    quantity is computed at once from the stacked channels of the R
-    realizations and the G grid points' powers; every cell has the bits of
-    its one-realization call (mi_exact, mi_lower_bound_k2, miso_noma_mi,
-    sm_tdma_mi).
+    """Per-user quantities over (user k, realization i, grid point j), the
+    grid along x_axis (see _grid): one (2, R, G) array per quantity.
+    _mi_table gives "I", "I_err" and, when lower_bound is set, "I_LB" for
+    each user's own message; "MISO-NOMA" and "SM-TDMA", when baselines is
+    set, have the bits of miso_noma_mi and sm_tdma_mi in every cell.
     """
     if baselines and config.num_tx_antennas < MISO_NOMA_ANTENNAS:
         raise ConfigError(f"the MISO-NOMA baseline needs {MISO_NOMA_ANTENNAS} antennas, "
                           f"the system has {config.num_tx_antennas}")
+    channels = np.stack([r.channel_vectors for r in _draw_realizations(config)])
     systems = _grid(config, x_axis)
     levels = np.array([system.power_levels for system in systems])  # (G, 2)
     rho = np.array([system.snr for system in systems])  # (G,), at unit noise
-    channels = np.stack([r.channel_vectors for r in _draw_realizations(config)])
-    # Decoder k's |h_k|^2 as (R, 1, M), against the grid axis.
-    own_gains = [np.abs(channels[:, k, None, :]) ** 2 for k in (0, 1)]
-    table = {"I": _mi_table(config, own_gains, levels, rho)}
-    if lower_bound:
-        table["I_LB"] = np.stack([lower_bound_k2_rows(own_gains[k - 1], levels, rho, k)
-                                  for k in (1, 2)])
+    table = _mi_table(config, channels, levels, rho, ((1, 1), (2, 2)),
+                      ("I", "I_LB") if lower_bound else ("I",))
     if baselines:
         miso_gains = miso_noma_gains_sq(channels, MISO_NOMA_ANTENNAS)[..., None]  # (R, 2, 1)
         table["MISO-NOMA"] = np.stack([
             miso_noma_rows(miso_gains[:, k - 1], levels, rho, _NOISE_POWER, k) for k in (1, 2)])
         table["SM-TDMA"] = np.stack([
-            sm_tdma_rows(g, levels, rho, _NOISE_POWER, SM_TDMA_SHARE,
-                         config.quadrature_tolerance) for g in own_gains])
+            sm_tdma_rows(np.abs(channels[:, k, None, :]) ** 2, levels, rho, _NOISE_POWER,
+                         SM_TDMA_SHARE, config.quadrature_tolerance) for k in (0, 1)])
     return table
 
 
 def _mi_table(
-    config: ExperimentConfig, own_gains: list[np.ndarray], levels: np.ndarray, rho: np.ndarray
-) -> np.ndarray:
-    """I(k,k) over (k, i, j) from decoder k's received and interference
-    variance rows, the ones mixture_of_received/_interference build."""
-    # Each power level and the SNR as (G, 1), against the component axis.
-    per_point = levels.T[..., None], rho[:, None]
-    rows = [[signal_variances(gains, *per_point, _NOISE_POWER, t) for t in (k, k + 1)]
-            for k, gains in zip((1, 2), own_gains)]
-    if config.method == "quadrature":
-        return np.stack([mi_exact_rows(received, interference, config.quadrature_tolerance)
-                         for received, interference in rows])
-    table = np.empty((2, config.realizations, len(rho)))
-    for i, j, k in np.ndindex(table.shape[1], table.shape[2], 2):
-        received, interference = (equal_weight_zero_mean_mixture(v[i, j]) for v in rows[k])
-        table[k, i, j] = mi_of_mixtures(
-            received, interference, config.entropy_method,
-            rng=substream(config.seed, _TAG_MC, i, j, k), samples=config.mc_samples,
-        ).value
+    config: ExperimentConfig, channels: np.ndarray, levels: np.ndarray, rho: np.ndarray,
+    pairs: tuple[tuple[int, int], ...], quantities: tuple[str, ...],
+) -> dict[str, np.ndarray]:
+    """MI over (pair p, row n, grid point j) for the decoder/message pairs
+    (r, k), from channels (N, 2, M), the power levels (G, 2) and rho, which
+    broadcast over (N, G). "I" in quantities gives the exact I(r, k) by
+    config.method as "I" and its error estimate as "I_err" (Monte Carlo
+    substream key (n, j, p)); "I_LB" gives the closed-form lower bound.
+    Every cell has the bits of mi_exact and mi_lower_bound_k2.
+    """
+    table = {}
+    gains = np.abs(channels[:, :, None, :]) ** 2  # |h_r|^2 as (N, 2, 1, M), against the grid
+    if "I" in quantities:
+        # Each power level and the SNR as (..., 1), against the component
+        # axis: rows[p] holds the variance rows of mixture_of_received and
+        # mixture_of_interference over (n, j, component).
+        per_point = levels.T[..., None], rho[..., None]
+        rows = [[signal_variances(gains[:, r - 1], *per_point, _NOISE_POWER, t)
+                 for t in (k, k + 1)] for r, k in pairs]
+        if config.method == "quadrature":
+            exact = [mi_exact_rows(received, interference, config.quadrature_tolerance)
+                     for received, interference in rows]
+            table["I"], table["I_err"] = (np.stack(x) for x in zip(*exact))
+        else:
+            shape = (len(pairs),) + rows[0][0].shape[:-1]
+            table["I"], table["I_err"] = np.empty(shape), np.empty(shape)
+            for p, n, j in np.ndindex(shape):
+                mixtures = (equal_weight_zero_mean_mixture(v[n, j]) for v in rows[p])
+                estimate = mi_of_mixtures(
+                    *mixtures, config.entropy_method,
+                    rng=substream(config.seed, _TAG_MC, n, j, p), samples=config.mc_samples,
+                )
+                table["I"][p, n, j] = estimate.value
+                table["I_err"][p, n, j] = estimate.std_error
+    if "I_LB" in quantities:
+        table["I_LB"] = np.stack([lower_bound_k2_rows(gains[:, r - 1], levels, rho, k)
+                                  for r, k in pairs])
     return table
 
 
@@ -435,69 +445,60 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
         )
     record("variance_scaling", max_dev < 1e-8, f"max deviation {max_dev:.3e} bits")
 
-    # Closed-form K=2 lower bound equals the bound assembly from mixtures.
+    # The MI checks read the sweep's table at the split's powers: exact MI
+    # by radial quadrature whatever the configured method.
+    quadrature, levels = replace(config, method="quadrature"), np.array([powers])
+    pairs = ((1, 1), (2, 1), (2, 2))
+
+    def table(channels, rho, quantities, pairs=pairs):
+        return _mi_table(quadrature, channels, levels, rho, pairs, quantities)
+
+    def operating_points(n):
+        """n channel draws, each followed in the rng by its SNR, uniform on
+        [-40, 40) dB: the channels (n, 2, M) and rho (n, 1)."""
+        channels, rho = [], []
+        for _ in range(n):
+            channels.append(draw_channel(base, rng).channel_vectors)
+            rho.append(_at_snr(base, float(rng.uniform(-40, 40)), powers).snr)
+        return np.stack(channels), np.array(rho)[:, None]
+
+    # Closed-form K=2 lower bound equals the bound assembly from mixtures
+    # of the same variance rows, by the general entropy bounds.
+    channels, rho = operating_points(100)
+    direct = table(channels, rho, ("I_LB",))["I_LB"]
     max_dev = 0.0
-    for i in range(100):
-        realization = draw_channel(base, rng)
-        snr_db = float(rng.uniform(-40, 40))
-        system = _at_snr(base, snr_db, powers)
-        for (r, k) in ((1, 1), (2, 1), (2, 2)):
-            direct = mi_lower_bound_k2(realization, system, r, k)
-            assembled = gmd.entropy_lower_bound(
-                mixture_of_received(realization, system, r, k)
-            ) - gmd.entropy_upper_bound(
-                mixture_of_interference(realization, system, r, k)
-            )
-            max_dev = max(max_dev, abs(direct - assembled))
+    for p, (r, k) in enumerate(pairs):
+        gains = np.abs(channels[:, r - 1]) ** 2
+        received, interference = (signal_variances(gains, powers, rho, _NOISE_POWER, t)
+                                  for t in (k, k + 1))
+        for n in range(len(channels)):
+            lb = gmd.entropy_lower_bound(gmd.equal_weight_zero_mean_mixture(received[n]))
+            ub = gmd.entropy_upper_bound(gmd.equal_weight_zero_mean_mixture(interference[n]))
+            max_dev = max(max_dev, abs(direct[p, n, 0] - (lb - ub)))
     record("lb_path_equivalence", max_dev < 1e-10, f"max |delta| {max_dev:.3e} bits")
 
     # Lower-bound validity against the exact MI on random operating points.
-    violations = 0
-    worst = -math.inf
-    for i in range(100):
-        realization = draw_channel(base, rng)
-        snr_db = float(rng.uniform(-40, 40))
-        system = _at_snr(base, snr_db, powers)
-        for (r, k) in ((1, 1), (2, 1), (2, 2)):
-            exact = mi_exact(realization, system, r, k,
-                             tolerance=config.quadrature_tolerance).mi_exact
-            excess = mi_lower_bound_k2(realization, system, r, k) - (
-                exact.value + 3.0 * exact.std_error)
-            worst = max(worst, excess)
-            if excess > 0:
-                violations += 1
+    mi = table(*operating_points(100), ("I", "I_LB"))
+    excess = mi["I_LB"] - (mi["I"] + 3.0 * mi["I_err"])
+    violations = int(np.count_nonzero(excess > 0))
     record("lb_validity", violations == 0,
-           f"{violations} violations, worst LB excess {worst:.3e} bits")
+           f"{violations} violations, worst LB excess {float(excess.max()):.3e} bits")
 
     # Asymptotic behavior averaged over realizations at the SNR extremes.
     n_real = max(config.realizations, 200)
+    channels = np.stack([draw_channel(base, rng).channel_vectors for _ in range(n_real)])
     sys_high = _at_snr(base, 40.0, powers)
     sys_low = _at_snr(base, -40.0, powers)
-    mid_systems = [_at_snr(base, s, powers) for s in (10.0, 20.0, 30.0)]
-    i11 = np.zeros(n_real)
-    shift11 = np.zeros(n_real)
-    low_dev = 0.0
-    lb_low_dev = 0.0
-    sic_gap = np.zeros((n_real, len(mid_systems)))
-    for i in range(n_real):
-        realization = draw_channel(base, rng)
-        i11[i] = mi_exact(realization, sys_high, 1, 1,
-                          tolerance=config.quadrature_tolerance).mi_exact.value
-        shift11[i] = i11[i] - mi_lower_bound_k2(realization, sys_high, 1, 1)
-        for (r, k) in ((1, 1), (2, 1), (2, 2)):
-            low = mi_exact(realization, sys_low, r, k,
-                           tolerance=config.quadrature_tolerance).mi_exact.value
-            low_dev = max(low_dev, abs(low))
-            limit = asymptotes(sys_low, r, k).low_snr_lb_limit
-            lb_low_dev = max(lb_low_dev,
-                             abs(mi_lower_bound_k2(realization, sys_low, r, k) - limit))
-        for j, system in enumerate(mid_systems):
-            sic_gap[i, j] = (
-                mi_exact(realization, system, 2, 2,
-                         tolerance=config.quadrature_tolerance).mi_exact.value
-                - mi_exact(realization, system, 1, 1,
-                           tolerance=config.quadrature_tolerance).mi_exact.value
-            )
+    high_mi = table(channels, np.array([sys_high.snr]), ("I", "I_LB"), pairs=((1, 1),))
+    i11 = high_mi["I"][0, :, 0]
+    shift11 = i11 - high_mi["I_LB"][0, :, 0]
+    low_mi = table(channels, np.array([sys_low.snr]), ("I", "I_LB"))
+    low_dev = float(np.abs(low_mi["I"]).max())
+    limits = np.array([[asymptotes(sys_low, r, k).low_snr_lb_limit] for r, k in pairs])
+    lb_low_dev = float(np.abs(low_mi["I_LB"][..., 0] - limits).max())
+    mid_rho = np.array([_at_snr(base, s, powers).snr for s in (10.0, 20.0, 30.0)])
+    mid = table(channels, mid_rho, ("I",), pairs=((1, 1), (2, 2)))["I"]
+    sic_gap = mid[1] - mid[0]  # (n_real, 3), C-contiguous
     record("low_snr_limits", low_dev < 0.02 and lb_low_dev < 0.02,
            f"max |MI| {low_dev:.4f}, max LB deviation {lb_low_dev:.4f} bits at -40 dB")
     high = asymptotes(sys_high, 1, 1)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sm_noma import gmd, runner
 from sm_noma.mi import (
-    MiResult,
     asymptotes,
     mi_exact,
     mi_lower_bound_k2,
@@ -205,9 +204,12 @@ class TestMiResult:
     def test_lower_bound_violation_is_a_fail_line(self, monkeypatch):
         # Every operating point of lb_validity gets a bound 0.01 bit above
         # exact + 3 sigma; the suite reports it instead of raising.
-        exact = MiResult(gmd.EntropyEstimate(1.0, 0.1, 0))
-        monkeypatch.setattr(runner, "mi_exact", lambda *args, **kwargs: exact)
-        monkeypatch.setattr(runner, "mi_lower_bound_k2", lambda *args: 1.31)
+        def table(config, channels, levels, rho, pairs, quantities):
+            shape = (len(pairs), len(channels), np.shape(rho)[-1])
+            return {"I": np.full(shape, 1.0), "I_err": np.full(shape, 0.1),
+                    "I_LB": np.full(shape, 1.31)}
+
+        monkeypatch.setattr(runner, "_mi_table", table)
         report = runner.run_property_suite(figure1_config(realizations=1, seed=3))
         assert [line for line in report.lines() if " lb_validity:" in line] == [
             "FAIL  lb_validity: 300 violations, worst LB excess 1.000e-02 bits"]

@@ -17,7 +17,7 @@ import pytest
 from sm_noma import gmd, runner
 from sm_noma.baselines import miso_noma_mi, sm_tdma_mi
 from sm_noma.cli import main
-from sm_noma.mi import MiResult, mi_exact, mi_lower_bound_k2
+from sm_noma.mi import mi_exact, mi_lower_bound_k2
 from sm_noma.runner import (
     ConfigError,
     ExperimentConfig,
@@ -143,6 +143,9 @@ class TestConfig:
         {"power_split": {"ratio_grid": 4.0}},
         {"num_tx_antennas": 65},  # 65^2 = 4225 mixture components
         {"num_users": 2},
+        {"output_path": 5},
+        {"output_path": True},
+        {"output_path": ["fig1.csv"]},
         *NON_REAL_INPUTS,
         *OLD_SCHEMA_INPUTS,
     ])
@@ -307,17 +310,30 @@ class TestSweepTable:
         else:
             cfg = figure2b_config(num_tx_antennas=m, realizations=3, seed=11)
         table = runner._sweep(cfg, x_axis, lower_bound=True, baselines=True)
+        systems = runner._grid(cfg, x_axis)
+        realizations = _draw_realizations(cfg)
+        # Every pair the property suite reads, on the sweep's inputs; the
+        # sweep's table holds the pairs (1, 1) and (2, 2) of it.
+        pairs = ((1, 1), (2, 1), (2, 2))
+        by_pair = runner._mi_table(
+            cfg, np.stack([h.channel_vectors for h in realizations]),
+            np.array([s.power_levels for s in systems]), np.array([s.snr for s in systems]),
+            pairs, ("I", "I_LB"))
+        for key in ("I", "I_err", "I_LB"):
+            assert table[key].tobytes() == by_pair[key][[0, 2]].tobytes()
         # The scalar calls below then run the kernel one row at a time.
         gmd.QUADRATURE_MEMO.clear()
         tolerance = cfg.quadrature_tolerance
-        systems = runner._grid(cfg, x_axis)
-        for i, h in enumerate(_draw_realizations(cfg)):
+        for i, h in enumerate(realizations):
             for j, system in enumerate(systems):
+                for p, (r, k) in enumerate(pairs):
+                    exact = mi_exact(h, system, r, k, tolerance=tolerance).mi_exact
+                    assert by_pair["I"][p, i, j].hex() == exact.value.hex()
+                    assert by_pair["I_err"][p, i, j].hex() == exact.std_error.hex()
+                    assert by_pair["I_LB"][p, i, j].hex() == mi_lower_bound_k2(
+                        h, system, r, k).hex()
                 for k in (1, 2):
                     cell = {key: rows[k - 1, i, j] for key, rows in table.items()}
-                    exact = mi_exact(h, system, k, k, tolerance=tolerance).mi_exact
-                    assert cell["I"].hex() == exact.value.hex()
-                    assert cell["I_LB"].hex() == mi_lower_bound_k2(h, system, k, k).hex()
                     assert cell["SM-TDMA"].hex() == sm_tdma_mi(
                         h, system, k, 0.5, tolerance).hex()
                     assert cell["MISO-NOMA"].hex() == miso_noma_mi(h, system, k, k, 2).hex()
@@ -334,6 +350,7 @@ class TestSweepTable:
                                      rng=runner.substream(cfg.seed, runner._TAG_MC, i, j, k - 1),
                                      samples=cfg.mc_samples).mi_exact
                     assert table["I"][k - 1, i, j].hex() == exact.value.hex()
+                    assert table["I_err"][k - 1, i, j].hex() == exact.std_error.hex()
 
     def test_fig1_sweep_peak_memory(self):
         # The K = 2 lower bound's (..., M, M, M, M) temporaries and the
@@ -381,7 +398,14 @@ class TestOutput:
 
 
 class TestPropertySuite:
-    def test_all_sound_properties_pass(self):
+    def test_all_sound_properties_pass(self, monkeypatch):
+        # Every exact MI, error estimate and bound the suite checks comes
+        # from the sweep's table function, none from a per-cell call.
+        def per_cell_call(*args, **kwargs):
+            raise AssertionError("the property suite made a per-cell call")
+
+        for name in ("mi_exact", "mi_lower_bound_k2", "mixture_of_interference"):
+            monkeypatch.setattr(runner, name, per_cell_call)
         results = property_suite_results()
         outcomes = {name: passed for name, passed, _ in results}
         failed = {name for name, ok in outcomes.items() if not ok}
@@ -394,17 +418,26 @@ class TestPropertySuite:
     def test_follows_power_split_and_antenna_count(self, monkeypatch):
         # With every exact MI and lower bound at 0, the high-SNR details print
         # the ceiling log2(1 + a1/a2) and the target shift log2(e M) - 1
-        # themselves, so they show which powers and M the suite read.
-        zero = MiResult(gmd.EntropyEstimate(0.0, 0.0, 0))
-        monkeypatch.setattr(runner, "mi_exact", lambda *args, **kwargs: zero)
-        monkeypatch.setattr(runner, "mi_lower_bound_k2", lambda *args: 0.0)
+        # themselves, so they show which powers and M the suite read; seen
+        # shows which ones the MI table was given.
+        seen = set()
+
+        def zero_table(config, channels, levels, rho, pairs, quantities):
+            seen.add((channels.shape[-1], tuple(levels.ravel())))
+            shape = (len(pairs), len(channels), np.shape(rho)[-1])
+            return {key: np.zeros(shape) for key in ("I", "I_err", "I_LB")}
+
+        monkeypatch.setattr(runner, "_mi_table", zero_table)
 
         def details(**overrides):
+            seen.clear()
             report = run_property_suite(ExperimentConfig(realizations=1, seed=3, **overrides))
-            return {r.name: r.detail for r in report.results}
+            return {r.name: r.detail for r in report.results}, set(seen)
 
-        split = details(power_split=PowerSplit(5.0, (1.5,)), num_tx_antennas=2)
-        default = details()
+        split, split_tables = details(power_split=PowerSplit(5.0, (1.5,)), num_tx_antennas=2)
+        default, default_tables = details()
+        assert split_tables == {(2, (3.0, 2.0))}
+        assert default_tables == {(4, (4.0, 1.0))}
         assert split["high_snr_saturation"] == (
             f"mean I(1,1) at 40 dB off the merged-Gaussian ceiling by "
             f"{math.log2(1.0 + 3.0 / 2.0):.4f} bits (tolerance 0.1)")
@@ -458,8 +491,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"system": {
             "num_users": 3, "power_levels": [4.0, 2.0, 1.0]}}))
-        assert main([command, "--config", str(cfg_path), "--realizations", "1",
-                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert main([command, "--config", str(cfg_path), "--realizations", "1"]) == 1
         assert "config error: unknown config keys: ['system']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fig1", "fig2a"])
@@ -492,6 +524,23 @@ class TestCli:
         second = tmp_path / "second.csv"
         assert main([command, "--config", str(cfg_path), "--out", str(second)]) == 0
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("value", [5, True])
+    def test_non_string_output_path_exit_code(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"output_path": value}))
+        assert main(["fig1", "--config", str(cfg_path), "--realizations", "1"]) == 1
+        assert (f"config error: output_path must be a string or null, got {value!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", [["--method", "montecarlo"], ["--mc-samples", "10"],
+                                      ["--out", "props.csv"]])
+    def test_props_takes_no_curve_flags(self, capsys, flag):
+        # props estimates by quadrature and writes no file.
+        with pytest.raises(SystemExit) as exc:
+            main(["props", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["fig1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1
