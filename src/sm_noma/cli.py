@@ -1,7 +1,7 @@
 """Command-line entry point for the experiment runner.
 
 Subcommands: fig1, fig2a, fig2b, props. Exit codes: 0 success, 1 config
-error, 2 property-suite failure.
+error, 2 usage error (argparse), 3 property-suite failure.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "props":
         for line in report.lines():
             print(line)
-        return 0 if report.all_passed else 2
+        return 0 if report.all_passed else 3
 
     out = config.output_path or f"{args.command}.csv"
     write_curves(out, curves, config, x_axis=x_axis)

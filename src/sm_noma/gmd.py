@@ -92,7 +92,7 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
 def _logsumexp_overwrite(a: np.ndarray) -> np.ndarray | np.float64:
     """logsumexp of a float64 array that the caller no longer needs: the
     shifted exponentials and their partial sums are written into a. The
-    kernel's term arrays are (L, B, 40, 72); a second array of that size per
+    kernel's term arrays are (L, B, 40, 48); a second array of that size per
     call would cost a round of page faults each time the allocator hands
     its pages back.
 
@@ -361,18 +361,23 @@ def entropy_monte_carlo(
     return EntropyEstimate(value, std_error, samples)
 
 
-_GL_NODES = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
-# Both rules' nodes, shifted to [0, 2], side by side: one pass evaluates
-# every panel at both orders.
-_GL_OFFSETS = np.concatenate([_GL_NODES[24][0], _GL_NODES[48][0]]) + 1.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# The nodes shifted to [0, 2]: a panel [a, a + 2h] holds h * _GL_OFFSETS + a.
+_GL_OFFSETS = _GL_NODES + 1.0
+# A panel's 48 values g_i times this (48, 2) table give c46 and c47, the last
+# two Legendre coefficients of the degree-47 polynomial through them:
+# c_k = (2k + 1) / 2 * sum_i w_i P_k(x_i) g_i, exact by the rule's
+# orthogonality up to degree 95.
+_TAIL_COEFFICIENTS = np.ascontiguousarray(
+    np.polynomial.legendre.legvander(_GL_NODES, 47)[:, 46:]
+    * (_GL_WEIGHTS[:, None] * (np.array([93.0, 95.0]) / 2.0)))
 _PANELS = 40
 _PANEL_INDEX = np.arange(float(_PANELS))
 # Components per kernel chunk: B rows of L components go through together
-# when L * B <= 8, and a row of more components alone. So no chunk's term
-# array exceeds the 369 kB of one 16-component row, and a 4-component
-# chunk's (B, 40, 72) temporaries keep its working set below that row's;
-# at L * B <= 16 a figures run's traced peak rose from 1.62 to 1.90 MB.
-_CHUNK_COMPONENTS = 8
+# when L * B <= 24, and a row of more components alone. So no chunk's
+# (L, B, 40, 48) term array exceeds 24 * 1920 float64, 369 kB, and a
+# 4-component row goes through 6 to a chunk.
+_CHUNK_COMPONENTS = 24
 
 
 def _panel_edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -434,12 +439,15 @@ def entropy_radial_quadrature(
 
     The mixture is radially symmetric, so with u = |a|^2 the
     entropy reduces to h = -int_0^inf pi f(u) log2 f(u) du where
-    f(u) = sum_l beta_l / (pi sigma_l^2) exp(-u / sigma_l^2). Geometric
-    Gauss-Legendre panels resolve every variance scale; the error estimate
-    is the difference between the order-24 and order-48 composite rules,
-    with a fallback to fully adaptive quadrature when it misses tolerance.
-    If the fallback misses it too, a RuntimeWarning names both numbers and
-    the fallback's estimate is returned.
+    f(u) = sum_l beta_l / (pi sigma_l^2) exp(-u / sigma_l^2). 40 geometric
+    panels of the order-48 Gauss-Legendre rule resolve every variance
+    scale. The error estimate is a null rule on the same 48 values per
+    panel: the sum over the panels of each one's width times |c46| + |c47|,
+    the last two Legendre coefficients of the degree-47 polynomial through
+    its values. A row whose estimate misses the tolerance falls back to
+    fully adaptive quadrature. If the fallback misses it too, a
+    RuntimeWarning names both numbers and the fallback's estimate is
+    returned.
 
     A one-row call of the kernel of entropy_radial_quadrature_rows, memo
     included: a repeated call returns the same EntropyEstimate object, and
@@ -510,12 +518,13 @@ def _quadrature_rows(
     """The panel rule of entropy_radial_quadrature on each row of variances
     (N, L), every row with the weights (L,); no memo.
 
-    Rows go through in chunks of B = max(1, 8 // L). Each row's numbers
+    Rows go through in chunks of B = max(1, 24 // L). Each row's numbers
     take the operations a one-row chunk gives them: its own log_coef,
-    panel edges and nodes, a component-major (L, B, 40, 72) term array
-    reduced over its first axis, and sums over its contiguous 960 coarse
-    and 1920 fine node products. One term array is allocated per call and
-    reused by every chunk, so a call faults in its pages once.
+    panel edges and nodes, a component-major (L, B, 40, 48) term array
+    reduced over its first axis, a sum over its contiguous 1920 node
+    products, and one (40, 48) @ (48, 2) product for the error estimate.
+    One term array is allocated per call and reused by every chunk, so a
+    call faults in its pages once.
     """
     n_rows, n = variances.shape
     chunk = max(1, _CHUNK_COMPONENTS // n)
@@ -532,8 +541,7 @@ def _quadrature_rows(
         # Truncate where the mixture tail mass is below TAIL_MASS.
         u_max = np.maximum.reduce(v, axis=1) * log_tail
         edges = _panel_edges(np.minimum.reduce(v, axis=1) / 8.0, u_max)
-        # Composite Gauss-Legendre sums of -pi f(u) log2 f(u) over the
-        # panels, at both orders from one array of log-terms.
+        # Composite Gauss-Legendre sum of -pi f(u) log2 f(u) over the panels.
         a = edges[:, :-1, None]
         half = (edges[:, 1:, None] - a) / 2.0
         terms = workspace[: n * b * nodes].reshape(n, b, _PANELS, -1)
@@ -545,9 +553,13 @@ def _quadrature_rows(
         g *= -math.pi
         g *= log_f
         g /= LN2
-        coarse = (half * _GL_NODES[24][1] * g[..., :24]).reshape(b, -1).sum(axis=1)
-        fine = (half * _GL_NODES[48][1] * g[..., 24:]).reshape(b, -1).sum(axis=1)
-        for m, (value, err) in enumerate(zip(fine.tolist(), np.abs(fine - coarse).tolist())):
+        values = (half * _GL_WEIGHTS * g).reshape(b, -1).sum(axis=1)
+        # Null-rule error estimate: each panel's width times |c46| + |c47|.
+        # The stacked product runs one (40, 48) @ (48, 2) product per row,
+        # whose bits do not depend on the chunk.
+        tail = np.abs(g @ _TAIL_COEFFICIENTS).sum(axis=-1)
+        errors = ((edges[:, 1:] - edges[:, :-1]) * tail).sum(axis=1)
+        for m, (value, err) in enumerate(zip(values.tolist(), errors.tolist())):
             if err <= tolerance:
                 out.append(EntropyEstimate(value, err, 0))
             else:
@@ -564,7 +576,7 @@ def _adaptive_fallback(
     tolerance: float,
 ) -> EntropyEstimate:
     """The same integral by scipy's adaptive quad, for a row whose panel
-    rules disagree by more than the tolerance."""
+    rule's error estimate exceeds the tolerance."""
 
     def integrand(u: float) -> float:
         log_f = _logsumexp_overwrite(log_coef - u * inv_v)

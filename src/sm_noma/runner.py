@@ -56,6 +56,11 @@ _TAG_PROPS = 2
 # this limit, which M = 64 reaches.
 MAX_MIXTURE_COMPONENTS = 4096
 
+# Largest table a run may build: realizations x grid points x M^2 variance
+# entries per decoder, 2^24 float64 (134 MB). A fig1 sweep at M = 64 and
+# R = 200 would hold 268 MB.
+MAX_TABLE_ENTRIES = 1 << 24
+
 # The paper's baselines in Figs. 1 and 2(a): MISO-NOMA on 2 antennas and
 # SM-TDMA with one half of the frame per user.
 MISO_NOMA_ANTENNAS = 2
@@ -215,6 +220,18 @@ def _grid(config: ExperimentConfig, x_axis: str) -> list[SystemConfig]:
     return [_at_snr(base, snr_db, powers) for snr_db in config.snr_grid_db]
 
 
+def _require_table_size(config: ExperimentConfig, rows: int, points: int) -> None:
+    """Raise ConfigError if (rows, points, M^2) variance rows exceed
+    MAX_TABLE_ENTRIES."""
+    components = config.num_tx_antennas ** 2
+    entries = rows * points * components
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigError(
+            f"{rows} realizations x {points} grid points x {components} mixture "
+            f"components give {entries} variance entries, more than the limit of "
+            f"{MAX_TABLE_ENTRIES}")
+
+
 def _mean_curves(
     label_rows: dict[str, np.ndarray], xs: tuple[float, ...]
 ) -> list[MiCurve]:
@@ -259,8 +276,9 @@ def _sweep(
     if baselines and config.num_tx_antennas < MISO_NOMA_ANTENNAS:
         raise ConfigError(f"the MISO-NOMA baseline needs {MISO_NOMA_ANTENNAS} antennas, "
                           f"the system has {config.num_tx_antennas}")
-    channels = np.stack([r.channel_vectors for r in _draw_realizations(config)])
     systems = _grid(config, x_axis)
+    _require_table_size(config, config.realizations, len(systems))
+    channels = np.stack([r.channel_vectors for r in _draw_realizations(config)])
     levels = np.array([system.power_levels for system in systems])  # (G, 2)
     rho = np.array([system.snr for system in systems])  # (G,), at unit noise
     table = _mi_table(config, channels, levels, rho, ((1, 1), (2, 2)),
@@ -377,8 +395,17 @@ def _random_zero_mean_mixture(rng: np.random.Generator) -> gmd.GaussianMixture:
 
 def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     """Randomized cross-module invariant checks with the configured seed,
-    at the powers of the split's one power ratio."""
+    at the powers of the split's one power ratio. The suite estimates every
+    exact MI by radial quadrature, so a config asking for Monte Carlo is
+    rejected; it writes no file and reads neither mc_samples nor
+    output_path."""
+    if config.method != "quadrature":
+        raise ConfigError(f"the property suite estimates by quadrature, "
+                          f"not method {config.method!r}")
     powers = config.power_split.split(_only(config.power_split.ratio_grid, "power ratio"))
+    # The largest table: the SIC check's 3 SNR points at n_real draws.
+    n_real = max(config.realizations, 200)
+    _require_table_size(config, n_real, 3)
     base = config.system
     rng = substream(config.seed, _TAG_PROPS)
     results: list[PropertyResult] = []
@@ -445,13 +472,12 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
         )
     record("variance_scaling", max_dev < 1e-8, f"max deviation {max_dev:.3e} bits")
 
-    # The MI checks read the sweep's table at the split's powers: exact MI
-    # by radial quadrature whatever the configured method.
-    quadrature, levels = replace(config, method="quadrature"), np.array([powers])
+    # The MI checks read the sweep's table at the split's powers.
+    levels = np.array([powers])
     pairs = ((1, 1), (2, 1), (2, 2))
 
     def table(channels, rho, quantities, pairs=pairs):
-        return _mi_table(quadrature, channels, levels, rho, pairs, quantities)
+        return _mi_table(config, channels, levels, rho, pairs, quantities)
 
     def operating_points(n):
         """n channel draws, each followed in the rng by its SNR, uniform on
@@ -485,7 +511,6 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
            f"{violations} violations, worst LB excess {float(excess.max()):.3e} bits")
 
     # Asymptotic behavior averaged over realizations at the SNR extremes.
-    n_real = max(config.realizations, 200)
     channels = np.stack([draw_channel(base, rng).channel_vectors for _ in range(n_real)])
     sys_high = _at_snr(base, 40.0, powers)
     sys_low = _at_snr(base, -40.0, powers)

@@ -399,29 +399,43 @@ def last_axis_logsumexp(a):
     return out[..., 0]
 
 
-def oracle_panel_integral(log_coef, inv_v, edges, order):
+def oracle_panel_rule(log_coef, inv_v, edges, order):
     """One composite Gauss-Legendre rule of -pi f(u) log2 f(u), panels by
-    nodes by components, as the kernel computed it one order at a time."""
+    nodes by components, as the kernel computed it one order at a time:
+    the integral and the (panels, order) integrand values."""
     x, w = np.polynomial.legendre.leggauss(order)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     u = (b - a) / 2.0 * (x[None, :] + 1.0) + a
     log_f = last_axis_logsumexp(log_coef[None, None, :] - u[..., None] * inv_v)
     g = -math.pi * np.exp(log_f) * log_f / gmd.LN2
-    return float(np.sum((b - a) / 2.0 * w[None, :] * g))
+    return float(np.sum((b - a) / 2.0 * w[None, :] * g)), g
+
+
+_X48, _W48 = np.polynomial.legendre.leggauss(48)
+_TAIL = np.ascontiguousarray(np.polynomial.legendre.legvander(_X48, 47)[:, 46:]
+                             * (_W48[:, None] * (np.array([93.0, 95.0]) / 2.0)))
+
+
+def null_rule_error(g, edges):
+    """The kernel's error estimate from one row's order-48 integrand values
+    g (panels, 48): the sum over the panels of each one's width times
+    |c46| + |c47|, the last two Legendre coefficients of the degree-47
+    polynomial through its values."""
+    tail = np.abs(np.ascontiguousarray(g) @ _TAIL).sum(axis=-1)
+    return float(np.sum((edges[1:] - edges[:-1]) * tail))
 
 
 def oracle_radial_quadrature(mixture):
-    """The panel rule as a scalar oracle: np.geomspace edges and two
-    separate order-24 and order-48 passes."""
+    """The panel rule as a scalar oracle: np.geomspace edges, one order-48
+    pass and the null-rule error estimate from its values."""
     w, v = mixture.weights, mixture.variances
     log_coef = np.log(w) - np.log(math.pi * v)
     inv_v = 1.0 / v
     u_max = float(np.max(v)) * math.log(len(v) / gmd.TAIL_MASS)
     edges = np.concatenate([[0.0], np.geomspace(float(np.min(v)) / 8.0, u_max, 40)])
-    coarse = oracle_panel_integral(log_coef, inv_v, edges, 24)
-    fine = oracle_panel_integral(log_coef, inv_v, edges, 48)
-    return gmd.EntropyEstimate(fine, abs(fine - coarse), 0)
+    value, g = oracle_panel_rule(log_coef, inv_v, edges, 48)
+    return gmd.EntropyEstimate(value, null_rule_error(g, edges), 0)
 
 
 @st.composite
@@ -477,7 +491,9 @@ _LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
 
 def scalar_radial_quadrature(weights, variances, tolerance):
     """The radial quadrature as it ran one mixture per call before the row
-    kernel, adaptive fallback included: the row kernel's oracle."""
+    kernel, adaptive fallback included: the row kernel's oracle. The value
+    comes from the order-48 half of the 24 + 48 nodes per panel the kernel
+    evaluated then, the error estimate from null_rule_error."""
     w = np.asarray(weights, dtype=float)
     v = np.asarray(variances, dtype=float)
     log_coef = np.log(w) - np.log(math.pi * v)
@@ -495,9 +511,8 @@ def scalar_radial_quadrature(weights, variances, tolerance):
     terms = u * inv_v[:, None, None]
     log_f = gmd._logsumexp_overwrite(np.subtract(log_coef[:, None, None], terms, out=terms))
     g = -math.pi * np.exp(log_f) * log_f / gmd.LN2
-    coarse = float(np.sum(half * _LEGGAUSS[24][1] * g[:, :24]))
     fine = float(np.sum(half * _LEGGAUSS[48][1] * g[:, 24:]))
-    err = abs(fine - coarse)
+    err = null_rule_error(g[:, 24:], edges)
     if err <= tolerance:
         return gmd.EntropyEstimate(fine, err, 0)
 
@@ -519,7 +534,7 @@ def variance_rows(draw):
     """(N, L) variances for L = 1..64 and N up to two kernel chunks and one
     row past them; each row spans up to 8 decades, some entries equal."""
     n = draw(st.integers(1, 64))
-    rows = draw(st.integers(1, 2 * max(1, 16 // n) + 1))
+    rows = draw(st.integers(1, 2 * max(1, 24 // n) + 1))
     base = draw(st.floats(-6.0, 6.0))
     spread = draw(st.floats(0.0, 8.0))
     positions = draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1.0)))
@@ -604,6 +619,63 @@ class TestRowKernel:
     def test_bad_rows_rejected(self, variances):
         with pytest.raises(ValueError):
             gmd.entropy_radial_quadrature_rows(variances)
+
+
+class TestNullRuleEstimate:
+    """The kernel's error estimate: the last two Legendre coefficients of
+    each panel's interpolant, against the order-24 versus order-48
+    difference it replaced and an 800-panel reference."""
+
+    def test_table_gives_the_last_interpolant_coefficients(self):
+        rng = np.random.default_rng(46)
+        for _ in range(20):
+            c = rng.standard_normal(48) * 10.0 ** rng.uniform(-3, 3)
+            values = np.polynomial.legendre.legval(gmd._GL_NODES, c)
+            got = values @ gmd._TAIL_COEFFICIENTS
+            assert got == pytest.approx(c[46:], rel=1e-9, abs=1e-12 * np.abs(c).max())
+
+    def test_no_less_reliable_than_order_difference(self, monkeypatch):
+        # 3-12 panels leave most rows under-resolved. A row's true error is
+        # its distance from the same integral on 800 panels; rows below
+        # 1e-12, where the reference's own roundoff counts, are not scored.
+        rng = np.random.default_rng(2017)
+        under_null = under_difference = scored = 0
+        for _ in range(120):
+            panels = int(rng.integers(3, 13))
+            n = int(rng.integers(1, 17))
+            v = 10.0 ** (rng.uniform(-3.0, 3.0) + rng.uniform(1.0, 16.0) * rng.uniform(0, 1, n))
+            w = np.full(n, 1.0) / n
+            log_coef = np.log(w) - np.log(math.pi * v)
+            lo, hi = v.min() / 8.0, v.max() * math.log(n / gmd.TAIL_MASS)
+            monkeypatch.setattr(gmd, "_PANELS", panels)
+            monkeypatch.setattr(gmd, "_PANEL_INDEX", np.arange(float(panels)))
+            est = gmd._quadrature_rows(w, v[None], math.inf)[0]
+            edges = gmd._panel_edges(np.array([lo]), np.array([hi]))[0]
+            difference = abs(oracle_panel_rule(log_coef, 1.0 / v, edges, 48)[0]
+                             - oracle_panel_rule(log_coef, 1.0 / v, edges, 24)[0])
+            fine_edges = np.concatenate([[0.0], np.geomspace(lo, hi, 800)])
+            reference = oracle_panel_rule(log_coef, 1.0 / v, fine_edges, 48)[0]
+            true_error = abs(est.value - reference)
+            if true_error > 1e-12:
+                scored += 1
+                under_null += est.std_error < true_error
+                under_difference += difference < true_error
+        assert scored >= 30
+        assert under_null <= under_difference
+
+    def test_default_panels_meet_the_tolerance_up_to_24_decades(self):
+        # Both ends of every spread are taken; from about 26 decades the
+        # estimate can exceed 1e-10 and send the row to the fallback.
+        rng = np.random.default_rng(24)
+        worst = 0.0
+        for spread in np.arange(0.0, 24.5, 0.5):
+            for n in (1, 2, 3, 4, 8, 16, 64):
+                positions = rng.uniform(0.0, 1.0, (6, n))
+                positions[:, 0], positions[:, -1] = 0.0, 1.0
+                v = 10.0 ** (rng.uniform(-8.0, 8.0, (6, 1)) + spread * positions)
+                estimates = gmd._quadrature_rows(np.full(n, 1.0) / n, v, math.inf)
+                worst = max(worst, *(e.std_error for e in estimates))
+        assert worst <= 1e-10
 
 
 def zero_means(mixture):

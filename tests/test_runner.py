@@ -451,6 +451,47 @@ class TestPropertySuite:
         with pytest.raises(ConfigError, match="exactly one power ratio, got 7"):
             run_property_suite(figure2b_config(realizations=1))
 
+    def test_rejects_monte_carlo(self):
+        with pytest.raises(ConfigError, match="estimates by quadrature, not method 'montecarlo'"):
+            run_property_suite(figure1_config(realizations=1, method="montecarlo"))
+
+
+class TestTableSizeLimit:
+    """Runs whose (realizations, grid points, M^2) variance rows exceed
+    runner.MAX_TABLE_ENTRIES stop with a ConfigError before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(runner, "draw_channel", draw)
+
+    @pytest.mark.parametrize("run", [run_figure1, run_figure2a])
+    def test_figure_sweep_past_the_limit(self, run):
+        # 200 x 41 x 4096 = 33 587 200 entries, 268 MB as float64.
+        with pytest.raises(ConfigError, match=(
+                "200 realizations x 41 grid points x 4096 mixture components give "
+                "33587200 variance entries, more than the limit of 16777216")):
+            run(figure1_config(num_tx_antennas=64))
+
+    def test_ratio_sweep_counts_its_ratio_grid(self):
+        grid = tuple(float(r) for r in range(1, 42))
+        with pytest.raises(ConfigError, match="x 41 grid points x 4096"):
+            run_figure2b(figure2b_config(num_tx_antennas=64,
+                                         power_split=PowerSplit(5.0, grid)))
+
+    def test_property_suite_past_the_limit(self):
+        # The SIC check holds 3 SNR points at max(R, 200) draws.
+        with pytest.raises(ConfigError, match="1366 realizations x 3 grid points x 4096"):
+            run_property_suite(figure1_config(num_tx_antennas=64, realizations=1366))
+
+    def test_limit_is_inclusive(self):
+        cfg = figure1_config(num_tx_antennas=2)
+        runner._require_table_size(cfg, runner.MAX_TABLE_ENTRIES // 4, 1)
+        with pytest.raises(ConfigError, match="more than the limit"):
+            runner._require_table_size(cfg, runner.MAX_TABLE_ENTRIES // 4 + 1, 1)
+
 
 class TestCli:
     def test_fig1_writes_output(self, tmp_path, capsys):
@@ -536,7 +577,8 @@ class TestCli:
     @pytest.mark.parametrize("flag", [["--method", "montecarlo"], ["--mc-samples", "10"],
                                       ["--out", "props.csv"]])
     def test_props_takes_no_curve_flags(self, capsys, flag):
-        # props estimates by quadrature and writes no file.
+        # props estimates by quadrature and writes no file. A usage error
+        # exits 2, a code no failed check uses.
         with pytest.raises(SystemExit) as exc:
             main(["props", *flag])
         assert exc.value.code == 2
@@ -546,11 +588,28 @@ class TestCli:
         assert main(["fig1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_props_monte_carlo_config_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"method": "montecarlo", "mc_samples": 5}))
+        assert main(["props", "--config", str(cfg_path), "--realizations", "1"]) == 1
+        captured = capsys.readouterr()
+        assert ("config error: the property suite estimates by quadrature, "
+                "not method 'montecarlo'") in captured.err
+        assert captured.out == ""
+
+    def test_oversized_sweep_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_tx_antennas": 64}))
+        out = tmp_path / "x.csv"
+        assert main(["fig1", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "more than the limit of 16777216" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_props_exit_code_reflects_failures(self, capsys):
-        # the two known-defect properties fail, so the suite exits 2
+        # the two known-defect properties fail, so the suite exits 3
         code = main(["props", "--realizations", "200", "--seed", "0"])
         out = capsys.readouterr().out
-        assert code == 2
+        assert code == 3
         assert "PASS  bound_sandwich" in out
         assert "FAIL  high_snr_saturation" in out
 
