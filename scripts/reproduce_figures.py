@@ -4,9 +4,9 @@
 Runs the per-user MI sweep (fig1), the sum-MI sweep at fixed total power
 (fig2a), and the power-ratio sweep at 30 dB (fig2b) through the `sm-noma`
 CLI with its default configs, writing CSV + JSON sidecars into the chosen
-output directory. Each figure's line reports its elapsed time and the
-radial quadratures it computed and reused from the quadrature memo; a last
-line gives the total elapsed time, the process's peak resident set size
+output directory. Each figure's line reports its elapsed time and whether
+it reused the previous figure's table (fig2a reuses fig1's); a last line
+gives the total elapsed time, the process's peak resident set size
 and its minor page faults.
 """
 
@@ -15,7 +15,7 @@ import resource
 import time
 from pathlib import Path
 
-from sm_noma import gmd
+from sm_noma import runner
 from sm_noma.cli import main as sm_noma
 
 
@@ -31,14 +31,14 @@ def main() -> int:
     for name in ("fig1", "fig2a", "fig2b"):
         out = args.out_dir / f"{name}.csv"
         start = time.perf_counter()
-        computed, reused = gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits
+        hits = runner._sweep_table.cache_info().hits
         code = sm_noma([name, "--seed", str(args.seed),
                         "--realizations", str(args.realizations), "--out", str(out)])
         if code != 0:
             return code
-        print(f"{name}: {out} ({time.perf_counter() - start:.1f}s, quadratures computed "
-              f"{gmd.QUADRATURE_MEMO.misses - computed}, "
-              f"reused {gmd.QUADRATURE_MEMO.hits - reused})")
+        reused = runner._sweep_table.cache_info().hits > hits
+        table = "reused the previous figure's" if reused else "computed its own"
+        print(f"{name}: {out} ({time.perf_counter() - start:.1f}s, {table} table)")
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss is in KiB on Linux.
     print(f"total: {time.perf_counter() - first:.1f}s for fig1, fig2a and fig2b "

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -394,44 +393,6 @@ def _panel_edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return edges
 
 
-# Distinct mixtures the radial quadrature remembers. One R=200 run of fig1,
-# fig2a and fig2b in one process fills about 44.6k entries (~540 B each).
-QUADRATURE_MEMO_SIZE = 1 << 16
-
-
-class QuadratureMemo:
-    """Least-recently-used map from (weight bytes, variance bytes,
-    tolerance) to the EntropyEstimate of that mixture, holding at most
-    `size` entries. `hits` counts the rows answered from it and `misses`
-    the rows the kernel computed, since the last clear()."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.clear()
-
-    def clear(self) -> None:
-        self._entries: OrderedDict[tuple, EntropyEstimate] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> EntropyEstimate | None:
-        found = self._entries.get(key)
-        if found is not None:
-            self._entries.move_to_end(key)
-        return found
-
-    def put(self, key: tuple, estimate: EntropyEstimate) -> None:
-        self._entries[key] = estimate
-        if len(self._entries) > self.size:
-            self._entries.popitem(last=False)
-
-
-QUADRATURE_MEMO = QuadratureMemo(QUADRATURE_MEMO_SIZE)
-
-
 def entropy_radial_quadrature(
     mixture: GaussianMixture, tolerance: float = 1e-10
 ) -> EntropyEstimate:
@@ -449,11 +410,11 @@ def entropy_radial_quadrature(
     RuntimeWarning names both numbers and the fallback's estimate is
     returned.
 
-    A one-row call of the kernel of entropy_radial_quadrature_rows, memo
-    included: a repeated call returns the same EntropyEstimate object, and
-    the warning fires once per distinct mixture.
+    A one-row call of the kernel of entropy_radial_quadrature_rows: every
+    call computes afresh, and the warning fires on each.
     """
-    return _memoized_rows(mixture.weights, mixture.variances[None], tolerance)[0]
+    values, errors = _quadrature_rows(mixture.weights, mixture.variances[None], tolerance)
+    return EntropyEstimate(float(values[0]), float(errors[0]), 0)
 
 
 def entropy_radial_quadrature_rows(
@@ -462,10 +423,8 @@ def entropy_radial_quadrature_rows(
     """entropy_radial_quadrature of the equal-weight zero-mean mixture of
     each row of variances (N, L): (values, error estimates), each (N,).
 
-    Each row gives the bits its one-row call gives, and shares its memo
-    entry: the key is the bytes of the weights np.full(L, 1.0) / L, as
-    equal_weight_zero_mean_mixture makes them, of the row and of the
-    tolerance.
+    Each row gives the bits its one-row call on
+    equal_weight_zero_mean_mixture(row) gives, whatever the other rows.
     """
     v = np.ascontiguousarray(variances, dtype=float)
     if v.ndim != 2 or v.size == 0:
@@ -474,49 +433,16 @@ def entropy_radial_quadrature_rows(
         raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}")
     if not np.isfinite(v).all():
         raise ValueError("component variances must be finite")
-    weights = np.full(v.shape[1], 1.0) / v.shape[1]
-    estimates = _memoized_rows(weights, v, tolerance)
-    return (np.array([e.value for e in estimates]),
-            np.array([e.std_error for e in estimates]))
-
-
-def _memoized_rows(
-    weights: np.ndarray, variances: np.ndarray, tolerance: float
-) -> list[EntropyEstimate]:
-    """The quadrature of each row of the C-contiguous variances (N, L) with
-    the weights (L,), through QUADRATURE_MEMO.
-
-    The key keeps the component order: it sets the order of the sums, so
-    a permuted mixture is a different entry, and hits are bit-identical.
-    A row repeated within the call is computed once.
-    """
-    w_bytes = weights.tobytes()
-    out: list[EntropyEstimate | None] = [None] * len(variances)
-    todo: dict[tuple, list[int]] = {}
-    for n, row in enumerate(variances):
-        key = (w_bytes, row.tobytes(), tolerance)
-        out[n] = QUADRATURE_MEMO.get(key)
-        if out[n] is None:
-            todo.setdefault(key, []).append(n)
-    QUADRATURE_MEMO.misses += len(todo)
-    QUADRATURE_MEMO.hits += len(variances) - len(todo)
-    if todo:
-        first = [rows[0] for rows in todo.values()]
-        if len(first) < len(variances):
-            variances = variances[first]
-        computed = _quadrature_rows(weights, variances, tolerance)
-        for (key, rows), estimate in zip(todo.items(), computed):
-            QUADRATURE_MEMO.put(key, estimate)
-            for n in rows:
-                out[n] = estimate
-    return out
+    return _quadrature_rows(np.full(v.shape[1], 1.0) / v.shape[1], v, tolerance)
 
 
 def _quadrature_rows(
     weights: np.ndarray, variances: np.ndarray, tolerance: float
-) -> list[EntropyEstimate]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The panel rule of entropy_radial_quadrature on each row of variances
-    (N, L), every row with the weights (L,); no memo.
+    (N, L), every row with the weights (L,): (values, error estimates),
+    each (N,). Only the rows whose estimate misses the tolerance are
+    visited one by one, by the adaptive fallback.
 
     Rows go through in chunks of B = max(1, 24 // L). Each row's numbers
     take the operations a one-row chunk gives them: its own log_coef,
@@ -532,7 +458,7 @@ def _quadrature_rows(
     workspace = np.empty(n * min(chunk, n_rows) * nodes)
     log_w = np.log(weights)
     log_tail = math.log(n / TAIL_MASS)
-    out = []
+    values, errors = np.empty(n_rows), np.empty(n_rows)
     for start in range(0, n_rows, chunk):
         v = variances[start : start + chunk]
         b = len(v)
@@ -553,19 +479,18 @@ def _quadrature_rows(
         g *= -math.pi
         g *= log_f
         g /= LN2
-        values = (half * _GL_WEIGHTS * g).reshape(b, -1).sum(axis=1)
+        rows = slice(start, start + b)
+        values[rows] = (half * _GL_WEIGHTS * g).reshape(b, -1).sum(axis=1)
         # Null-rule error estimate: each panel's width times |c46| + |c47|.
         # The stacked product runs one (40, 48) @ (48, 2) product per row,
         # whose bits do not depend on the chunk.
         tail = np.abs(g @ _TAIL_COEFFICIENTS).sum(axis=-1)
-        errors = ((edges[:, 1:] - edges[:, :-1]) * tail).sum(axis=1)
-        for m, (value, err) in enumerate(zip(values.tolist(), errors.tolist())):
-            if err <= tolerance:
-                out.append(EntropyEstimate(value, err, 0))
-            else:
-                out.append(_adaptive_fallback(
-                    log_coef[m], inv_v[m], edges[m], float(u_max[m]), tolerance))
-    return out
+        errors[rows] = ((edges[:, 1:] - edges[:, :-1]) * tail).sum(axis=1)
+        # Written as a negation so that a nan estimate falls back too.
+        for m in np.flatnonzero(~(errors[rows] <= tolerance)):
+            values[start + m], errors[start + m] = _adaptive_fallback(
+                log_coef[m], inv_v[m], edges[m], float(u_max[m]), tolerance)
+    return values, errors
 
 
 def _adaptive_fallback(
@@ -574,9 +499,9 @@ def _adaptive_fallback(
     edges: np.ndarray,
     u_max: float,
     tolerance: float,
-) -> EntropyEstimate:
+) -> tuple[float, float]:
     """The same integral by scipy's adaptive quad, for a row whose panel
-    rule's error estimate exceeds the tolerance."""
+    rule's error estimate exceeds the tolerance: (value, error estimate)."""
 
     def integrand(u: float) -> float:
         log_f = _logsumexp_overwrite(log_coef - u * inv_v)
@@ -600,9 +525,9 @@ def _adaptive_fallback(
             f"radial quadrature fallback missed the tolerance: error estimate "
             f"{abs_err:.3g} > tolerance {tolerance:.3g}",
             RuntimeWarning,
-            stacklevel=5,
+            stacklevel=4,
         )
-    return EntropyEstimate(float(value), float(abs_err), 0)
+    return float(value), float(abs_err)
 
 
 def entropy_exact(

@@ -80,28 +80,21 @@ def mi_of_mixtures(
     return EntropyEstimate(value, std_error, count)
 
 
-def mi_exact_rows(
-    received: np.ndarray, interference: np.ndarray, tolerance: float = 1e-10
+def entropy_rows(
+    variances: np.ndarray, tolerance: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The radial-quadrature value and error estimate of mi_exact for
-    stacked equal-weight variance rows: received (..., L_Y) and
-    interference (..., L_Omega) of one leading shape, which both results
-    have. A one-component row takes the Gaussian closed form, as
-    gmd.entropy_exact does, and the errors are added in quadrature by
-    math.hypot per cell, as mi_of_mixtures adds them (np.hypot rounds
-    differently on some pairs). So each cell has the bits of the mi_exact
-    call whose mixtures hold its rows."""
-
-    def entropies(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lead = v.shape[:-1]
-        if v.shape[-1] == 1:
-            values = [gmd.gaussian_entropy(x) for x in v[..., 0].ravel()]
-            return np.reshape(values, lead), np.zeros(lead)
-        values, errors = gmd.entropy_radial_quadrature_rows(v.reshape(-1, v.shape[-1]), tolerance)
-        return values.reshape(lead), errors.reshape(lead)
-
-    (h_y, err_y), (h_w, err_w) = entropies(received), entropies(interference)
-    return h_y - h_w, np.vectorize(math.hypot, otypes=[float])(err_y, err_w)
+    """The radial-quadrature entropy and error estimate of the equal-weight
+    mixture of each variance row (..., L), both of the leading shape. A
+    one-component row takes the Gaussian closed form with error 0, as
+    gmd.entropy_exact does, so each cell has the bits of entropy_exact on
+    the mixture of its row."""
+    lead = variances.shape[:-1]
+    if variances.shape[-1] == 1:
+        values = [gmd.gaussian_entropy(x) for x in variances[..., 0].ravel()]
+        return np.reshape(values, lead), np.zeros(lead)
+    values, errors = gmd.entropy_radial_quadrature_rows(
+        variances.reshape(-1, variances.shape[-1]), tolerance)
+    return values.reshape(lead), errors.reshape(lead)
 
 
 def mi_lower_bound_k2(

@@ -10,6 +10,7 @@ for a fixed (config, seed) regardless of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -21,7 +22,7 @@ import numpy as np
 from . import gmd
 from .baselines import miso_noma_gains_sq, miso_noma_rows, sm_tdma_rows
 from .gmd import equal_weight_zero_mean_mixture
-from .mi import asymptotes, lower_bound_k2_rows, mi_exact_rows, mi_of_mixtures
+from .mi import asymptotes, entropy_rows, lower_bound_k2_rows, mi_of_mixtures
 from .system import (
     ChannelRealization,
     SystemConfig,
@@ -60,6 +61,10 @@ MAX_MIXTURE_COMPONENTS = 4096
 # entries per decoder, 2^24 float64 (134 MB). A fig1 sweep at M = 64 and
 # R = 200 would hold 268 MB.
 MAX_TABLE_ENTRIES = 1 << 24
+
+# Largest |SNR| a grid point may have, in dB. Far beyond it the signal power
+# 10^(SNR/10) overflows or the noise dominates every variance to the last bit.
+MAX_ABS_SNR_DB = 300.0
 
 # The paper's baselines in Figs. 1 and 2(a): MISO-NOMA on 2 antennas and
 # SM-TDMA with one half of the frame per user.
@@ -128,6 +133,10 @@ class ExperimentConfig:
         if not grid:
             raise ConfigError("snr_grid_db must be nonempty")
         _require_finite("snr_grid_db", *grid)
+        outside = [s for s in grid if abs(s) > MAX_ABS_SNR_DB]
+        if outside:
+            raise ConfigError(f"snr_grid_db must lie within [-{MAX_ABS_SNR_DB:g}, "
+                              f"{MAX_ABS_SNR_DB:g}] dB, got {outside[0]!r}")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         if any(b >= a for a, b in zip(self.snr_grid_db[1:], self.snr_grid_db)):
             raise ConfigError("snr_grid_db must be strictly increasing")
@@ -264,16 +273,24 @@ def _draw_realizations(config: ExperimentConfig) -> list[ChannelRealization]:
     ]
 
 
-def _sweep(
-    config: ExperimentConfig, x_axis: str, lower_bound: bool, baselines: bool
-) -> dict[str, np.ndarray]:
+def _sweep(config: ExperimentConfig, x_axis: str) -> dict[str, np.ndarray]:
+    """_sweep_table of the config without its output path, which does not
+    change the table: fig2a right after fig1 reuses fig1's table."""
+    return _sweep_table(replace(config, output_path=None), x_axis)
+
+
+# One table: each CLI call draws one figure, and the only table a figure
+# repeats is the one made just before it (fig2a's, after fig1).
+@functools.lru_cache(maxsize=1)
+def _sweep_table(config: ExperimentConfig, x_axis: str) -> dict[str, np.ndarray]:
     """Per-user quantities over (user k, realization i, grid point j), the
-    grid along x_axis (see _grid): one (2, R, G) array per quantity.
-    _mi_table gives "I", "I_err" and, when lower_bound is set, "I_LB" for
-    each user's own message; "MISO-NOMA" and "SM-TDMA", when baselines is
-    set, have the bits of miso_noma_mi and sm_tdma_mi in every cell.
+    grid along x_axis (see _grid): one read-only (2, R, G) array per
+    quantity. _mi_table gives "I" and "I_err" for each user's own message;
+    the "snr_db" table also holds "I_LB" and the baselines "MISO-NOMA" and
+    "SM-TDMA", with the bits of miso_noma_mi and sm_tdma_mi in every cell.
     """
-    if baselines and config.num_tx_antennas < MISO_NOMA_ANTENNAS:
+    snr_axis = x_axis == "snr_db"
+    if snr_axis and config.num_tx_antennas < MISO_NOMA_ANTENNAS:
         raise ConfigError(f"the MISO-NOMA baseline needs {MISO_NOMA_ANTENNAS} antennas, "
                           f"the system has {config.num_tx_antennas}")
     systems = _grid(config, x_axis)
@@ -282,14 +299,16 @@ def _sweep(
     levels = np.array([system.power_levels for system in systems])  # (G, 2)
     rho = np.array([system.snr for system in systems])  # (G,), at unit noise
     table = _mi_table(config, channels, levels, rho, ((1, 1), (2, 2)),
-                      ("I", "I_LB") if lower_bound else ("I",))
-    if baselines:
+                      ("I", "I_LB") if snr_axis else ("I",))
+    if snr_axis:
         miso_gains = miso_noma_gains_sq(channels, MISO_NOMA_ANTENNAS)[..., None]  # (R, 2, 1)
         table["MISO-NOMA"] = np.stack([
             miso_noma_rows(miso_gains[:, k - 1], levels, rho, _NOISE_POWER, k) for k in (1, 2)])
         table["SM-TDMA"] = np.stack([
             sm_tdma_rows(np.abs(channels[:, k, None, :]) ** 2, levels, rho, _NOISE_POWER,
                          SM_TDMA_SHARE, config.quadrature_tolerance) for k in (0, 1)])
+    for rows in table.values():
+        rows.setflags(write=False)
     return table
 
 
@@ -307,21 +326,28 @@ def _mi_table(
     table = {}
     gains = np.abs(channels[:, :, None, :]) ** 2  # |h_r|^2 as (N, 2, 1, M), against the grid
     if "I" in quantities:
-        # Each power level and the SNR as (..., 1), against the component
-        # axis: rows[p] holds the variance rows of mixture_of_received and
-        # mixture_of_interference over (n, j, component).
+        # I(r, k) = h(r, k) - h(r, k + 1), where block (r, t) holds decoder
+        # r's variance rows over (n, j, component) for the users t and up:
+        # those of mixture_of_received for t = k, of mixture_of_interference
+        # for t = k + 1. Each power level and the SNR are (..., 1), against
+        # the component axis. I(2, 1) and I(2, 2) share block (2, 2).
         per_point = levels.T[..., None], rho[..., None]
-        rows = [[signal_variances(gains[:, r - 1], *per_point, _NOISE_POWER, t)
-                 for t in (k, k + 1)] for r, k in pairs]
+        blocks = dict.fromkeys((r, t) for r, k in pairs for t in (k, k + 1))
+        rows = {(r, t): signal_variances(gains[:, r - 1], *per_point, _NOISE_POWER, t)
+                for r, t in blocks}
         if config.method == "quadrature":
-            exact = [mi_exact_rows(received, interference, config.quadrature_tolerance)
-                     for received, interference in rows]
-            table["I"], table["I_err"] = (np.stack(x) for x in zip(*exact))
+            h = {key: entropy_rows(v, config.quadrature_tolerance) for key, v in rows.items()}
+            # math.hypot per cell, as mi_of_mixtures adds the two errors
+            # (np.hypot rounds differently on some pairs).
+            hypot = np.vectorize(math.hypot, otypes=[float])
+            table["I"] = np.stack([h[r, k][0] - h[r, k + 1][0] for r, k in pairs])
+            table["I_err"] = np.stack([hypot(h[r, k][1], h[r, k + 1][1]) for r, k in pairs])
         else:
-            shape = (len(pairs),) + rows[0][0].shape[:-1]
+            shape = (len(pairs),) + rows[pairs[0]].shape[:-1]
             table["I"], table["I_err"] = np.empty(shape), np.empty(shape)
             for p, n, j in np.ndindex(shape):
-                mixtures = (equal_weight_zero_mean_mixture(v[n, j]) for v in rows[p])
+                r, k = pairs[p]
+                mixtures = (equal_weight_zero_mean_mixture(rows[r, t][n, j]) for t in (k, k + 1))
                 estimate = mi_of_mixtures(
                     *mixtures, config.entropy_method,
                     rng=substream(config.seed, _TAG_MC, n, j, p), samples=config.mc_samples,
@@ -337,8 +363,8 @@ def _mi_table(
 def run_figure1(config: ExperimentConfig) -> list[MiCurve]:
     """Per-user MI of SM-NOMA and the baselines plus the closed-form lower
     bounds, on the SNR grid at the split's one power ratio."""
-    rows = _sweep(config, "snr_db", lower_bound=True, baselines=True)
-    rows["I_LB+"] = np.maximum(rows["I_LB"], 0.0)
+    table = _sweep(config, "snr_db")
+    rows = {**table, "I_LB+": np.maximum(table["I_LB"], 0.0)}
     curves = {f"SM-NOMA {name}({k},{k})": rows[name][k - 1]
               for name in ("I", "I_LB", "I_LB+") for k in (1, 2)}
     curves.update({f"MISO-NOMA I({k},{k})": rows["MISO-NOMA"][k - 1] for k in (1, 2)})
@@ -349,7 +375,7 @@ def run_figure1(config: ExperimentConfig) -> list[MiCurve]:
 def run_figure2a(config: ExperimentConfig) -> list[MiCurve]:
     """Sum MI of SM-NOMA and the baselines on the SNR grid at the split's
     one power ratio."""
-    rows = _sweep(config, "snr_db", lower_bound=False, baselines=True)
+    rows = _sweep(config, "snr_db")
     curves = {f"{name} sum": rows[key][0] + rows[key][1]
               for name, key in (("SM-NOMA", "I"), ("MISO-NOMA", "MISO-NOMA"),
                                 ("SM-TDMA", "SM-TDMA"))}
@@ -360,7 +386,7 @@ def run_figure2b(config: ExperimentConfig) -> list[MiCurve]:
     """Per-user MI at the one SNR point versus the power ratio
     alpha1^2/alpha2^2, with the total power held constant. Curve x-values
     are the ratios."""
-    mi = _sweep(config, "power_ratio", lower_bound=False, baselines=False)["I"]
+    mi = _sweep(config, "power_ratio")["I"]
     return _mean_curves({"SM-NOMA I(1,1)": mi[0], "SM-NOMA I(2,2)": mi[1]},
                         config.power_split.ratio_grid)
 

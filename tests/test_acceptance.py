@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from sm_noma import gmd
+from sm_noma import gmd, runner
 from sm_noma.baselines import miso_noma_mi, sm_tdma_mi
 from sm_noma.mi import mi_exact, mi_lower_bound_k2
 from sm_noma.runner import (
@@ -264,6 +264,7 @@ def test_sic_ordering(ordering_grid):
 def test_determinism(tmp_path):
     config = figure1_config(realizations=3, snr_grid_db=(-10.0, 10.0), seed=99)
     for name in ("run1.csv", "run2.csv"):
+        runner._sweep_table.cache_clear()  # so the rerun computes afresh
         write_curves(tmp_path / name, run_figure1(config), config)
     identical = (tmp_path / "run1.csv").read_bytes() == (
         tmp_path / "run2.csv"

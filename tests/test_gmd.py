@@ -273,8 +273,8 @@ class TestQuadratureFallback:
     """A tolerance at roundoff level makes the panel rules miss it, so the
     adaptive fallback runs; quad then warns that it met roundoff. Its own
     error estimate misses the tolerance too on both mixtures, so a
-    RuntimeWarning names both numbers. With the memo, the warning fires
-    once per distinct mixture: a repeat call neither warns nor calls quad.
+    RuntimeWarning names both numbers. Nothing is remembered: a repeat
+    call calls quad and warns again, with the same bits.
     """
 
     @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
@@ -288,8 +288,6 @@ class TestQuadratureFallback:
         panel = gmd.entropy_radial_quadrature(mix)
         counter = CountingIntegrate(gmd.integrate)
         monkeypatch.setattr(gmd, "integrate", counter)
-        # A warm memo would answer without calling quad.
-        gmd.QUADRATURE_MEMO.clear()
         with pytest.warns(RuntimeWarning, match="missed the tolerance") as record:
             fallback = gmd.entropy_radial_quadrature(mix, tolerance)
         assert counter.quad_calls == 1
@@ -301,15 +299,17 @@ class TestQuadratureFallback:
         assert f"{fallback.std_error:.3g}" in message
         assert f"{tolerance:.3g}" in message
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(RuntimeWarning, match="missed the tolerance"):
             again = gmd.entropy_radial_quadrature(mix, tolerance)
-        assert again is fallback
-        assert counter.quad_calls == 1
+        assert counter.quad_calls == 2
+        assert estimate_bits([again]) == estimate_bits([fallback])
 
 
-def unmemoized(mixture, tolerance=1e-10):
-    return gmd._quadrature_rows(mixture.weights, mixture.variances[None], tolerance)[0]
+def kernel_estimates(weights, variances, tolerance):
+    """gmd._quadrature_rows on the rows of variances, as one EntropyEstimate
+    per row."""
+    values, errors = gmd._quadrature_rows(weights, variances, tolerance)
+    return [gmd.EntropyEstimate(v, e, 0) for v, e in zip(values.tolist(), errors.tolist())]
 
 
 @st.composite
@@ -319,54 +319,6 @@ def random_mixtures(draw):
     variances = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
     raw = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
     return gmd.mixture_from_arrays(raw / raw.sum(), variances)
-
-
-class TestQuadratureMemo:
-    def test_repeat_call_returns_same_object(self):
-        mix = gmd.equal_weight_zero_mean_mixture([0.5, 1.0, 2.0])
-        gmd.QUADRATURE_MEMO.clear()
-        first = gmd.entropy_radial_quadrature(mix)
-        second = gmd.entropy_radial_quadrature(
-            gmd.equal_weight_zero_mean_mixture([0.5, 1.0, 2.0]))
-        assert second is first
-        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (1, 1)
-        assert first.value == pytest.approx(GOLDEN_H_L3, abs=1e-9)
-
-    @given(random_mixtures())
-    @settings(max_examples=100, deadline=None)
-    def test_memoized_equals_unmemoized(self, mix):
-        assert gmd.entropy_radial_quadrature(mix) == unmemoized(mix)
-
-    @pytest.mark.parametrize("change", ["tolerance", "permuted", "unequal_weights"])
-    def test_different_key_misses(self, change):
-        variances = [0.3, 1.0, 9.0, 2.5]
-        mix = gmd.equal_weight_zero_mean_mixture(variances)
-        tolerance = 1e-10
-        gmd.QUADRATURE_MEMO.clear()
-        gmd.entropy_radial_quadrature(mix, tolerance)
-        if change == "tolerance":
-            tolerance = 1e-9
-        elif change == "permuted":
-            mix = gmd.equal_weight_zero_mean_mixture(variances[::-1])
-        else:
-            mix = gmd.mixture_from_arrays([0.1, 0.2, 0.3, 0.4], variances)
-        est = gmd.entropy_radial_quadrature(mix, tolerance)
-        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (2, 0)
-        assert est == unmemoized(mix, tolerance)
-
-    def test_integer_parameters_key_as_floats(self):
-        ints = gmd.GaussianMixture([1], [2])
-        floats = gmd.equal_weight_zero_mean_mixture([2.0])
-        assert ints.weights.dtype == ints.variances.dtype == np.float64
-        assert gmd.entropy_radial_quadrature(ints) == gmd.entropy_radial_quadrature(floats)
-        assert gmd.entropy_radial_quadrature(floats).value == pytest.approx(
-            gmd.gaussian_entropy(2.0), abs=1e-9)
-
-    def test_monte_carlo_is_not_memoized(self):
-        mix = gmd.equal_weight_zero_mean_mixture([1.0, 4.0])
-        a = gmd.entropy_exact(mix, "monte_carlo", rng=np.random.default_rng(1), samples=1000)
-        b = gmd.entropy_exact(mix, "monte_carlo", rng=np.random.default_rng(2), samples=1000)
-        assert a.value != b.value
 
 
 class TestImports:
@@ -474,7 +426,7 @@ class TestComponentMajorKernel:
         tolerance = 1e-10
         expected = oracle_radial_quadrature(mix)
         assert expected.std_error <= tolerance  # so the panel rule, not the fallback
-        assert unmemoized(mix, tolerance) == expected
+        assert gmd.entropy_radial_quadrature(mix, tolerance) == expected
 
     @given(st.lists(st.tuples(st.floats(-300.0, 280.0), st.floats(0.5, 20.0)),
                     min_size=1, max_size=5))
@@ -571,7 +523,7 @@ class TestRowKernel:
                 warnings.simplefilter("ignore")
                 expected = [scalar_radial_quadrature(weights, row, tolerance) for row in v]
                 calls = counter.quad_calls
-                got = gmd._quadrature_rows(weights, v, tolerance)
+                got = kernel_estimates(weights, v, tolerance)
         finally:
             gmd.integrate = saved
         assert estimate_bits(got) == estimate_bits(expected)
@@ -582,37 +534,32 @@ class TestRowKernel:
     @settings(max_examples=100, deadline=None)
     def test_one_row_call_with_unequal_weights(self, mix):
         expected = scalar_radial_quadrature(mix.weights, mix.variances, 1e-10)
-        assert estimate_bits([unmemoized(mix)]) == estimate_bits([expected])
+        assert estimate_bits([gmd.entropy_radial_quadrature(mix)]) == estimate_bits([expected])
 
-    def test_memo_answers_repeated_rows(self):
-        gmd.QUADRATURE_MEMO.clear()
+    def test_rows_do_not_depend_on_position(self):
         v = 10.0 ** np.random.default_rng(3).uniform(-2, 2, (6, 4))
         v[4] = v[1]
         values, errors = gmd.entropy_radial_quadrature_rows(v)
-        # The repeated row is computed once and counted as reused.
-        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (5, 1)
+        # A repeated row gives its twin's bits, and reversed rows the
+        # reversed results.
+        assert (values[4], errors[4]) == (values[1], errors[1])
         again = gmd.entropy_radial_quadrature_rows(v[::-1])
-        assert (gmd.QUADRATURE_MEMO.misses, gmd.QUADRATURE_MEMO.hits) == (5, 7)
         assert again[0].tobytes() == values[::-1].tobytes()
         assert again[1].tobytes() == errors[::-1].tobytes()
-        # A one-row call on the equal-weight mixture of a row hits its entry.
+        # A one-row call on the equal-weight mixture of a row equals its row.
         mix = gmd.equal_weight_zero_mean_mixture(v[2])
         est = gmd.entropy_radial_quadrature(mix)
         assert (est.value, est.std_error) == (values[2], errors[2])
-        assert gmd.QUADRATURE_MEMO.hits == 8
         assert estimate_bits([est]) == estimate_bits(
             [scalar_radial_quadrature(mix.weights, v[2], 1e-10)])
 
-    def test_memo_keeps_its_bound(self, monkeypatch):
-        monkeypatch.setattr(gmd, "QUADRATURE_MEMO", gmd.QuadratureMemo(3))
-        v = np.arange(1.0, 11.0).reshape(5, 2)
-        gmd.entropy_radial_quadrature_rows(v)
-        assert len(gmd.QUADRATURE_MEMO) == 3
-        # The two oldest rows were evicted; the newest three still hit.
-        gmd.entropy_radial_quadrature_rows(v[2:])
-        assert gmd.QUADRATURE_MEMO.hits == 3
-        gmd.entropy_radial_quadrature_rows(v[:1])
-        assert gmd.QUADRATURE_MEMO.misses == 6
+    def test_integer_parameters_give_float_bits(self):
+        ints = gmd.GaussianMixture([1], [2])
+        floats = gmd.equal_weight_zero_mean_mixture([2.0])
+        assert ints.weights.dtype == ints.variances.dtype == np.float64
+        assert gmd.entropy_radial_quadrature(ints) == gmd.entropy_radial_quadrature(floats)
+        assert gmd.entropy_radial_quadrature(floats).value == pytest.approx(
+            gmd.gaussian_entropy(2.0), abs=1e-9)
 
     @pytest.mark.parametrize("variances", [
         np.ones(3), np.ones((0, 2)), [[1.0, 0.0]], [[1.0, np.inf]], [[1.0, np.nan]]])
@@ -649,7 +596,7 @@ class TestNullRuleEstimate:
             lo, hi = v.min() / 8.0, v.max() * math.log(n / gmd.TAIL_MASS)
             monkeypatch.setattr(gmd, "_PANELS", panels)
             monkeypatch.setattr(gmd, "_PANEL_INDEX", np.arange(float(panels)))
-            est = gmd._quadrature_rows(w, v[None], math.inf)[0]
+            est = kernel_estimates(w, v[None], math.inf)[0]
             edges = gmd._panel_edges(np.array([lo]), np.array([hi]))[0]
             difference = abs(oracle_panel_rule(log_coef, 1.0 / v, edges, 48)[0]
                              - oracle_panel_rule(log_coef, 1.0 / v, edges, 24)[0])
@@ -673,7 +620,7 @@ class TestNullRuleEstimate:
                 positions = rng.uniform(0.0, 1.0, (6, n))
                 positions[:, 0], positions[:, -1] = 0.0, 1.0
                 v = 10.0 ** (rng.uniform(-8.0, 8.0, (6, 1)) + spread * positions)
-                estimates = gmd._quadrature_rows(np.full(n, 1.0) / n, v, math.inf)
+                estimates = kernel_estimates(np.full(n, 1.0) / n, v, math.inf)
                 worst = max(worst, *(e.std_error for e in estimates))
         assert worst <= 1e-10
 

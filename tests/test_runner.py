@@ -9,13 +9,20 @@ property suite at seed 0. To regenerate it from a given checkout:
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sm_noma import gmd, runner
-from sm_noma.baselines import miso_noma_mi, sm_tdma_mi
+from sm_noma import runner
+from sm_noma.baselines import (
+    miso_noma_gains_sq,
+    miso_noma_mi,
+    miso_noma_rows,
+    sm_tdma_mi,
+    sm_tdma_rows,
+)
 from sm_noma.cli import main
 from sm_noma.mi import mi_exact, mi_lower_bound_k2
 from sm_noma.runner import (
@@ -248,12 +255,39 @@ class TestFigureRuns:
     def test_figure2a_after_figure1_equals_cold_run(self):
         cfg = tiny_config()
         run_figure1(cfg)
-        hits = gmd.QUADRATURE_MEMO.hits
+        hits = runner._sweep_table.cache_info().hits
         warm = run_figure2a(cfg)
-        assert gmd.QUADRATURE_MEMO.hits > hits
-        gmd.QUADRATURE_MEMO.clear()
+        assert runner._sweep_table.cache_info().hits == hits + 1
+        runner._sweep_table.cache_clear()
         cold = run_figure2a(cfg)
+        assert runner._sweep_table.cache_info().misses == 1
         assert warm == cold
+
+    def test_table_cache_ignores_only_the_output_path(self, tmp_path):
+        cfg = tiny_config(realizations=1)
+        runner._sweep_table.cache_clear()
+        table = runner._sweep(cfg, "snr_db")
+        elsewhere = replace(cfg, output_path=str(tmp_path / "x.csv"))
+        assert runner._sweep(elsewhere, "snr_db") is table
+        assert runner._sweep_table.cache_info()[:2] == (1, 1)  # hits, misses
+        runner._sweep(replace(cfg, seed=12), "snr_db")
+        runner._sweep(replace(cfg, method="montecarlo", mc_samples=200), "snr_db")
+        assert runner._sweep_table.cache_info()[:2] == (1, 3)
+
+    def test_cached_table_is_read_only(self):
+        cfg = tiny_config(realizations=1)
+        table = runner._sweep(cfg, "snr_db")
+        assert set(table) == {"I", "I_err", "I_LB", "MISO-NOMA", "SM-TDMA"}
+        for rows in table.values():
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0, 0] = 0.0
+        # run_figure1 adds its clamped column to a dict of its own.
+        run_figure1(cfg)
+        assert runner._sweep(cfg, "snr_db") is table
+        assert "I_LB+" not in table
+        ratio_table = runner._sweep(figure2b_config(realizations=1), "power_ratio")
+        assert set(ratio_table) == {"I", "I_err"}
+        assert not ratio_table["I"].flags.writeable
 
     def test_figure2b_ratio_axis(self):
         cfg = figure2b_config(realizations=3, seed=11)
@@ -309,21 +343,28 @@ class TestSweepTable:
             cfg = tiny_config(num_tx_antennas=m, snr_grid_db=(-20.0, 0.0, 12.0, 40.0))
         else:
             cfg = figure2b_config(num_tx_antennas=m, realizations=3, seed=11)
-        table = runner._sweep(cfg, x_axis, lower_bound=True, baselines=True)
+        table = runner._sweep(cfg, x_axis)
         systems = runner._grid(cfg, x_axis)
         realizations = _draw_realizations(cfg)
+        channels = np.stack([h.channel_vectors for h in realizations])
+        levels = np.array([s.power_levels for s in systems])
+        rho = np.array([s.snr for s in systems])
+        tolerance = cfg.quadrature_tolerance
         # Every pair the property suite reads, on the sweep's inputs; the
         # sweep's table holds the pairs (1, 1) and (2, 2) of it.
         pairs = ((1, 1), (2, 1), (2, 2))
-        by_pair = runner._mi_table(
-            cfg, np.stack([h.channel_vectors for h in realizations]),
-            np.array([s.power_levels for s in systems]), np.array([s.snr for s in systems]),
-            pairs, ("I", "I_LB"))
-        for key in ("I", "I_err", "I_LB"):
+        by_pair = runner._mi_table(cfg, channels, levels, rho, pairs, ("I", "I_LB"))
+        for key in ("I", "I_err", "I_LB") if x_axis == "snr_db" else ("I", "I_err"):
             assert table[key].tobytes() == by_pair[key][[0, 2]].tobytes()
-        # The scalar calls below then run the kernel one row at a time.
-        gmd.QUADRATURE_MEMO.clear()
-        tolerance = cfg.quadrature_tolerance
+        if x_axis == "power_ratio":
+            # The ratio table holds no baselines: their rows on its levels.
+            miso_gains = miso_noma_gains_sq(channels, 2)[..., None]
+            table = {**table,
+                     "MISO-NOMA": np.stack([miso_noma_rows(miso_gains[:, k - 1], levels, rho,
+                                                           1.0, k) for k in (1, 2)]),
+                     "SM-TDMA": np.stack([sm_tdma_rows(np.abs(channels[:, k, None, :]) ** 2,
+                                                       levels, rho, 1.0, 0.5, tolerance)
+                                          for k in (0, 1)])}
         for i, h in enumerate(realizations):
             for j, system in enumerate(systems):
                 for p, (r, k) in enumerate(pairs):
@@ -342,7 +383,7 @@ class TestSweepTable:
     def test_monte_carlo_cells_equal_scalar_calls(self, m):
         cfg = figure2b_config(num_tx_antennas=m, realizations=2, seed=4,
                               method="montecarlo", mc_samples=300)
-        table = runner._sweep(cfg, "power_ratio", lower_bound=False, baselines=False)
+        table = runner._sweep(cfg, "power_ratio")
         for i, h in enumerate(_draw_realizations(cfg)):
             for j, system in enumerate(runner._grid(cfg, "power_ratio")):
                 for k in (1, 2):
@@ -355,17 +396,16 @@ class TestSweepTable:
     def test_fig1_sweep_peak_memory(self):
         # The K = 2 lower bound's (..., M, M, M, M) temporaries and the
         # quadrature's term arrays are built in chunks: unchunked, the bound
-        # alone would hold three 4.2 MB arrays at R = 50. The memo entries
-        # the sweep adds (about 4 MB) stay in the count.
+        # alone would hold three 4.2 MB arrays at R = 50.
         cfg = figure1_config(realizations=50, seed=1)
-        gmd.QUADRATURE_MEMO.clear()
+        runner._sweep_table.cache_clear()
         tracemalloc.start()
         try:
-            runner._sweep(cfg, "snr_db", lower_bound=True, baselines=True)
+            runner._sweep(cfg, "snr_db")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 4e6
 
 
 class TestOutput:
@@ -386,6 +426,7 @@ class TestOutput:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config()
         for name in ("a.csv", "b.csv"):
+            runner._sweep_table.cache_clear()  # so the rerun computes afresh
             write_curves(tmp_path / name, run_figure1(cfg), cfg)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -583,6 +624,23 @@ class TestCli:
             main(["props", *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db", [3100.0, 3080.0, -3300.0])
+    def test_snr_far_outside_any_real_range_exit_code(self, tmp_path, capsys, snr_db):
+        # 3100 dB overflowed the signal power, 3080 dB made infinite
+        # variances and -3300 dB a zero signal power, each in a traceback.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"snr_grid_db": [0.0, snr_db]}))
+        out = tmp_path / "x.csv"
+        assert main(["fig1", "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(out)]) == 1
+        assert (f"config error: snr_grid_db must lie within [-300, 300] dB, got {snr_db!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        # The limits themselves run.
+        cfg_path.write_text(json.dumps({"snr_grid_db": [-300.0, 300.0]}))
+        assert main(["fig1", "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(out)]) == 0
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["fig1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1
