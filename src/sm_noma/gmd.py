@@ -11,6 +11,7 @@ internals use natural logs and convert once at the boundary.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -50,8 +51,8 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray | np.float64:
     rounded down to a multiple of 8. Each accumulator starts from
     row + 0.0, which gives numpy's sign for a zero total.
 
-    The accumulators are x's own leading rows, so x is overwritten and no
-    array of its size is allocated.
+    The accumulators are x's own leading rows, so x is overwritten and,
+    up to 128 rows, nothing is allocated.
     """
     n = len(x)
     if n < 8:
@@ -66,7 +67,10 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray | np.float64:
         r += 0.0
         for i in range(8, end, 8):
             r += x[i : i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place.
+        for step in (1, 2, 4):
+            r[:: 2 * step] += r[step :: 2 * step]
+        s = r[0]
         for row in x[end:]:
             s += row
         return s
@@ -88,12 +92,14 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
     return _logsumexp_overwrite(np.array(a, dtype=float))
 
 
-def _logsumexp_overwrite(a: np.ndarray) -> np.ndarray | np.float64:
+def _logsumexp_overwrite(a: np.ndarray, a_max=None, is_max=None) -> np.ndarray | np.float64:
     """logsumexp of a float64 array that the caller no longer needs: the
-    shifted exponentials and their partial sums are written into a. The
-    kernel's term arrays are (L, B, 40, 48); a second array of that size per
-    call would cost a round of page faults each time the allocator hands
-    its pages back.
+    shifted exponentials and their partial sums are written into a.
+
+    a_max (a.shape[1:]) and the bool is_max (a.shape), when given, receive
+    the slice maxima and the tie mask. Without ties a result of two or more
+    dimensions is written over a_max, so the quadrature kernel, passing the
+    same two arrays for every chunk, allocates nothing of their sizes.
 
     When every slice has exactly one maximum, the tie count is skipped:
     s / 1 is s, log(1) is +0.0, and log1p(s) + 0.0 is log1p(s) for the
@@ -102,15 +108,16 @@ def _logsumexp_overwrite(a: np.ndarray) -> np.ndarray | np.float64:
     add exp(-inf) = 0; a slice holding nan has no term equal to its nan
     maximum, so it takes the general path.
     """
-    a_max = np.max(a, axis=0)
-    is_max = a == a_max
+    a_max = np.max(a, axis=0, out=a_max)
+    is_max = np.equal(a, a_max, out=is_max)
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan slices
         shifted = np.subtract(a, a_max, out=a)
         np.exp(shifted, out=shifted)
         np.copyto(shifted, 0.0, where=is_max)
         s = _pairwise_sum(shifted)
         if np.count_nonzero(is_max) == a_max.size:
-            return np.log1p(s) + a_max
+            out = (s, a_max) if a.ndim > 1 else (None, None)  # 1-D: scalars
+            return np.add(np.log1p(s, out=out[0]), a_max, out=out[1])
         count = np.sum(is_max, axis=0, dtype=float)
         return np.log1p(s / count) + np.log(count) + a_max
 
@@ -372,11 +379,12 @@ _TAIL_COEFFICIENTS = np.ascontiguousarray(
     * (_GL_WEIGHTS[:, None] * (np.array([93.0, 95.0]) / 2.0)))
 _PANELS = 40
 _PANEL_INDEX = np.arange(float(_PANELS))
-# Components per kernel chunk: B rows of L components go through together
-# when L * B <= 24, and a row of more components alone. So no chunk's
-# (L, B, 40, 48) term array exceeds 24 * 1920 float64, 369 kB, and a
-# 4-component row goes through 6 to a chunk.
-_CHUNK_COMPONENTS = 24
+# Rows per kernel chunk: B = min(8, 64 // L) rows of L components go
+# through together, and a row of more than 64 components alone (4 rows at
+# L = 16). So a chunk's (L, B, 40, 48) term array is at most 64 * 1920
+# float64, 983 kB, and each (B, 40, 48) per-row array at most 123 kB.
+_CHUNK_COMPONENTS = 64
+_CHUNK_ROWS = 8
 
 
 def _panel_edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -391,6 +399,12 @@ def _panel_edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     edges[:, 1] = lo
     edges[:, -1] = hi
     return edges
+
+
+def _check_tolerance(tolerance) -> None:
+    if isinstance(tolerance, bool) or not (
+            isinstance(tolerance, numbers.Real) and 0.0 < tolerance < math.inf):
+        raise ValueError(f"tolerance must be a finite real number > 0, got {tolerance!r}")
 
 
 def entropy_radial_quadrature(
@@ -411,8 +425,10 @@ def entropy_radial_quadrature(
     returned.
 
     A one-row call of the kernel of entropy_radial_quadrature_rows: every
-    call computes afresh, and the warning fires on each.
+    call computes afresh, and the warning fires on each. A tolerance that
+    is not a finite real number > 0 raises ValueError before any work.
     """
+    _check_tolerance(tolerance)
     values, errors = _quadrature_rows(mixture.weights, mixture.variances[None], tolerance)
     return EntropyEstimate(float(values[0]), float(errors[0]), 0)
 
@@ -426,6 +442,7 @@ def entropy_radial_quadrature_rows(
     Each row gives the bits its one-row call on
     equal_weight_zero_mean_mixture(row) gives, whatever the other rows.
     """
+    _check_tolerance(tolerance)
     v = np.ascontiguousarray(variances, dtype=float)
     if v.ndim != 2 or v.size == 0:
         raise ValueError("need a nonempty (N, L) array of variances")
@@ -444,18 +461,19 @@ def _quadrature_rows(
     each (N,). Only the rows whose estimate misses the tolerance are
     visited one by one, by the adaptive fallback.
 
-    Rows go through in chunks of B = max(1, 24 // L). Each row's numbers
-    take the operations a one-row chunk gives them: its own log_coef,
-    panel edges and nodes, a component-major (L, B, 40, 48) term array
-    reduced over its first axis, a sum over its contiguous 1920 node
-    products, and one (40, 48) @ (48, 2) product for the error estimate.
-    One term array is allocated per call and reused by every chunk, so a
-    call faults in its pages once.
+    Rows go through in chunks of B = min(8, 64 // L) rows, at least one.
+    Each row's numbers take the operations a one-row chunk gives them: its
+    own log_coef, panel edges and nodes, a component-major (L, B, 40, 48)
+    term array reduced over its first axis, a sum over its contiguous 1920
+    node products, and one (40, 48) @ (48, 2) product for the error
+    estimate. The term array, its tie mask and the (B, 40, 48) nodes, log f
+    and g are allocated once per call and written by every chunk with out=.
     """
     n_rows, n = variances.shape
-    chunk = max(1, _CHUNK_COMPONENTS // n)
-    nodes = _PANELS * len(_GL_OFFSETS)
-    workspace = np.empty(n * min(chunk, n_rows) * nodes)
+    chunk = min(n_rows, _CHUNK_ROWS, max(1, _CHUNK_COMPONENTS // n))
+    u_buf, log_f_buf, g_buf = np.empty((3, chunk, _PANELS, len(_GL_OFFSETS)))
+    workspace = np.empty((n,) + u_buf.shape)
+    mask = np.empty(workspace.shape, dtype=bool)
     log_w = np.log(weights)
     log_tail = math.log(n / TAIL_MASS)
     values, errors = np.empty(n_rows), np.empty(n_rows)
@@ -470,17 +488,22 @@ def _quadrature_rows(
         # Composite Gauss-Legendre sum of -pi f(u) log2 f(u) over the panels.
         a = edges[:, :-1, None]
         half = (edges[:, 1:, None] - a) / 2.0
-        terms = workspace[: n * b * nodes].reshape(n, b, _PANELS, -1)
-        np.multiply(half * _GL_OFFSETS + a, inv_v.T[:, :, None, None], out=terms)
+        u = u_buf[:b]
+        np.add(np.multiply(half, _GL_OFFSETS, out=u), a, out=u)
+        terms = workspace[:, :b]
+        np.multiply(u, inv_v.T[:, :, None, None], out=terms)
         log_f = _logsumexp_overwrite(
-            np.subtract(log_coef.T[:, :, None, None], terms, out=terms))
+            np.subtract(log_coef.T[:, :, None, None], terms, out=terms),
+            log_f_buf[:b], mask[:, :b])
         # -pi f log2 f, as ((-pi * f) * log f) / ln 2, in one array.
-        g = np.exp(log_f)
+        g = np.exp(log_f, out=g_buf[:b])
         g *= -math.pi
         g *= log_f
         g /= LN2
+        # The node products (half * w) * g, written over the nodes.
+        np.multiply(np.multiply(half, _GL_WEIGHTS, out=u), g, out=u)
         rows = slice(start, start + b)
-        values[rows] = (half * _GL_WEIGHTS * g).reshape(b, -1).sum(axis=1)
+        values[rows] = u.reshape(b, -1).sum(axis=1)
         # Null-rule error estimate: each panel's width times |c46| + |c47|.
         # The stacked product runs one (40, 48) @ (48, 2) product per row,
         # whose bits do not depend on the chunk.
@@ -546,6 +569,7 @@ def entropy_exact(
     """
     if method not in ("radial_quadrature", "monte_carlo"):
         raise ValueError(f"unknown entropy method {method!r}")
+    _check_tolerance(tolerance)
     if method == "monte_carlo" and rng is None:
         raise ValueError("monte_carlo requires an rng")
     if len(mixture) == 1:

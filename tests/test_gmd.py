@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp as scipy_logsumexp
 
 from sm_noma import gmd
+from sm_noma.baselines import sm_tdma_rows
 
 LOG2_2PI = math.log2(2.0 * math.pi)
 LOG2_PI_E = math.log2(math.pi * math.e)
@@ -481,12 +482,18 @@ def estimate_bits(estimates):
     return [(e.value.hex(), e.std_error.hex(), e.sample_count) for e in estimates]
 
 
+def chunk_rows(n):
+    """Rows per kernel chunk for rows of n components, from the kernel's
+    constants."""
+    return max(1, min(gmd._CHUNK_ROWS, gmd._CHUNK_COMPONENTS // n))
+
+
 @st.composite
 def variance_rows(draw):
     """(N, L) variances for L = 1..64 and N up to two kernel chunks and one
     row past them; each row spans up to 8 decades, some entries equal."""
     n = draw(st.integers(1, 64))
-    rows = draw(st.integers(1, 2 * max(1, 24 // n) + 1))
+    rows = draw(st.integers(1, 2 * chunk_rows(n) + 1))
     base = draw(st.floats(-6.0, 6.0))
     spread = draw(st.floats(0.0, 8.0))
     positions = draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1.0)))
@@ -566,6 +573,80 @@ class TestRowKernel:
     def test_bad_rows_rejected(self, variances):
         with pytest.raises(ValueError):
             gmd.entropy_radial_quadrature_rows(variances)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_chunk_width_does_not_change_bits(self, monkeypatch, n):
+        # Rows for three chunks. Row 1's two smallest variances are equal,
+        # so near u = 0 its largest terms tie, which sends its whole chunk
+        # down the log-sum-exp's tie path. Row 2 spans the most decades, so
+        # the tolerance below its estimate sends it alone to the fallback.
+        rng = np.random.default_rng(n)
+        v = 10.0 ** rng.uniform(-1.0, 1.0, (2 * chunk_rows(n) + 1, n))
+        v[1, :2] = v[1].min()
+        v[2] = 10.0 ** np.linspace(-4.0, 4.0, n)
+        errors = gmd.entropy_radial_quadrature_rows(v)[1]
+        assert errors.argmax() == 2
+        tolerance = float(np.sort(errors)[-2])
+        results = []
+        for width in (1, gmd._CHUNK_ROWS):
+            monkeypatch.setattr(gmd, "_CHUNK_ROWS", width)
+            counter = CountingIntegrate(gmd.integrate)
+            monkeypatch.setattr(gmd, "integrate", counter)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                values, errors = gmd.entropy_radial_quadrature_rows(v, tolerance)
+            assert counter.quad_calls == 1
+            results.append((values.tobytes(), errors.tobytes()))
+        assert results[0] == results[1]
+
+    def test_peak_memory_is_the_per_call_buffers(self):
+        # At L = 16 a chunk is 4 rows. The call keeps one (16, 4, 40, 48)
+        # term array with its bool tie mask and three (4, 40, 48) arrays
+        # (nodes, log f, g); the margin covers the outputs, each chunk's
+        # (4, 40) set-up arrays and numpy's ufunc buffers (up to 64 kB per
+        # broadcast operand), but not a second term array (983 kB).
+        v = 10.0 ** np.random.default_rng(16).uniform(-2.0, 2.0, (600, 16))
+        node_count = chunk_rows(16) * gmd._PANELS * len(gmd._GL_OFFSETS)
+        buffers = 16 * node_count * (8 + 1) + 3 * node_count * 8
+        tracemalloc.start()
+        try:
+            gmd.entropy_radial_quadrature_rows(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers + 256_000
+
+
+class TestToleranceRejected:
+    """A tolerance that is not a finite real number > 0 raises ValueError
+    at every entropy entry point before any quadrature work."""
+
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf, "1e-10", True],
+                             ids=["negative", "zero", "nan", "inf", "string", "bool"])
+    def test_rejected_before_the_kernel(self, monkeypatch, tolerance):
+        def no_work(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(gmd, "_quadrature_rows", no_work)
+        monkeypatch.setattr(gmd, "integrate", None)
+        v = np.array([[1.0, 2.0, 3.0, 4.0]])
+        calls = [
+            lambda: gmd.entropy_radial_quadrature_rows(v, tolerance),
+            lambda: gmd.entropy_radial_quadrature(
+                gmd.equal_weight_zero_mean_mixture(v[0]), tolerance),
+            lambda: gmd.entropy_exact(gmd.equal_weight_zero_mean_mixture(v[0]),
+                                      tolerance=tolerance),
+            lambda: gmd.entropy_exact(unit_mixture(), tolerance=tolerance),
+            lambda: sm_tdma_rows(v, np.array([4.0, 1.0]), 10.0, 1.0, 0.5, tolerance),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite real number > 0"):
+                call()
+
+    @pytest.mark.parametrize("tolerance", [1e-10, 1, np.float64(1e-9)])
+    def test_finite_positive_reals_accepted(self, tolerance):
+        mix = gmd.equal_weight_zero_mean_mixture([1.0, 2.0])
+        assert gmd.entropy_radial_quadrature(mix, tolerance) == gmd.entropy_radial_quadrature(mix)
 
 
 class TestNullRuleEstimate:
