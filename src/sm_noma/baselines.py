@@ -18,25 +18,14 @@ from . import gmd
 from .system import ChannelRealization, SystemConfig
 
 
-def miso_noma_effective_gain(
-    realization: ChannelRealization, r: int, num_tx_antennas: int = 2
-) -> complex:
-    """Equal-weight superposition gain g_r over the first M' antennas."""
-    return complex(_superposition_gains(realization.channel_vectors[r - 1], num_tx_antennas))
-
-
-def _superposition_gains(channels: np.ndarray, num_tx_antennas: int) -> np.ndarray:
-    """sum of the first M' entries of each channel vector (..., M) / sqrt(M')."""
+def miso_noma_gains_sq(channels: np.ndarray, num_tx_antennas: int = 2) -> np.ndarray:
+    """|g_r|^2 for stacked channel vectors (..., M), where the equal-weight
+    superposition gain g_r is the sum of the first M' entries over
+    sqrt(M'). abs is Python's complex abs (hypot) per cell: np.abs rounds
+    differently on some gains."""
     if not 1 <= num_tx_antennas <= channels.shape[-1]:
         raise ValueError("baseline antenna count must lie in 1..M")
-    return np.sum(channels[..., :num_tx_antennas], axis=-1) / math.sqrt(num_tx_antennas)
-
-
-def miso_noma_gains_sq(channels: np.ndarray, num_tx_antennas: int = 2) -> np.ndarray:
-    """|g_r|^2 of miso_noma_effective_gain for stacked channel vectors
-    (..., M). abs is Python's complex abs (hypot), as in a one-realization
-    call; np.abs rounds differently on some gains."""
-    g = _superposition_gains(channels, num_tx_antennas)
+    g = np.sum(channels[..., :num_tx_antennas], axis=-1) / math.sqrt(num_tx_antennas)
     return np.reshape([abs(complex(c)) ** 2 for c in np.ravel(g)], g.shape)
 
 
@@ -47,14 +36,15 @@ def miso_noma_mi(
     k: int,
     num_tx_antennas: int = 2,
 ) -> float:
-    """Post-SIC MI of decoder r for message k in the MISO-NOMA baseline."""
+    """Post-SIC MI of decoder r for message k in the MISO-NOMA baseline:
+    one row of miso_noma_gains_sq and miso_noma_rows."""
     if config.num_users != 2:
         raise ValueError("MISO-NOMA baseline is defined for K = 2")
     if not (1 <= k <= r <= 2):
         raise ValueError(f"invalid decoder/message pair ({r}, {k})")
-    g_sq = abs(miso_noma_effective_gain(realization, r, num_tx_antennas)) ** 2
+    g_sq = miso_noma_gains_sq(realization.channel_vectors[r - 1 : r], num_tx_antennas)
     return float(miso_noma_rows(g_sq, np.array(config.power_levels),
-                                config.signal_power, config.noise_power, k))
+                                config.signal_power, config.noise_power, k)[0])
 
 
 def miso_noma_rows(
@@ -62,9 +52,11 @@ def miso_noma_rows(
 ) -> np.ndarray:
     """log2(1 + SINR) of message k at a decoder with superposition gain
     |g_r|^2 = gain_sq, power levels (..., K) and signal power, broadcast
-    against each other. log2 is math.log2 per cell, as in a
-    one-realization call: np.log2 differs from it in the last bit on
-    about 0.1% of inputs."""
+    against each other. log2 is math.log2 per cell: np.log2 differs from
+    it in the last bit on about 0.1% of inputs. A message index k outside 1..K raises
+    ValueError."""
+    if k not in range(1, power_levels.shape[-1] + 1):
+        raise ValueError(f"message index {k} out of range 1..{power_levels.shape[-1]}")
     signal = power_levels[..., k - 1] * signal_power * gain_sq
     interference = sum(
         power_levels[..., t - 1] * signal_power * gain_sq
@@ -86,13 +78,13 @@ def sm_tdma_mi(
     The user transmits alone in its slot with the full power budget, the
     sum of all power levels, so the received signal is the
     interference-free SM mixture and the interference entropy is the AWGN
-    closed form.
+    closed form. One row of sm_tdma_rows.
     """
     if not (1 <= k <= config.num_users):
         raise ValueError(f"user index {k} out of range")
-    gains_sq = np.abs(realization.channel_vectors[k - 1]) ** 2
+    gains_sq = np.abs(realization.channel_vectors[k - 1 : k]) ** 2
     return float(sm_tdma_rows(gains_sq, np.array(config.power_levels), config.signal_power,
-                              config.noise_power, time_share, tolerance))
+                              config.noise_power, time_share, tolerance)[0])
 
 
 def sm_tdma_rows(
@@ -104,12 +96,12 @@ def sm_tdma_rows(
     tolerance: float = 1e-10,
 ) -> np.ndarray:
     """sm_tdma_mi for user k's |h_k|^2 (..., M), the power levels (..., K)
-    and the signal power, broadcast against each other. Every received
-    mixture goes through one gmd.entropy_radial_quadrature_rows call."""
+    and the signal power, broadcast against each other with at least one
+    leading axis. Every received mixture goes through one
+    gmd.entropy_radial_quadrature_rows call."""
     if not (0.0 < time_share <= 1.0):
         raise ValueError("time_share must lie in (0, 1]")
     power = sum(power_levels[..., t] for t in range(power_levels.shape[-1]))
     variances = noise_power + (signal_power * power)[..., None] * gains_sq
-    h_y = gmd.entropy_radial_quadrature_rows(
-        variances.reshape(-1, variances.shape[-1]), tolerance)[0]
-    return time_share * (h_y.reshape(variances.shape[:-1]) - gmd.gaussian_entropy(noise_power))
+    h_y = gmd.entropy_radial_quadrature_rows(variances, tolerance)[0]
+    return time_share * (h_y - gmd.gaussian_entropy(noise_power))

@@ -436,21 +436,25 @@ def entropy_radial_quadrature(
 def entropy_radial_quadrature_rows(
     variances: np.ndarray, tolerance: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """entropy_radial_quadrature of the equal-weight zero-mean mixture of
-    each row of variances (N, L): (values, error estimates), each (N,).
-
-    Each row gives the bits its one-row call on
-    equal_weight_zero_mean_mixture(row) gives, whatever the other rows.
+    """The entropy of the equal-weight zero-mean mixture of each row of
+    variances (..., L), at least one leading axis: (values, error
+    estimates) of the leading shape. Each row has the bits entropy_exact
+    gives its mixture, whatever the other rows: the Gaussian closed form
+    with error 0 for L = 1, else the radial quadrature.
     """
     _check_tolerance(tolerance)
     v = np.ascontiguousarray(variances, dtype=float)
-    if v.ndim != 2 or v.size == 0:
-        raise ValueError("need a nonempty (N, L) array of variances")
+    if v.ndim < 2 or v.size == 0:
+        raise ValueError("need a nonempty (..., L) array of variances with a leading axis")
     if not (v > VARIANCE_FLOOR).all():
         raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}")
     if not np.isfinite(v).all():
         raise ValueError("component variances must be finite")
-    return _quadrature_rows(np.full(v.shape[1], 1.0) / v.shape[1], v, tolerance)
+    lead, n = v.shape[:-1], v.shape[-1]
+    if n == 1:
+        return np.reshape([gaussian_entropy(x) for x in v.ravel()], lead), np.zeros(lead)
+    values, errors = _quadrature_rows(np.full(n, 1.0) / n, v.reshape(-1, n), tolerance)
+    return values.reshape(lead), errors.reshape(lead)
 
 
 def _quadrature_rows(

@@ -80,23 +80,6 @@ def mi_of_mixtures(
     return EntropyEstimate(value, std_error, count)
 
 
-def entropy_rows(
-    variances: np.ndarray, tolerance: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """The radial-quadrature entropy and error estimate of the equal-weight
-    mixture of each variance row (..., L), both of the leading shape. A
-    one-component row takes the Gaussian closed form with error 0, as
-    gmd.entropy_exact does, so each cell has the bits of entropy_exact on
-    the mixture of its row."""
-    lead = variances.shape[:-1]
-    if variances.shape[-1] == 1:
-        values = [gmd.gaussian_entropy(x) for x in variances[..., 0].ravel()]
-        return np.reshape(values, lead), np.zeros(lead)
-    values, errors = gmd.entropy_radial_quadrature_rows(
-        variances.reshape(-1, variances.shape[-1]), tolerance)
-    return values.reshape(lead), errors.reshape(lead)
-
-
 def mi_lower_bound_k2(
     realization: ChannelRealization, config: SystemConfig, r: int, k: int
 ) -> float:
@@ -125,8 +108,10 @@ def lower_bound_k2_rows(
 
     Pairwise gain sums include the diagonal n = m (each diagonal term is
     twice the single squared gain), matching the overlap structure of the
-    entropy lower bound.
+    entropy lower bound. k must be 1 or 2.
     """
+    if k not in (1, 2):
+        raise ValueError(f"message index {k} out of range 1..2 for K = 2")
     m = gains_sq.shape[-1]
     lead = np.broadcast_shapes(gains_sq.shape[:-1], power_levels.shape[:-1], np.shape(snr))
     g = np.broadcast_to(gains_sq, lead + (m,)).reshape(-1, m)

@@ -22,7 +22,7 @@ import numpy as np
 from . import gmd
 from .baselines import miso_noma_gains_sq, miso_noma_rows, sm_tdma_rows
 from .gmd import equal_weight_zero_mean_mixture
-from .mi import asymptotes, entropy_rows, lower_bound_k2_rows, mi_of_mixtures
+from .mi import asymptotes, lower_bound_k2_rows, mi_of_mixtures
 from .system import (
     ChannelRealization,
     SystemConfig,
@@ -336,7 +336,8 @@ def _mi_table(
         rows = {(r, t): signal_variances(gains[:, r - 1], *per_point, _NOISE_POWER, t)
                 for r, t in blocks}
         if config.method == "quadrature":
-            h = {key: entropy_rows(v, config.quadrature_tolerance) for key, v in rows.items()}
+            h = {key: gmd.entropy_radial_quadrature_rows(v, config.quadrature_tolerance)
+                 for key, v in rows.items()}
             # math.hypot per cell, as mi_of_mixtures adds the two errors
             # (np.hypot rounds differently on some pairs).
             hypot = np.vectorize(math.hypot, otypes=[float])

@@ -125,11 +125,14 @@ def simulate_received_symbol(
     Messages 1..k-1 are assumed already removed; users t > k remain as
     interference. `symbols` and `active_indices` carry the user on the last
     axis and any leading axes index draws; `noise_sample` has the leading
-    shape. A single draw returns one complex.
+    shape. A single draw returns one complex. Indices that are not
+    integers (booleans and floats included) raise ValueError.
     """
     _check_decoding_pair(realization, config, r, k)
     symbols = np.asarray(symbols)
     indices = np.asarray(active_indices)
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(f"active indices must be integers, got dtype {indices.dtype}")
     if np.any((indices < 1) | (indices > config.num_tx_antennas)):
         raise ValueError(f"active indices must lie in 1..{config.num_tx_antennas}")
     h = realization.channel_vectors[r - 1]

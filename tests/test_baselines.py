@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sm_noma.baselines import miso_noma_effective_gain, miso_noma_mi, sm_tdma_mi
+from sm_noma.baselines import miso_noma_gains_sq, miso_noma_mi, miso_noma_rows, sm_tdma_mi
 from sm_noma.system import SystemConfig, draw_channel
 
 
@@ -27,14 +27,17 @@ class TestMisoNoma:
     def test_effective_gain_is_equal_weight_sum(self):
         cfg = config_at_snr(10.0)
         realization = realization_for(cfg, 0)
-        h = realization.channel_vectors[0]
-        g = miso_noma_effective_gain(realization, 1, 2)
-        assert g == pytest.approx((h[0] + h[1]) / math.sqrt(2))
+        h = realization.channel_vectors
+        g_sq = miso_noma_gains_sq(h, 2)
+        assert g_sq.shape == (2,)
+        for r in (0, 1):
+            assert g_sq[r] == pytest.approx(abs((h[r, 0] + h[r, 1]) / math.sqrt(2)) ** 2)
 
     def test_interference_free_user_is_awgn_capacity(self):
         cfg = config_at_snr(10.0)
         realization = realization_for(cfg, 1)
-        g_sq = abs(miso_noma_effective_gain(realization, 2, 2)) ** 2
+        h = realization.channel_vectors[1]
+        g_sq = abs(h[0] + h[1]) ** 2 / 2.0
         expected = math.log2(1.0 + cfg.snr * cfg.power_levels[1] * g_sq)
         assert miso_noma_mi(realization, cfg, 2, 2) == pytest.approx(expected)
 
@@ -62,6 +65,11 @@ class TestMisoNoma:
         realization3 = realization_for(cfg3, 4)
         with pytest.raises(ValueError, match="K = 2"):
             miso_noma_mi(realization3, cfg3, 1, 1)
+        # A message index outside 1..K, which would read alpha_K^2 through
+        # index -1 or past the last level.
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="message index"):
+                miso_noma_rows(np.ones(3), np.array([4.0, 1.0]), 1.0, 1.0, k)
 
 
 class TestSmTdma:

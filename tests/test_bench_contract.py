@@ -7,9 +7,10 @@ sweep with, would break the benchmark with no failure here. These tests
 read those names out of the bench scripts, without running or changing
 anything under bench/, and check that each one resolves.
 
-ROADMAP items 1 and 3 retire this file: item 1 has the bench read its
-per-layer numbers from a stage collector instead of patching TARGETS, and
-item 3 moves make_reference.py onto a public per-realization entry point.
+ROADMAP item 1's change to the bench retires this file: the bench then
+reads its per-layer numbers from a stage collector instead of patching
+TARGETS, and make_reference.py no longer rebuilds the Monte Carlo sweep
+from runner helpers.
 """
 
 import ast

@@ -559,6 +559,21 @@ class TestRowKernel:
         assert (est.value, est.std_error) == (values[2], errors[2])
         assert estimate_bits([est]) == estimate_bits(
             [scalar_radial_quadrature(mix.weights, v[2], 1e-10)])
+        # A (R, G, L) stack gives the bits of its flattened (R G, L) call,
+        # and each cell those of entropy_exact on the mixture of its row:
+        # the Gaussian closed form with error 0 at L = 1.
+        for n in (1, 4, 16):
+            stack = 10.0 ** np.random.default_rng(n).uniform(-2, 2, (3, 2, n))
+            values, errors = gmd.entropy_radial_quadrature_rows(stack)
+            flat = gmd.entropy_radial_quadrature_rows(stack.reshape(6, n))
+            assert values.shape == errors.shape == (3, 2)
+            assert values.tobytes() == flat[0].tobytes()
+            assert errors.tobytes() == flat[1].tobytes()
+            exact = [gmd.entropy_exact(gmd.equal_weight_zero_mean_mixture(row))
+                     for row in stack.reshape(6, n)]
+            assert estimate_bits(exact) == estimate_bits(
+                [gmd.EntropyEstimate(x, e, 0) for x, e in zip(values.flat, errors.flat)])
+            assert (errors == 0.0).all() == (n == 1)
 
     def test_integer_parameters_give_float_bits(self):
         ints = gmd.GaussianMixture([1], [2])
@@ -569,9 +584,10 @@ class TestRowKernel:
             gmd.gaussian_entropy(2.0), abs=1e-9)
 
     @pytest.mark.parametrize("variances", [
-        np.ones(3), np.ones((0, 2)), [[1.0, 0.0]], [[1.0, np.inf]], [[1.0, np.nan]]])
+        np.ones(3), np.ones((0, 2)), [[1.0, 0.0]], [[1.0, np.inf]], [[1.0, np.nan]],
+        [[np.nan]], [[0.0]], np.zeros((2, 3, 1))])
     def test_bad_rows_rejected(self, variances):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variances"):
             gmd.entropy_radial_quadrature_rows(variances)
 
     @pytest.mark.parametrize("n", [4, 16])
@@ -638,6 +654,8 @@ class TestToleranceRejected:
                                       tolerance=tolerance),
             lambda: gmd.entropy_exact(unit_mixture(), tolerance=tolerance),
             lambda: sm_tdma_rows(v, np.array([4.0, 1.0]), 10.0, 1.0, 0.5, tolerance),
+            # One-component rows take the closed form, after the same check.
+            lambda: gmd.entropy_radial_quadrature_rows(v.reshape(2, 2, 1), tolerance),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="finite real number > 0"):

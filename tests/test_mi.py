@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sm_noma import gmd, runner
+from sm_noma import gmd, mi, runner
 from sm_noma.mi import (
     asymptotes,
     mi_exact,
@@ -139,11 +139,17 @@ class TestMiLowerBound:
                 exact = mi_exact(realization, cfg, r, k).mi_exact.value
                 assert mi_lower_bound_k2(realization, cfg, r, k) <= exact + 1e-8
 
-    def test_rejects_more_than_two_users(self):
+    def test_rejects_more_than_two_users(self, monkeypatch):
         cfg = SystemConfig(4, 3, (4.0, 2.0, 1.0), 1.0, 1.0)
         realization = draw_channel(cfg, np.random.default_rng(6))
         with pytest.raises(ValueError, match="K = 2"):
             mi_lower_bound_k2(realization, cfg, 1, 1)
+        # The row function rejects a message index other than 1 or 2
+        # before it computes anything.
+        monkeypatch.setattr(mi, "_lower_bound_chunk", None)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="message index"):
+                mi.lower_bound_k2_rows(np.ones((2, 4)), np.array([4.0, 1.0]), 1.0, k)
 
 
 # The default quadrature tolerance: each entropy's error bound, so an MI

@@ -145,7 +145,8 @@ class TestTransmitSignal:
         assert y == [0.0, 0.0]
 
     def test_index_out_of_range(self):
-        for indices in ((0, 2), (1, 5)):
+        # Booleans would index antenna 1; floats are not indices at all.
+        for indices in ((0, 2), (1, 5), (True, True), (1.5, 2.0)):
             with pytest.raises(ValueError, match="active indices"):
                 self.received(indices)
 
