@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment runner.
 
 Subcommands: fig1, fig2a, fig2b, props. Exit codes: 0 success, 1 config
-error, 2 usage error (argparse), 3 property-suite failure.
+error or unwritable output, 2 usage error (argparse), 3 property-suite
+failure.
 """
 
 from __future__ import annotations
@@ -95,7 +96,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.all_passed else 3
 
     out = config.output_path or f"{args.command}.csv"
-    write_curves(out, curves, config, x_axis=x_axis)
+    try:
+        write_curves(out, curves, config, x_axis=x_axis)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(curves)} curves to {out}")
     return 0
 

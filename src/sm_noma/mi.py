@@ -8,18 +8,17 @@ asymptotic values with their constant shifts.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gmd
 from .gmd import EntropyEstimate
-from .system import (
-    ChannelRealization,
-    SystemConfig,
-    mixture_of_interference,
-    mixture_of_received,
-)
+from .system import ChannelRealization, SystemConfig, _check_decoding_pair, signal_variances
+
+# Kept for bench/tracing.py, which wraps them here; mi_rows builds the rows itself.
+from .system import mixture_of_interference, mixture_of_received  # noqa: F401
 
 LOG2E = math.log2(math.e)
 
@@ -52,32 +51,57 @@ def mi_exact(
     samples: int = 10**6,
     tolerance: float = 1e-10,
 ) -> MiResult:
-    """I_{r,k} = h(Y_{r,k}) - h(Omega_{r,k}), both entropies by the same method."""
-    received = mixture_of_received(realization, config, r, k)
-    interference = mixture_of_interference(realization, config, r, k)
-    return MiResult(mi_exact=mi_of_mixtures(
-        received, interference, method, rng=rng, samples=samples, tolerance=tolerance))
+    """I_{r,k} = h(Y_{r,k}) - h(Omega_{r,k}), both entropies by the same
+    method (Monte Carlo: both from rng, h(Y) first): one row of mi_rows."""
+    _check_decoding_pair(realization, config, r, k)
+    values, errors = mi_rows(
+        np.abs(realization.channel_vectors[None]) ** 2, config.power_levels,
+        config.signal_power, config.noise_power, ((r, k),), method,
+        rngs=lambda cell: rng, samples=samples, tolerance=tolerance)
+    # Monte Carlo samples each mixture of M^(K + 1 - t) > 1 components.
+    sampled = sum(config.num_tx_antennas ** (config.num_users + 1 - t) > 1 for t in (k, k + 1))
+    count = samples * sampled if method == "monte_carlo" else 0
+    return MiResult(mi_exact=EntropyEstimate(values.item(), errors.item(), count))
 
 
-def mi_of_mixtures(
-    received: gmd.GaussianMixture,
-    interference: gmd.GaussianMixture,
-    method: str = "radial_quadrature",
-    *,
-    rng: np.random.Generator | None = None,
-    samples: int = 10**6,
-    tolerance: float = 1e-10,
-) -> EntropyEstimate:
-    """h(received) - h(interference), in that order from one rng for Monte
-    Carlo, with the two error estimates added in quadrature."""
-    h_y, h_w = (
-        gmd.entropy_exact(mix, method, rng=rng, samples=samples, tolerance=tolerance)
-        for mix in (received, interference)
-    )
-    value = h_y.value - h_w.value
-    std_error = math.hypot(h_y.std_error, h_w.std_error)
-    count = h_y.sample_count + h_w.sample_count
-    return EntropyEstimate(value, std_error, count)
+def mi_rows(
+    gains_sq: np.ndarray, power_levels, signal_power, noise_power: float,
+    pairs: Sequence[tuple[int, int]], method: str = "radial_quadrature", *,
+    rngs: Callable[[tuple[int, ...]], np.random.Generator | None] = lambda cell: None,
+    samples: int = 10**6, tolerance: float = 1e-10,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact I(r, k) = h(r, k) - h(r, k + 1) of each decoder/message pair
+    (r, k), from every decoder's |h_r|^2 (..., K, M) with at least one
+    leading axis and the powers of signal_variances: (values, error
+    estimates), each (len(pairs), ...). Block (r, t) holds decoder r's
+    variance rows for the users t and up (mixture_of_received's for t = k,
+    mixture_of_interference's for t = k + 1) and is built once: I(2, 1) and
+    I(2, 2) share block (2, 2). Radial quadrature takes each block through
+    one entropy_radial_quadrature_rows call; Monte Carlo calls entropy_exact
+    per cell, h(r, k) first, on the generator rngs gives the cell index
+    (p, ...). The two errors add by math.hypot per cell, as np.hypot rounds
+    differently on some pairs.
+    """
+    blocks = {(r, t): signal_variances(gains_sq[..., r - 1, :], power_levels, signal_power,
+                                       noise_power, t)
+              for r, k in pairs for t in (k, k + 1)}
+    if method == "radial_quadrature":
+        h = {key: gmd.entropy_radial_quadrature_rows(v, tolerance) for key, v in blocks.items()}
+        entropies = [(h[r, k], h[r, k + 1]) for r, k in pairs]
+    else:
+        lead = np.broadcast_shapes(*(v.shape[:-1] for v in blocks.values()))
+        rows = {key: np.broadcast_to(v, lead + v.shape[-1:]) for key, v in blocks.items()}
+        entropies = np.empty((len(pairs), 2, 2) + lead)  # (p, t - k, value/error, ...)
+        for p, *cell in np.ndindex((len(pairs),) + lead):
+            (r, k), rng = pairs[p], rngs((p, *cell))
+            for s in (0, 1):
+                estimate = gmd.entropy_exact(
+                    gmd.equal_weight_zero_mean_mixture(rows[r, k + s][tuple(cell)]), method,
+                    rng=rng, samples=samples, tolerance=tolerance)
+                entropies[(p, s, slice(None), *cell)] = estimate.value, estimate.std_error
+    hypot = np.vectorize(math.hypot, otypes=[float])
+    return (np.stack([h_y[0] - h_w[0] for h_y, h_w in entropies]),
+            np.stack([hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]))
 
 
 def mi_lower_bound_k2(

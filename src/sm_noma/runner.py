@@ -21,8 +21,7 @@ import numpy as np
 
 from . import gmd
 from .baselines import miso_noma_gains_sq, miso_noma_rows, sm_tdma_rows
-from .gmd import equal_weight_zero_mean_mixture
-from .mi import asymptotes, lower_bound_k2_rows, mi_of_mixtures
+from .mi import asymptotes, lower_bound_k2_rows, mi_rows
 from .system import (
     ChannelRealization,
     SystemConfig,
@@ -61,6 +60,10 @@ MAX_MIXTURE_COMPONENTS = 4096
 # entries per decoder, 2^24 float64 (134 MB). A fig1 sweep at M = 64 and
 # R = 200 would hold 268 MB.
 MAX_TABLE_ENTRIES = 1 << 24
+
+# Largest Monte Carlo sample count: each entropy call holds one buffer of
+# 24 B per sample (draws, -log2 f), 100 MB at this limit.
+MAX_MC_SAMPLES = 1 << 22
 
 # Largest |SNR| a grid point may have, in dB. Far beyond it the signal power
 # 10^(SNR/10) overflows or the noise dominates every variance to the last bit.
@@ -144,8 +147,8 @@ class ExperimentConfig:
             require_integer(name, getattr(self, name), ConfigError)
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be >= 1")
+        if not 1 <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise ConfigError(f"mc_samples must lie in 1..{MAX_MC_SAMPLES}, got {self.mc_samples}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.method not in ("quadrature", "montecarlo"):
@@ -318,45 +321,20 @@ def _mi_table(
 ) -> dict[str, np.ndarray]:
     """MI over (pair p, row n, grid point j) for the decoder/message pairs
     (r, k), from channels (N, 2, M), the power levels (G, 2) and rho, which
-    broadcast over (N, G). "I" in quantities gives the exact I(r, k) by
-    config.method as "I" and its error estimate as "I_err" (Monte Carlo
+    broadcast over (N, G). "I" in quantities gives mi_rows' exact I(r, k)
+    by config.method as "I" and its error estimate as "I_err" (Monte Carlo
     substream key (n, j, p)); "I_LB" gives the closed-form lower bound.
-    Every cell has the bits of mi_exact and mi_lower_bound_k2.
     """
     table = {}
-    gains = np.abs(channels[:, :, None, :]) ** 2  # |h_r|^2 as (N, 2, 1, M), against the grid
+    gains = np.abs(channels[:, None]) ** 2  # |h_r|^2 as (N, 1, 2, M), against the grid
     if "I" in quantities:
-        # I(r, k) = h(r, k) - h(r, k + 1), where block (r, t) holds decoder
-        # r's variance rows over (n, j, component) for the users t and up:
-        # those of mixture_of_received for t = k, of mixture_of_interference
-        # for t = k + 1. Each power level and the SNR are (..., 1), against
-        # the component axis. I(2, 1) and I(2, 2) share block (2, 2).
-        per_point = levels.T[..., None], rho[..., None]
-        blocks = dict.fromkeys((r, t) for r, k in pairs for t in (k, k + 1))
-        rows = {(r, t): signal_variances(gains[:, r - 1], *per_point, _NOISE_POWER, t)
-                for r, t in blocks}
-        if config.method == "quadrature":
-            h = {key: gmd.entropy_radial_quadrature_rows(v, config.quadrature_tolerance)
-                 for key, v in rows.items()}
-            # math.hypot per cell, as mi_of_mixtures adds the two errors
-            # (np.hypot rounds differently on some pairs).
-            hypot = np.vectorize(math.hypot, otypes=[float])
-            table["I"] = np.stack([h[r, k][0] - h[r, k + 1][0] for r, k in pairs])
-            table["I_err"] = np.stack([hypot(h[r, k][1], h[r, k + 1][1]) for r, k in pairs])
-        else:
-            shape = (len(pairs),) + rows[pairs[0]].shape[:-1]
-            table["I"], table["I_err"] = np.empty(shape), np.empty(shape)
-            for p, n, j in np.ndindex(shape):
-                r, k = pairs[p]
-                mixtures = (equal_weight_zero_mean_mixture(rows[r, t][n, j]) for t in (k, k + 1))
-                estimate = mi_of_mixtures(
-                    *mixtures, config.entropy_method,
-                    rng=substream(config.seed, _TAG_MC, n, j, p), samples=config.mc_samples,
-                )
-                table["I"][p, n, j] = estimate.value
-                table["I_err"][p, n, j] = estimate.std_error
+        # Each power level and the SNR are (..., 1), against the component axis.
+        table["I"], table["I_err"] = mi_rows(
+            gains, levels.T[..., None], rho[..., None], _NOISE_POWER, pairs, config.entropy_method,
+            rngs=lambda cell: substream(config.seed, _TAG_MC, *cell[1:], cell[0]),
+            samples=config.mc_samples, tolerance=config.quadrature_tolerance)
     if "I_LB" in quantities:
-        table["I_LB"] = np.stack([lower_bound_k2_rows(gains[:, r - 1], levels, rho, k)
+        table["I_LB"] = np.stack([lower_bound_k2_rows(gains[..., r - 1, :], levels, rho, k)
                                   for r, k in pairs])
     return table
 

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,25 @@ class TestMiExact:
         realization = random_realization(cfg, 3)
         with pytest.raises(ValueError):
             mi_exact(realization, cfg, 1, 2)
+
+    @pytest.mark.parametrize("signal_power", [0.1, 10.0, 1000.0])
+    def test_three_users_equal_mixture_oracle(self, signal_power):
+        # K = 3 at M = 3: I(r, 1) and I(r, 2) sample mixtures of 27 and 9,
+        # then 9 and 3 components; I(r, 3) samples only h(Y), as its
+        # interference is noise alone.
+        cfg = SystemConfig(3, 3, (4.0, 2.0, 1.0), signal_power, 1.0)
+        realization = random_realization(cfg, 7)
+        for r, k in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
+            quad = mi_exact(realization, cfg, r, k).mi_exact
+            value, error = oracles.mixture_mi(realization, cfg, r, k)
+            assert (quad.value.hex(), quad.std_error.hex()) == (value.hex(), error.hex())
+            assert quad.sample_count == 0
+            mc = mi_exact(realization, cfg, r, k, "monte_carlo",
+                          rng=np.random.default_rng(10 * r + k), samples=50).mi_exact
+            value, error = oracles.mixture_mi(realization, cfg, r, k,
+                                              rng=np.random.default_rng(10 * r + k), samples=50)
+            assert (mc.value.hex(), mc.std_error.hex()) == (value.hex(), error.hex())
+            assert mc.sample_count == (50 if k == 3 else 100)
 
 
 class TestMiLowerBound:

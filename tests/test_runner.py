@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from sm_noma import runner
@@ -24,7 +25,7 @@ from sm_noma.baselines import (
     sm_tdma_rows,
 )
 from sm_noma.cli import main
-from sm_noma.mi import mi_exact, mi_lower_bound_k2
+from sm_noma.mi import mi_lower_bound_k2
 from sm_noma.runner import (
     ConfigError,
     ExperimentConfig,
@@ -147,6 +148,7 @@ class TestConfig:
         {"system": {"num_tx_antennas": 4}},
         {"power_split": "4:1"},
         {"mc_samples": 0},
+        {"mc_samples": runner.MAX_MC_SAMPLES + 1},
         {"power_split": {"ratio_grid": 4.0}},
         {"num_tx_antennas": 65},  # 65^2 = 4225 mixture components
         {"num_users": 2},
@@ -168,6 +170,9 @@ class TestConfig:
     def test_largest_antenna_count_accepted(self):
         # 64^2 = 4096 mixture components, exactly the limit.
         assert config_from_dict({"num_tx_antennas": 64}).system.num_tx_antennas == 64
+
+    def test_largest_mc_sample_count_accepted(self):
+        assert config_from_dict({"mc_samples": runner.MAX_MC_SAMPLES}).mc_samples == 1 << 22
 
     def test_missing_keys_take_defaults(self):
         cfg = config_from_dict({"num_tx_antennas": 2, "power_split": {"ratio_grid": [1.5]}})
@@ -333,8 +338,8 @@ class TestFigureRuns:
 
 
 class TestSweepTable:
-    """Each cell of the sweep's (2, R, G) table against the one-realization
-    call it replaces."""
+    """Each cell of the sweep's (2, R, G) table against the oracle of
+    tests/oracles.py that recomputes it from one realization's mixtures."""
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("x_axis", ["snr_db", "power_ratio"])
@@ -368,16 +373,16 @@ class TestSweepTable:
         for i, h in enumerate(realizations):
             for j, system in enumerate(systems):
                 for p, (r, k) in enumerate(pairs):
-                    exact = mi_exact(h, system, r, k, tolerance=tolerance).mi_exact
-                    assert by_pair["I"][p, i, j].hex() == exact.value.hex()
-                    assert by_pair["I_err"][p, i, j].hex() == exact.std_error.hex()
+                    value, error = oracles.mixture_mi(h, system, r, k, tolerance)
+                    assert by_pair["I"][p, i, j].hex() == value.hex()
+                    assert by_pair["I_err"][p, i, j].hex() == error.hex()
                     assert by_pair["I_LB"][p, i, j].hex() == mi_lower_bound_k2(
                         h, system, r, k).hex()
                 for k in (1, 2):
                     cell = {key: rows[k - 1, i, j] for key, rows in table.items()}
-                    assert cell["SM-TDMA"].hex() == sm_tdma_mi(
+                    assert cell["SM-TDMA"].hex() == oracles.sm_tdma_mi(
                         h, system, k, 0.5, tolerance).hex()
-                    assert cell["MISO-NOMA"].hex() == miso_noma_mi(h, system, k, k, 2).hex()
+                    assert cell["MISO-NOMA"].hex() == oracles.miso_noma_mi(h, system, k).hex()
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_monte_carlo_cells_equal_scalar_calls(self, m):
@@ -387,11 +392,11 @@ class TestSweepTable:
         for i, h in enumerate(_draw_realizations(cfg)):
             for j, system in enumerate(runner._grid(cfg, "power_ratio")):
                 for k in (1, 2):
-                    exact = mi_exact(h, system, k, k, cfg.entropy_method,
-                                     rng=runner.substream(cfg.seed, runner._TAG_MC, i, j, k - 1),
-                                     samples=cfg.mc_samples).mi_exact
-                    assert table["I"][k - 1, i, j].hex() == exact.value.hex()
-                    assert table["I_err"][k - 1, i, j].hex() == exact.std_error.hex()
+                    rng = runner.substream(cfg.seed, runner._TAG_MC, i, j, k - 1)
+                    value, error = oracles.mixture_mi(h, system, k, k, rng=rng,
+                                                      samples=cfg.mc_samples)
+                    assert table["I"][k - 1, i, j].hex() == value.hex()
+                    assert table["I_err"][k - 1, i, j].hex() == error.hex()
 
     def test_fig1_sweep_peak_memory(self):
         # The K = 2 lower bound's (..., M, M, M, M) temporaries and the
@@ -641,6 +646,22 @@ class TestCli:
         cfg_path.write_text(json.dumps({"snr_grid_db": [-300.0, 300.0]}))
         assert main(["fig1", "--config", str(cfg_path), "--realizations", "1",
                      "--out", str(out)]) == 0
+
+    def test_mc_samples_past_the_limit_exit_code(self, tmp_path, capsys):
+        # 10^15 samples made numpy fail to allocate 21.3 PiB, in a traceback.
+        out = tmp_path / "x.csv"
+        assert main(["fig2b", "--method", "montecarlo", "--mc-samples", "1000000000000000",
+                     "--realizations", "1", "--out", str(out)]) == 1
+        assert ("config error: mc_samples must lie in 1..4194304, got 1000000000000000"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["fig2b", "--realizations", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"cannot write {out}: " in captured.err
+        assert captured.out == ""
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["fig1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1
