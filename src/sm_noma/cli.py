@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -84,6 +85,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "props":
             report = run_property_suite(config)
         else:
+            out = config.output_path or f"{args.command}.csv"
+            # A missing directory fails before the sweep, not after it.
+            directory = os.path.dirname(out) or os.curdir
+            if not os.path.isdir(directory):
+                print(f"cannot write {out}: no directory {directory}", file=sys.stderr)
+                return 1
             run, x_axis = _RUNNERS[args.command]
             curves = run(config)
     except ConfigError as exc:
@@ -95,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         return 0 if report.all_passed else 3
 
-    out = config.output_path or f"{args.command}.csv"
     try:
         write_curves(out, curves, config, x_axis=x_axis)
     except OSError as exc:

@@ -92,7 +92,9 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
     return _logsumexp_overwrite(np.array(a, dtype=float))
 
 
-def _logsumexp_overwrite(a: np.ndarray, a_max=None, is_max=None) -> np.ndarray | np.float64:
+def _logsumexp_overwrite(
+    a: np.ndarray, a_max=None, is_max=None, *, scattered: bool = False
+) -> np.ndarray | np.float64:
     """logsumexp of a float64 array that the caller no longer needs: the
     shifted exponentials and their partial sums are written into a.
 
@@ -107,13 +109,23 @@ def _logsumexp_overwrite(a: np.ndarray, a_max=None, is_max=None) -> np.ndarray |
     kept. That holds for an infinite maximum too, where the other terms
     add exp(-inf) = 0; a slice holding nan has no term equal to its nan
     maximum, so it takes the general path.
+
+    The maxima's exponentials, exp(0) = 1, are zeroed before the sum by a
+    masked copy. With scattered set and every maximum finite they are
+    zeroed by subtracting the mask instead: 1 - 1 = +0 at a maximum and
+    x - 0 = x elsewhere, the same bits. The masked copy branches on every
+    element, which is cheap where the maxima come in runs (the quadrature's
+    nodes) and mispredicts where they are scattered (Monte Carlo draws).
     """
     a_max = np.max(a, axis=0, out=a_max)
     is_max = np.equal(a, a_max, out=is_max)
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan slices
         shifted = np.subtract(a, a_max, out=a)
         np.exp(shifted, out=shifted)
-        np.copyto(shifted, 0.0, where=is_max)
+        if scattered and np.isfinite(a_max).all():
+            np.subtract(shifted, is_max, out=shifted)
+        else:
+            np.copyto(shifted, 0.0, where=is_max)
         s = _pairwise_sum(shifted)
         if np.count_nonzero(is_max) == a_max.size:
             out = (s, a_max) if a.ndim > 1 else (None, None)  # 1-D: scalars
@@ -216,7 +228,9 @@ def _log_pdf_into(
     abs_sq = (np.abs(np.atleast_1d(a)) ** 2).reshape(a.shape)
     np.divide(abs_sq, mixture.variances.reshape(per_component), out=terms)
     np.subtract(log_coef.reshape(per_component), terms, out=terms)
-    return _logsumexp_overwrite(terms)
+    # The points are unordered draws, so each one's maximal term falls on
+    # any component.
+    return _logsumexp_overwrite(terms, scattered=True)
 
 
 def sample(

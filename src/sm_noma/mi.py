@@ -8,7 +8,9 @@ asymptotic values with their constant shifts.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +79,15 @@ def mi_rows(
     variance rows for the users t and up (mixture_of_received's for t = k,
     mixture_of_interference's for t = k + 1) and is built once: I(2, 1) and
     I(2, 2) share block (2, 2). Radial quadrature takes each block through
-    one entropy_radial_quadrature_rows call; Monte Carlo calls entropy_exact
+    one entropy_radial_quadrature_rows call. Monte Carlo calls entropy_exact
     per cell, h(r, k) first, on the generator rngs gives the cell index
-    (p, ...). The two errors add by math.hypot per cell, as np.hypot rounds
-    differently on some pairs.
+    (p, ...); each cell needs its own generator, and a generator handed to
+    two cells raises ValueError before anything is drawn. The cells run on
+    a thread pool of one worker per usable core: every generator is made
+    first, in the calling thread, and each cell draws only from its own and
+    writes only its own slots, so no value depends on the scheduling. The
+    two errors add by math.hypot per cell, as np.hypot rounds differently
+    on some pairs.
     """
     blocks = {(r, t): signal_variances(gains_sq[..., r - 1, :], power_levels, signal_power,
                                        noise_power, t)
@@ -92,13 +99,28 @@ def mi_rows(
         lead = np.broadcast_shapes(*(v.shape[:-1] for v in blocks.values()))
         rows = {key: np.broadcast_to(v, lead + v.shape[-1:]) for key, v in blocks.items()}
         entropies = np.empty((len(pairs), 2, 2) + lead)  # (p, t - k, value/error, ...)
-        for p, *cell in np.ndindex((len(pairs),) + lead):
-            (r, k), rng = pairs[p], rngs((p, *cell))
+        cells = list(np.ndindex((len(pairs),) + lead))
+        generators = [rngs(cell) for cell in cells]
+        given = [id(rng) for rng in generators if rng is not None]
+        if len(set(given)) < len(given):
+            raise ValueError("each Monte Carlo cell needs its own generator")
+
+        def run_cell(cell, rng):
+            p, *index = cell
+            r, k = pairs[p]
             for s in (0, 1):
                 estimate = gmd.entropy_exact(
-                    gmd.equal_weight_zero_mean_mixture(rows[r, k + s][tuple(cell)]), method,
+                    gmd.equal_weight_zero_mean_mixture(rows[r, k + s][tuple(index)]), method,
                     rng=rng, samples=samples, tolerance=tolerance)
-                entropies[(p, s, slice(None), *cell)] = estimate.value, estimate.std_error
+                entropies[(p, s, slice(None), *index)] = estimate.value, estimate.std_error
+
+        workers = min(len(cells), len(os.sched_getaffinity(0)))
+        if workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(run_cell, cells, generators))
+        else:
+            for cell, rng in zip(cells, generators):
+                run_cell(cell, rng)
     hypot = np.vectorize(math.hypot, otypes=[float])
     return (np.stack([h_y[0] - h_w[0] for h_y, h_w in entropies]),
             np.stack([hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]))

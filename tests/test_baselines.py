@@ -3,9 +3,16 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
-from sm_noma.baselines import miso_noma_gains_sq, miso_noma_mi, miso_noma_rows, sm_tdma_mi
+from sm_noma.baselines import (
+    miso_noma_gains_sq,
+    miso_noma_mi,
+    miso_noma_rows,
+    sm_tdma_mi,
+    sm_tdma_rows,
+)
 from sm_noma.system import SystemConfig, draw_channel
 
 
@@ -21,6 +28,23 @@ def config_at_snr(snr_db, powers=(4.0, 1.0)):
 
 def realization_for(cfg, seed):
     return draw_channel(cfg, np.random.default_rng(seed))
+
+
+def random_cells(count, seed):
+    """count (realization, system) pairs at M = 4: Rayleigh channels, SNRs
+    uniform over -30..50 dB, power levels uniform over 0.01..4."""
+    rng = np.random.default_rng(seed)
+    snr_db = rng.uniform(-30.0, 50.0, count)
+    levels = rng.uniform(0.01, 4.0, (count, 2))
+    systems = [config_at_snr(s, tuple(p)) for s, p in zip(snr_db, levels)]
+    return [(draw_channel(cfg, rng), cfg) for cfg in systems]
+
+
+def stacked(cells):
+    """The cells' channels (N, 2, M), power levels (N, 2) and SNRs (N,)."""
+    return (np.stack([h.channel_vectors for h, _ in cells]),
+            np.array([cfg.power_levels for _, cfg in cells]),
+            np.array([cfg.signal_power for _, cfg in cells]))
 
 
 class TestMisoNoma:
@@ -52,6 +76,17 @@ class TestMisoNoma:
         cfg = config_at_snr(-80.0)
         realization = realization_for(cfg, 3)
         assert miso_noma_mi(realization, cfg, 1, 1) == pytest.approx(0.0, abs=1e-6)
+
+    def test_rows_equal_oracle_on_random_cells(self):
+        # Enough cells to pin the per-cell math.log2: np.log2 differs from
+        # it on about 0.1% of inputs.
+        cells = random_cells(4000, 30)
+        channels, levels, rho = stacked(cells)
+        gains = miso_noma_gains_sq(channels, 2)
+        for k in (1, 2):
+            rows = miso_noma_rows(gains[:, k - 1], levels, rho, 1.0, k)
+            assert [i for i, (h, cfg) in enumerate(cells)
+                    if rows[i].hex() != oracles.miso_noma_mi(h, cfg, k).hex()] == []
 
     def test_rejections(self):
         cfg = config_at_snr(0.0)
@@ -96,6 +131,16 @@ class TestSmTdma:
         assert even == default
         less = sm_tdma_mi(realization, config_at_snr(10.0, powers=(0.5, 0.5)), 1, 1.0)
         assert less < default
+
+    def test_rows_equal_oracle_on_random_cells(self):
+        # Shares other than 1/2 pin the order of the arithmetic: the share
+        # times the difference, not the difference of the products.
+        cells = random_cells(1500, 31)
+        channels, levels, rho = stacked(cells)
+        for k, share in ((1, 0.3), (2, 0.7)):
+            rows = sm_tdma_rows(np.abs(channels[:, k - 1]) ** 2, levels, rho, 1.0, share)
+            assert [i for i, (h, cfg) in enumerate(cells)
+                    if rows[i].hex() != oracles.sm_tdma_mi(h, cfg, k, share).hex()] == []
 
     def test_invalid_time_share_rejected(self):
         cfg = config_at_snr(0.0)

@@ -819,7 +819,10 @@ class TestMonteCarloBlocks:
     @given(weighted_mixtures(), signed_zero_points())
     @example(gmd.mixture_from_arrays([1.0], [1.0]),
              np.array(28.999989883314665 + 10.207993637840355j))
+    @example(gmd.equal_weight_zero_mean_mixture([0.5, 2.0, 8.0]),
+             np.array([1e200 + 0j, 1 + 0j]))
     @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     def test_radial_log_pdf_matches_general_formula(self, mix, points):
         # A 0-d point also as a numpy scalar; other shapes also transposed.
         # At the pinned 0-d point, a numpy scalar's |a| ** 2 is 1 ulp off
@@ -869,6 +872,16 @@ def logsumexp_inputs(draw):
     return a
 
 
+# Maxima scattered over the columns, as Monte Carlo draws give them: (N, L)
+# = (64, 4), each row's maximum in a random column.
+SCATTERED_MAXIMA = np.random.default_rng(5).standard_normal((64, 4))
+# log_pdf's (N, L) terms at 1e200 + 0j, where |a|^2 overflows and every
+# term is -inf, and at 1 + 0j.
+_V = np.array([0.5, 2.0, 8.0])
+with np.errstate(over="ignore"):
+    LOG_PDF_OVERFLOW_TERMS = (np.log(np.full(3, 1.0) / 3) - np.log(math.pi * _V)
+                              - np.abs(np.array([1e200 + 0j, 1 + 0j]))[:, None] ** 2 / _V)
+
 variance_lists = st.lists(
     st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=8
 )
@@ -885,16 +898,26 @@ class TestRandomizedProperties:
     @example(np.array([[-np.inf, -np.inf], [1.0, -np.inf]]))
     @example(np.array([[np.inf, 1.0], [0.0, 2.0]]))
     @example(np.array([[np.nan, 1.0], [0.0, 2.0]]))
+    # Scattered maxima, and log_pdf's terms at a point whose |a|^2
+    # overflows: log_pdf zeroes the maxima by subtraction in the first and
+    # falls back to the masked copy in the second.
+    @example(SCATTERED_MAXIMA)
+    @example(LOG_PDF_OVERFLOW_TERMS)
     @settings(max_examples=300, deadline=None)
     def test_logsumexp_matches_scipy_bit_for_bit(self, a):
         # gmd.logsumexp reduces over the first axis: the components first.
+        # Each array goes through the masked copy that zeroes the maxima and
+        # through the subtraction that log_pdf selects, whole and by its
+        # first row.
         assert a.flags.c_contiguous
-        got = gmd.logsumexp(np.moveaxis(a, -1, 0))
-        assert got.tobytes() == scipy_logsumexp(a, axis=-1).tobytes()
-        row = a.reshape(-1, a.shape[-1])[0]
-        got, ref = gmd.logsumexp(row), scipy_logsumexp(row, axis=-1)
-        assert type(got) is type(ref)
-        assert got.tobytes() == ref.tobytes()
+        for b in (a, a.reshape(-1, a.shape[-1])[0]):
+            ref = scipy_logsumexp(b, axis=-1)
+            components_first = np.moveaxis(b, -1, 0)
+            for got in (gmd.logsumexp(components_first),
+                        gmd._logsumexp_overwrite(np.array(components_first, dtype=float),
+                                                 scattered=True)):
+                assert type(got) is type(ref)
+                assert got.tobytes() == ref.tobytes()
 
     @given(variance_lists)
     @settings(max_examples=100, deadline=None)

@@ -85,6 +85,21 @@ class TestMiExact:
         assert abs(mc.mi_exact.value - quad.mi_exact.value) <= 3 * mc.mi_exact.std_error
         assert mc.mi_exact.sample_count == 400_000  # both entropies sampled
 
+    def test_monte_carlo_cells_need_their_own_generators(self):
+        # Cells may run on different threads, so one generator for two of
+        # them would make the values depend on the scheduling.
+        cfg = config_at_snr(5.0)
+        gains_sq = np.abs(np.stack([random_realization(cfg, s).channel_vectors
+                                    for s in (4, 5)])) ** 2
+        shared = np.random.default_rng(21)
+        state = shared.bit_generator.state
+        for rows, pairs in ((gains_sq, ((1, 1),)), (gains_sq[:1], ((1, 1), (2, 2)))):
+            with pytest.raises(ValueError, match="its own generator"):
+                mi.mi_rows(rows, cfg.power_levels, cfg.signal_power,
+                           cfg.noise_power, pairs, "monte_carlo", rngs=lambda cell: shared,
+                           samples=100)
+        assert shared.bit_generator.state == state
+
     def test_decoding_order_enforced(self):
         cfg = config_at_snr(0.0)
         realization = random_realization(cfg, 3)

@@ -8,7 +8,9 @@ property suite at seed 0. To regenerate it from a given checkout:
 
 import json
 import math
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 import oracles
 import pytest
 
-from sm_noma import runner
+from sm_noma import cli, mi, runner
 from sm_noma.baselines import (
     miso_noma_gains_sq,
     miso_noma_mi,
@@ -378,17 +380,31 @@ class TestSweepTable:
                     assert by_pair["I_err"][p, i, j].hex() == error.hex()
                     assert by_pair["I_LB"][p, i, j].hex() == mi_lower_bound_k2(
                         h, system, r, k).hex()
+                    assert by_pair["I_LB"][p, i, j] == pytest.approx(
+                        oracles.lower_bound_mi(h, system, r, k), abs=1e-10)
                 for k in (1, 2):
                     cell = {key: rows[k - 1, i, j] for key, rows in table.items()}
                     assert cell["SM-TDMA"].hex() == oracles.sm_tdma_mi(
                         h, system, k, 0.5, tolerance).hex()
                     assert cell["MISO-NOMA"].hex() == oracles.miso_noma_mi(h, system, k).hex()
 
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_monte_carlo_cells_equal_scalar_calls(self, m):
+    # cores: the usable core count the pool reads, None for the machine's.
+    @pytest.mark.parametrize("m, cores", [
+        pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
+        pytest.param(3, 1, id="3-one-worker"), pytest.param(3, 3, id="3-three-workers")])
+    def test_monte_carlo_cells_equal_scalar_calls(self, m, cores, monkeypatch):
+        # The cells' values do not depend on how many threads run them.
+        if cores is not None:
+            monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        pools = []
+        monkeypatch.setattr(mi, "ThreadPoolExecutor",
+                            lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
         cfg = figure2b_config(num_tx_antennas=m, realizations=2, seed=4,
                               method="montecarlo", mc_samples=300)
+        runner._sweep_table.cache_clear()  # so the sweep runs at this worker count
         table = runner._sweep(cfg, "power_ratio")
+        usable = cores or len(os.sched_getaffinity(0))
+        assert pools == ([usable] if usable > 1 else [])
         for i, h in enumerate(_draw_realizations(cfg)):
             for j, system in enumerate(runner._grid(cfg, "power_ratio")):
                 for k in (1, 2):
@@ -656,7 +672,12 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The missing directory is found before the sweep runs.
+        def sweep_not_expected(config):
+            raise AssertionError("the sweep ran before the output directory was checked")
+
+        monkeypatch.setitem(cli._RUNNERS, "fig2b", (sweep_not_expected, "power_ratio"))
         out = tmp_path / "missing" / "x.csv"
         assert main(["fig2b", "--realizations", "1", "--out", str(out)]) == 1
         captured = capsys.readouterr()
