@@ -24,6 +24,17 @@ from .system import mixture_of_interference, mixture_of_received  # noqa: F401
 
 LOG2E = math.log2(math.e)
 
+# Most Monte Carlo worker threads. Two ran an R = 6 Monte Carlo fig2b sweep
+# in about three quarters of one's time on a 2-core machine; more were never
+# measured, and each holds one entropy call's buffers (runner.MAX_MC_SAMPLES).
+_MC_WORKERS = 2
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux; not macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class MiResult:
@@ -83,7 +94,8 @@ def mi_rows(
     per cell, h(r, k) first, on the generator rngs gives the cell index
     (p, ...); each cell needs its own generator, and a generator handed to
     two cells raises ValueError before anything is drawn. The cells run on
-    a thread pool of one worker per usable core: every generator is made
+    a thread pool of at most _MC_WORKERS workers, one per usable core and
+    cell; an error drops the queued cells. Every generator is made
     first, in the calling thread, and each cell draws only from its own and
     writes only its own slots, so no value depends on the scheduling. The
     two errors add by math.hypot per cell, as np.hypot rounds differently
@@ -114,13 +126,13 @@ def mi_rows(
                     rng=rng, samples=samples, tolerance=tolerance)
                 entropies[(p, s, slice(None), *index)] = estimate.value, estimate.std_error
 
-        workers = min(len(cells), len(os.sched_getaffinity(0)))
-        if workers > 1:
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(run_cell, cells, generators))
-        else:
-            for cell, rng in zip(cells, generators):
-                run_cell(cell, rng)
+        workers = min(len(cells), _MC_WORKERS, _usable_cores()) if len(cells) > 1 else 1
+        pool = ThreadPoolExecutor(workers)
+        try:
+            list(pool.map(run_cell, cells, generators))
+        finally:
+            # An error or Ctrl-C drops the queued cells instead of running them.
+            pool.shutdown(cancel_futures=True)
     hypot = np.vectorize(math.hypot, otypes=[float])
     return (np.stack([h_y[0] - h_w[0] for h_y, h_w in entropies]),
             np.stack([hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]))

@@ -63,7 +63,8 @@ MAX_TABLE_ENTRIES = 1 << 24
 
 # Largest Monte Carlo sample count: each entropy call holds one buffer of
 # 24 B per sample (draws, -log2 f), 100 MB at this limit. mi_rows runs one
-# call at a time per worker thread, so that is 100 MB per worker thread.
+# call at a time per worker thread, on at most two threads (mi._MC_WORKERS),
+# so a sweep holds at most 200 MB of them.
 MAX_MC_SAMPLES = 1 << 22
 
 # Largest |SNR| a grid point may have, in dB. Far beyond it the signal power

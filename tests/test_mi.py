@@ -1,6 +1,7 @@
 """Tests for mutual information, the closed-form lower bound, and asymptotics."""
 
 import math
+import time
 
 import numpy as np
 import oracles
@@ -99,6 +100,25 @@ class TestMiExact:
                            cfg.noise_power, pairs, "monte_carlo", rngs=lambda cell: shared,
                            samples=100)
         assert shared.bit_generator.state == state
+
+    def test_monte_carlo_error_drops_queued_cells(self, monkeypatch):
+        # A failing cell (or Ctrl-C) returns at once instead of running the
+        # 40 queued cells first: only the cells already running finish.
+        cfg = config_at_snr(5.0)
+        gains_sq = np.repeat(np.abs(random_realization(cfg, 4).channel_vectors[None]) ** 2,
+                             40, axis=0)
+        calls = []
+
+        def failing_entropy(*args, **kwargs):
+            calls.append(None)
+            time.sleep(0.01)
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(mi.gmd, "entropy_exact", failing_entropy)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            mi.mi_rows(gains_sq, cfg.power_levels, cfg.signal_power, cfg.noise_power,
+                       ((1, 1),), "monte_carlo", rngs=np.random.default_rng, samples=100)
+        assert len(calls) < 10
 
     def test_decoding_order_enforced(self):
         cfg = config_at_snr(0.0)

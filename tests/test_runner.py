@@ -388,14 +388,24 @@ class TestSweepTable:
                         h, system, k, 0.5, tolerance).hex()
                     assert cell["MISO-NOMA"].hex() == oracles.miso_noma_mi(h, system, k).hex()
 
-    # cores: the usable core count the pool reads, None for the machine's.
-    @pytest.mark.parametrize("m, cores", [
-        pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
-        pytest.param(3, 1, id="3-one-worker"), pytest.param(3, 3, id="3-three-workers")])
-    def test_monte_carlo_cells_equal_scalar_calls(self, m, cores, monkeypatch):
+    # cap: the most workers the pool may take, None for the module's;
+    # cores: the usable core count it reads, None for the machine's;
+    # affinity False hides os.sched_getaffinity, as on macOS and Windows.
+    @pytest.mark.parametrize("m, cap, cores, affinity", [
+        pytest.param(1, None, None, True, id="1"), pytest.param(3, None, None, True, id="3"),
+        pytest.param(3, 1, 1, True, id="3-one-worker"),
+        pytest.param(3, 3, 3, True, id="3-three-workers"),
+        pytest.param(3, None, 64, True, id="3-many-cores"),
+        pytest.param(3, 3, 3, False, id="3-no-affinity")])
+    def test_monte_carlo_cells_equal_scalar_calls(self, m, cap, cores, affinity, monkeypatch):
         # The cells' values do not depend on how many threads run them.
+        if cap is not None:
+            monkeypatch.setattr(mi, "_MC_WORKERS", cap)
         if cores is not None:
             monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: set(range(cores)))
+            monkeypatch.setattr(mi.os, "cpu_count", lambda: cores)
+        if not affinity:
+            monkeypatch.delattr(mi.os, "sched_getaffinity")
         pools = []
         monkeypatch.setattr(mi, "ThreadPoolExecutor",
                             lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
@@ -403,8 +413,8 @@ class TestSweepTable:
                               method="montecarlo", mc_samples=300)
         runner._sweep_table.cache_clear()  # so the sweep runs at this worker count
         table = runner._sweep(cfg, "power_ratio")
-        usable = cores or len(os.sched_getaffinity(0))
-        assert pools == ([usable] if usable > 1 else [])
+        cores = len(os.sched_getaffinity(0)) if affinity else os.cpu_count()
+        assert pools == [min(table["I"].size, mi._MC_WORKERS, cores)]
         for i, h in enumerate(_draw_realizations(cfg)):
             for j, system in enumerate(runner._grid(cfg, "power_ratio")):
                 for k in (1, 2):
