@@ -21,12 +21,11 @@ from .system import ChannelRealization, SystemConfig
 def miso_noma_gains_sq(channels: np.ndarray, num_tx_antennas: int = 2) -> np.ndarray:
     """|g_r|^2 for stacked channel vectors (..., M), where the equal-weight
     superposition gain g_r is the sum of the first M' entries over
-    sqrt(M'). abs is Python's complex abs (hypot) per cell: np.abs rounds
-    differently on some gains."""
+    sqrt(M')."""
     if not 1 <= num_tx_antennas <= channels.shape[-1]:
         raise ValueError("baseline antenna count must lie in 1..M")
     g = np.sum(channels[..., :num_tx_antennas], axis=-1) / math.sqrt(num_tx_antennas)
-    return np.reshape([abs(complex(c)) ** 2 for c in np.ravel(g)], g.shape)
+    return np.abs(g) ** 2
 
 
 def miso_noma_mi(
@@ -52,18 +51,13 @@ def miso_noma_rows(
 ) -> np.ndarray:
     """log2(1 + SINR) of message k at a decoder with superposition gain
     |g_r|^2 = gain_sq, power levels (..., K) and signal power, broadcast
-    against each other. log2 is math.log2 per cell: np.log2 differs from
-    it in the last bit on about 0.1% of inputs. A message index k outside 1..K raises
-    ValueError."""
-    if k not in range(1, power_levels.shape[-1] + 1):
-        raise ValueError(f"message index {k} out of range 1..{power_levels.shape[-1]}")
+    against each other. A message index k outside 1..K raises ValueError."""
+    n = power_levels.shape[-1]
+    if k not in range(1, n + 1):
+        raise ValueError(f"message index {k} out of range 1..{n}")
     signal = power_levels[..., k - 1] * signal_power * gain_sq
-    interference = sum(
-        power_levels[..., t - 1] * signal_power * gain_sq
-        for t in range(k + 1, power_levels.shape[-1] + 1)
-    )
-    ratio = 1.0 + signal / (noise_power + interference)
-    return np.reshape([math.log2(x) for x in np.ravel(ratio)], np.shape(ratio))
+    interference = sum(power_levels[..., t] * signal_power * gain_sq for t in range(k, n))
+    return np.log2(1.0 + signal / (noise_power + interference))
 
 
 def sm_tdma_mi(

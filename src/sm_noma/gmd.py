@@ -92,11 +92,11 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
     return _logsumexp_overwrite(np.array(a, dtype=float))
 
 
-def _logsumexp_overwrite(
-    a: np.ndarray, a_max=None, is_max=None, *, scattered: bool = False
-) -> np.ndarray | np.float64:
+def _logsumexp_overwrite(a: np.ndarray, a_max=None, is_max=None) -> np.ndarray | np.float64:
     """logsumexp of a float64 array that the caller no longer needs: the
-    shifted exponentials and their partial sums are written into a.
+    shifted exponentials and their partial sums are written into a. The
+    radial quadrature and its fallback reduce their terms here, and the
+    pinned property results hold the bits this gives them.
 
     a_max (a.shape[1:]) and the bool is_max (a.shape), when given, receive
     the slice maxima and the tie mask. Without ties a result of two or more
@@ -111,21 +111,14 @@ def _logsumexp_overwrite(
     maximum, so it takes the general path.
 
     The maxima's exponentials, exp(0) = 1, are zeroed before the sum by a
-    masked copy. With scattered set and every maximum finite they are
-    zeroed by subtracting the mask instead: 1 - 1 = +0 at a maximum and
-    x - 0 = x elsewhere, the same bits. The masked copy branches on every
-    element, which is cheap where the maxima come in runs (the quadrature's
-    nodes) and mispredicts where they are scattered (Monte Carlo draws).
+    masked copy.
     """
     a_max = np.max(a, axis=0, out=a_max)
     is_max = np.equal(a, a_max, out=is_max)
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan slices
         shifted = np.subtract(a, a_max, out=a)
         np.exp(shifted, out=shifted)
-        if scattered and np.isfinite(a_max).all():
-            np.subtract(shifted, is_max, out=shifted)
-        else:
-            np.copyto(shifted, 0.0, where=is_max)
+        np.copyto(shifted, 0.0, where=is_max)
         s = _pairwise_sum(shifted)
         if np.count_nonzero(is_max) == a_max.size:
             out = (s, a_max) if a.ndim > 1 else (None, None)  # 1-D: scalars
@@ -222,15 +215,23 @@ def _log_pdf_into(
     every component. It is squared as an array of at least one dimension:
     on a 0-d point, ** 2 would act on a numpy scalar, whose power can round
     differently from the array loop's product.
+
+    The terms reduce in place by a max-shift log-sum-exp, log f =
+    log(sum of exp(term - m)) + m, with m each point's largest term, or 0
+    where that is -inf (giving -inf) or nan (giving nan); m overwrites |a|^2.
     """
     per_component = (len(mixture),) + (1,) * a.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
     abs_sq = (np.abs(np.atleast_1d(a)) ** 2).reshape(a.shape)
     np.divide(abs_sq, mixture.variances.reshape(per_component), out=terms)
     np.subtract(log_coef.reshape(per_component), terms, out=terms)
-    # The points are unordered draws, so each one's maximal term falls on
-    # any component.
-    return _logsumexp_overwrite(terms, scattered=True)
+    shift = np.max(terms, axis=0, out=abs_sq)
+    np.copyto(shift, 0.0, where=~np.isfinite(shift))
+    np.exp(np.subtract(terms, shift, out=terms), out=terms)
+    log_f = np.sum(terms, axis=0, out=np.empty(a.shape))
+    with np.errstate(divide="ignore"):  # log(0) where every term is -inf
+        np.add(np.log(log_f, out=log_f), shift, out=log_f)
+    return log_f[()]  # an np.float64 for a 0-d point
 
 
 def sample(
@@ -244,9 +245,13 @@ def sample(
     returns on the same stream. For equal weights they are computed here
     from the same rng.random(count) draws (see _equal_weight_choice).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_count("count", count)
     return _sample_into(mixture, rng, np.empty(count, dtype=complex), np.empty(count))
+
+
+def _check_count(name: str, count) -> None:
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
 def _sample_into(
@@ -359,8 +364,7 @@ def entropy_monte_carlo(
     with the call's working set in one block the heap keeps its pages from
     call to call instead of returning them and faulting them in again.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples)
     n = len(mixture)
     step = max(1, _MC_BLOCK_TERMS // n)
     buffer = np.empty(3 * samples + n * min(step, samples))

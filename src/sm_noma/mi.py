@@ -95,12 +95,14 @@ def mi_rows(
     (p, ...); each cell needs its own generator, and a generator handed to
     two cells raises ValueError before anything is drawn. The cells run on
     a thread pool of at most _MC_WORKERS workers, one per usable core and
-    cell; an error drops the queued cells. Every generator is made
-    first, in the calling thread, and each cell draws only from its own and
-    writes only its own slots, so no value depends on the scheduling. The
-    two errors add by math.hypot per cell, as np.hypot rounds differently
-    on some pairs.
+    cell; an error drops the queued cells. Every generator is made first, in
+    the calling thread, and each cell draws only from its own and writes only
+    its own slots, so no value depends on the scheduling. The two errors add
+    by np.hypot. No pairs, or one outside 1 <= k <= r <= K, raise ValueError.
     """
+    n_users = gains_sq.shape[-2]
+    if len(pairs) == 0 or not all(1 <= k <= r <= n_users for r, k in pairs):
+        raise ValueError(f"need pairs with 1 <= k <= r <= K = {n_users}, got {pairs!r}")
     blocks = {(r, t): signal_variances(gains_sq[..., r - 1, :], power_levels, signal_power,
                                        noise_power, t)
               for r, k in pairs for t in (k, k + 1)}
@@ -133,9 +135,8 @@ def mi_rows(
         finally:
             # An error or Ctrl-C drops the queued cells instead of running them.
             pool.shutdown(cancel_futures=True)
-    hypot = np.vectorize(math.hypot, otypes=[float])
     return (np.stack([h_y[0] - h_w[0] for h_y, h_w in entropies]),
-            np.stack([hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]))
+            np.stack([np.hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]))
 
 
 def mi_lower_bound_k2(

@@ -3,9 +3,10 @@
 Each one recomputes one cell of one channel realization at one system
 (power levels and SNR) through the one-mixture functions of gmd, or by
 hand, without the row code under test (mi.mi_rows, baselines.*_rows).
-Each follows the row code's order of operations, so a cell and its oracle
-agree to the bit, except the lower bound, which is assembled from the
-general entropy bounds instead of the closed form.
+Each follows the row code's order of operations and takes numpy's
+functions where it does (np.abs, np.log2, np.hypot), so a cell and its
+oracle agree to the bit, except the lower bound, which is assembled from
+the general entropy bounds instead of the closed form.
 """
 
 import math
@@ -30,11 +31,11 @@ def entropy(mixture, tolerance=1e-10, rng=None, samples=0):
 
 def mixture_mi(realization, system, r, k, tolerance=1e-10, rng=None, samples=0):
     """(value, error) of I(r, k) = h(received) - h(interference), h(received)
-    first on rng, the two errors added by math.hypot."""
+    first on rng, the two errors added by np.hypot."""
     (h_y, e_y), (h_w, e_w) = (
         entropy(mixture(realization, system, r, k), tolerance, rng, samples)
         for mixture in (mixture_of_received, mixture_of_interference))
-    return h_y - h_w, math.hypot(e_y, e_w)
+    return h_y - h_w, float(np.hypot(e_y, e_w))
 
 
 def lower_bound_mi(realization, system, r, k):
@@ -50,14 +51,17 @@ def miso_noma_mi(realization, system, k):
     """log2(1 + SINR) of user k's own message, K = 2, for the gain
     (h_k[0] + h_k[1]) / sqrt(2) summed in Python complex arithmetic. The
     division is a product with 1 / sqrt(2), as numpy divides a complex by a
-    real (Python's complex division rounds differently on about 1 in 4)."""
+    real (Python's complex division rounds differently on about 1 in 4).
+    |g| is np.abs of that gain and |g|^2 the product |g| * |g|, as the
+    array loop squares (a numpy scalar's ** 2 rounds differently on some)."""
     h = [complex(c) for c in realization.channel_vectors[k - 1]]
-    g_sq = abs((h[0] + h[1]) * (1.0 / math.sqrt(2))) ** 2
+    g = np.abs((h[0] + h[1]) * (1.0 / math.sqrt(2)))
+    g_sq = g * g
     a1, a2 = system.power_levels
     rho = system.signal_power
     interference = a2 * rho * g_sq if k == 1 else 0.0
     signal = (a1 if k == 1 else a2) * rho * g_sq
-    return math.log2(1.0 + signal / (system.noise_power + interference))
+    return float(np.log2(1.0 + signal / (system.noise_power + interference)))
 
 
 def sm_tdma_mi(realization, system, k, time_share, tolerance=1e-10):

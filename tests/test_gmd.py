@@ -113,8 +113,17 @@ class TestSample:
         assert abs(count - n * p) < 3 * sigma
 
     def test_count_validation(self):
-        with pytest.raises(ValueError):
-            gmd.sample(unit_mixture(), np.random.default_rng(0), 0)
+        # True is no count of one and 2.5 no count at all: both stop at the
+        # boundary, not inside numpy; a numpy integer is a count.
+        mix = gmd.equal_weight_zero_mean_mixture([1.0, 2.0])
+        for count in (0, -3, True, False, 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                gmd.sample(mix, np.random.default_rng(0), count)
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                gmd.entropy_monte_carlo(mix, np.random.default_rng(0), count)
+        count = np.int64(3)
+        assert len(gmd.sample(mix, np.random.default_rng(0), count)) == 3
+        assert gmd.entropy_monte_carlo(mix, np.random.default_rng(0), count).sample_count == 3
 
     @given(st.integers(1, 4096), st.integers(1, 50_000), st.integers(0, 2**32 - 1))
     @example(3, 50_000, 0)
@@ -729,15 +738,25 @@ def zero_means(mixture):
     return np.zeros(len(mixture), dtype=complex)
 
 
-def oracle_log_pdf(mixture, points):
-    """log_pdf as one (L, *points.shape) array of |a - mu_l|^2 terms, the
-    general formula for any means."""
+def general_terms(mixture, points):
+    """The (L, *points.shape) terms log(beta_l / (pi sigma_l^2))
+    - |a - mu_l|^2 / sigma_l^2 of the general formula for any means."""
     a = np.asarray(points, dtype=complex)
     per_component = (len(mixture),) + (1,) * a.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
     sq = np.abs(a - zero_means(mixture).reshape(per_component)) ** 2
-    return gmd.logsumexp(
-        log_coef.reshape(per_component) - sq / mixture.variances.reshape(per_component))
+    return log_coef.reshape(per_component) - sq / mixture.variances.reshape(per_component)
+
+
+def oracle_log_pdf(mixture, points):
+    """log_pdf from the general terms by the max-shift log-sum-exp written
+    out: log(sum of exp(term - m)) + m over the components, with m the
+    largest term, or 0 where that is not finite."""
+    terms = general_terms(mixture, points)
+    m = np.max(terms, axis=0)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(terms - m), axis=0)) + m
 
 
 def oracle_sample(mixture, rng, count):
@@ -833,6 +852,34 @@ class TestMonteCarloBlocks:
             assert type(got) is type(expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
+    @given(weighted_mixtures(), signed_zero_points())
+    # |a|^2 of 1e200 overflows, so every term is -inf and so is log f; a
+    # nan point gives nan. Each in an array and as a 0-d point.
+    @example(gmd.equal_weight_zero_mean_mixture([0.5, 2.0, 8.0]),
+             np.array([1e200 + 0j, complex(math.nan, 1.0), 1 + 0j]))
+    @example(gmd.equal_weight_zero_mean_mixture([0.5, 2.0, 8.0]), np.array(1e200 + 0j))
+    @example(gmd.equal_weight_zero_mean_mixture([0.5, 2.0, 8.0]),
+             np.array(complex(1.0, math.nan)))
+    @settings(max_examples=300, deadline=None)
+    def test_log_pdf_within_ulps_of_scipy_logsumexp(self, mix, points):
+        # The reference is scipy's logsumexp of the general terms, equal
+        # where it is -inf or nan. log f = log(s) + m rounds twice, so the
+        # bound is 4 ulps of the larger of |log f| and the largest term's
+        # magnitude: where log f is near 0 the two cancel, and the ulps of
+        # log f alone would be too fine.
+        with np.errstate(over="ignore"):  # |a|^2 of 1e200
+            terms = general_terms(mix, points)
+            got = gmd.log_pdf(mix, points)
+        with np.errstate(divide="ignore"):
+            expected = scipy_logsumexp(terms, axis=0)
+        assert type(got) is type(expected)
+        got, expected = np.asarray(got), np.asarray(expected)
+        finite = np.isfinite(expected)
+        assert np.array_equal(got[~finite], expected[~finite], equal_nan=True)
+        got, expected = got[finite], expected[finite]
+        scale = np.maximum(np.abs(expected), np.max(np.abs(terms), axis=0)[finite])
+        assert (np.abs(got - expected) <= 4 * np.spacing(scale)).all()
+
     def test_peak_memory_is_bounded_by_the_sample_arrays(self):
         # 200 000 draws are 3.2 MB of complex128. Evaluating all (16, n)
         # terms at once peaked at 80 MB; the blocked path needs about 8 MB.
@@ -898,26 +945,20 @@ class TestRandomizedProperties:
     @example(np.array([[-np.inf, -np.inf], [1.0, -np.inf]]))
     @example(np.array([[np.inf, 1.0], [0.0, 2.0]]))
     @example(np.array([[np.nan, 1.0], [0.0, 2.0]]))
-    # Scattered maxima, and log_pdf's terms at a point whose |a|^2
-    # overflows: log_pdf zeroes the maxima by subtraction in the first and
-    # falls back to the masked copy in the second.
+    # Maxima scattered over the columns, and log_pdf's terms at a point
+    # whose |a|^2 overflows, a row of -inf.
     @example(SCATTERED_MAXIMA)
     @example(LOG_PDF_OVERFLOW_TERMS)
     @settings(max_examples=300, deadline=None)
     def test_logsumexp_matches_scipy_bit_for_bit(self, a):
         # gmd.logsumexp reduces over the first axis: the components first.
-        # Each array goes through the masked copy that zeroes the maxima and
-        # through the subtraction that log_pdf selects, whole and by its
-        # first row.
+        # Each array goes whole and by its first row.
         assert a.flags.c_contiguous
         for b in (a, a.reshape(-1, a.shape[-1])[0]):
             ref = scipy_logsumexp(b, axis=-1)
-            components_first = np.moveaxis(b, -1, 0)
-            for got in (gmd.logsumexp(components_first),
-                        gmd._logsumexp_overwrite(np.array(components_first, dtype=float),
-                                                 scattered=True)):
-                assert type(got) is type(ref)
-                assert got.tobytes() == ref.tobytes()
+            got = gmd.logsumexp(np.moveaxis(b, -1, 0))
+            assert type(got) is type(ref)
+            assert got.tobytes() == ref.tobytes()
 
     @given(variance_lists)
     @settings(max_examples=100, deadline=None)

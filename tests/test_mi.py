@@ -120,11 +120,26 @@ class TestMiExact:
                        ((1, 1),), "monte_carlo", rngs=np.random.default_rng, samples=100)
         assert len(calls) < 10
 
-    def test_decoding_order_enforced(self):
+    def test_decoding_order_enforced(self, monkeypatch):
         cfg = config_at_snr(0.0)
         realization = random_realization(cfg, 3)
         with pytest.raises(ValueError):
             mi_exact(realization, cfg, 1, 2)
+        # The row API checks its pairs before it builds a block or makes a
+        # generator: (1, 2) is a pair SIC forbids, (3, 1) names a third
+        # decoder at K = 2, and () holds no pair.
+        built, made = [], []
+        real_signal_variances = mi.signal_variances
+        monkeypatch.setattr(mi, "signal_variances",
+                            lambda *args: built.append(args) or real_signal_variances(*args))
+        gains_sq = np.abs(realization.channel_vectors[None]) ** 2
+        for method in ("radial_quadrature", "monte_carlo"):
+            for pairs in (((1, 2),), ((3, 1),), (), ((1, 1), (0, 0))):
+                with pytest.raises(ValueError, match=r"1 <= k <= r <= K = 2"):
+                    mi.mi_rows(gains_sq, cfg.power_levels, cfg.signal_power, cfg.noise_power,
+                               pairs, method, samples=100,
+                               rngs=lambda cell: made.append(cell) or np.random.default_rng(0))
+        assert built == made == []
 
     @pytest.mark.parametrize("signal_power", [0.1, 10.0, 1000.0])
     def test_three_users_equal_mixture_oracle(self, signal_power):
