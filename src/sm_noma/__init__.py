@@ -6,7 +6,6 @@ from .gmd import (
     EntropyEstimate,
     GaussianMixture,
     entropy_bounds_equal_weight_zero_mean,
-    entropy_exact,
     entropy_lower_bound,
     entropy_monte_carlo,
     entropy_radial_quadrature,

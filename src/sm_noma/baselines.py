@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import gmd
-from .system import ChannelRealization, SystemConfig
+from .system import ChannelRealization, SystemConfig, _check_decoding_pair
 
 
 def miso_noma_gains_sq(channels: np.ndarray, num_tx_antennas: int = 2) -> np.ndarray:
@@ -39,8 +39,7 @@ def miso_noma_mi(
     one row of miso_noma_gains_sq and miso_noma_rows."""
     if config.num_users != 2:
         raise ValueError("MISO-NOMA baseline is defined for K = 2")
-    if not (1 <= k <= r <= 2):
-        raise ValueError(f"invalid decoder/message pair ({r}, {k})")
+    _check_decoding_pair(realization, config, r, k)
     g_sq = miso_noma_gains_sq(realization.channel_vectors[r - 1 : r], num_tx_antennas)
     return float(miso_noma_rows(g_sq, np.array(config.power_levels),
                                 config.signal_power, config.noise_power, k)[0])
@@ -74,8 +73,7 @@ def sm_tdma_mi(
     interference-free SM mixture and the interference entropy is the AWGN
     closed form. One row of sm_tdma_rows.
     """
-    if not (1 <= k <= config.num_users):
-        raise ValueError(f"user index {k} out of range")
+    _check_decoding_pair(realization, config, k, k)
     gains_sq = np.abs(realization.channel_vectors[k - 1 : k]) ** 2
     return float(sm_tdma_rows(gains_sq, np.array(config.power_levels), config.signal_power,
                               config.noise_power, time_share, tolerance)[0])

@@ -456,9 +456,9 @@ def entropy_radial_quadrature_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The entropy of the equal-weight zero-mean mixture of each row of
     variances (..., L), at least one leading axis: (values, error
-    estimates) of the leading shape. Each row has the bits entropy_exact
-    gives its mixture, whatever the other rows: the Gaussian closed form
-    with error 0 for L = 1, else the radial quadrature.
+    estimates) of the leading shape. Each row has the bits its mixture
+    gets alone, whatever the other rows: gaussian_entropy with error 0 for
+    L = 1, else entropy_radial_quadrature.
     """
     _check_tolerance(tolerance)
     v = np.ascontiguousarray(variances, dtype=float)
@@ -574,28 +574,3 @@ def _adaptive_fallback(
         )
     return float(value), float(abs_err)
 
-
-def entropy_exact(
-    mixture: GaussianMixture,
-    method: str = "radial_quadrature",
-    *,
-    rng: np.random.Generator | None = None,
-    samples: int = 10**6,
-    tolerance: float = 1e-10,
-) -> EntropyEstimate:
-    """Entropy of the mixture via the selected estimator.
-
-    method: "radial_quadrature" or "monte_carlo" (requires an explicit rng).
-    A one-component mixture is a plain Gaussian: either method returns its
-    closed form with sample_count 0 and draws nothing from the rng.
-    """
-    if method not in ("radial_quadrature", "monte_carlo"):
-        raise ValueError(f"unknown entropy method {method!r}")
-    _check_tolerance(tolerance)
-    if method == "monte_carlo" and rng is None:
-        raise ValueError("monte_carlo requires an rng")
-    if len(mixture) == 1:
-        return EntropyEstimate(gaussian_entropy(mixture.variances[0]), 0.0, 0)
-    if method == "radial_quadrature":
-        return entropy_radial_quadrature(mixture, tolerance)
-    return entropy_monte_carlo(mixture, rng, samples)

@@ -85,48 +85,59 @@ def mi_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact I(r, k) = h(r, k) - h(r, k + 1) of each decoder/message pair
     (r, k), from every decoder's |h_r|^2 (..., K, M) with at least one
-    leading axis and the powers of signal_variances: (values, error
+    leading axis and the K powers of signal_variances: (values, error
     estimates), each (len(pairs), ...). Block (r, t) holds decoder r's
     variance rows for the users t and up (mixture_of_received's for t = k,
     mixture_of_interference's for t = k + 1) and is built once: I(2, 1) and
-    I(2, 2) share block (2, 2). Radial quadrature takes each block through
-    one entropy_radial_quadrature_rows call. Monte Carlo calls entropy_exact
-    per cell, h(r, k) first, on the generator rngs gives the cell index
-    (p, ...); each cell needs its own generator, and a generator handed to
-    two cells raises ValueError before anything is drawn. The cells run on
-    a thread pool of at most _MC_WORKERS workers, one per usable core and
-    cell; an error drops the queued cells. Every generator is made first, in
-    the calling thread, and each cell draws only from its own and writes only
-    its own slots, so no value depends on the scheduling. The two errors add
-    by np.hypot. No pairs, or one outside 1 <= k <= r <= K, raise ValueError.
+    I(2, 2) share block (2, 2). Under either method a block of one-component
+    rows (noise alone, or M = 1) takes entropy_radial_quadrature_rows'
+    closed form, and "radial_quadrature" takes every block through that one
+    call. "monte_carlo" calls entropy_monte_carlo per cell, h(r, k) first,
+    on the generator rngs gives the cell index (p, ...); each cell needs its
+    own generator, and a missing or shared one raises ValueError before
+    anything is drawn. The cells run on a thread pool of at most _MC_WORKERS
+    workers, one per usable core and cell; an error drops the queued cells.
+    Every generator is made first, in the calling thread, and each cell
+    draws only from its own and writes only its own slots, so no value
+    depends on the scheduling. The two errors add by np.hypot. An unknown
+    method, a bad tolerance or Monte Carlo sample count, gains without a
+    leading axis, other than K power levels, no pairs, or one outside
+    1 <= k <= r <= K raise ValueError before any work.
     """
+    if method not in ("radial_quadrature", "monte_carlo"):
+        raise ValueError(f"unknown entropy method {method!r}")
+    gmd._check_tolerance(tolerance)
+    if method == "monte_carlo":
+        gmd._check_count("samples", samples)
+    if np.ndim(gains_sq) < 3:
+        raise ValueError(f"need gains (..., K, M) with a leading axis, got {np.shape(gains_sq)}")
     n_users = gains_sq.shape[-2]
+    if len(power_levels) != n_users:
+        raise ValueError(f"need K = {n_users} power levels, got {len(power_levels)}")
     if len(pairs) == 0 or not all(1 <= k <= r <= n_users for r, k in pairs):
         raise ValueError(f"need pairs with 1 <= k <= r <= K = {n_users}, got {pairs!r}")
     blocks = {(r, t): signal_variances(gains_sq[..., r - 1, :], power_levels, signal_power,
                                        noise_power, t)
               for r, k in pairs for t in (k, k + 1)}
-    if method == "radial_quadrature":
-        h = {key: gmd.entropy_radial_quadrature_rows(v, tolerance) for key, v in blocks.items()}
-        entropies = [(h[r, k], h[r, k + 1]) for r, k in pairs]
-    else:
+    h = {key: gmd.entropy_radial_quadrature_rows(v, tolerance) for key, v in blocks.items()
+         if method == "radial_quadrature" or v.shape[-1] == 1}
+    if method == "monte_carlo":
         lead = np.broadcast_shapes(*(v.shape[:-1] for v in blocks.values()))
         rows = {key: np.broadcast_to(v, lead + v.shape[-1:]) for key, v in blocks.items()}
-        entropies = np.empty((len(pairs), 2, 2) + lead)  # (p, t - k, value/error, ...)
+        sampled = np.empty((len(pairs), 2, 2) + lead)  # (p, t - k, value/error, ...)
         cells = list(np.ndindex((len(pairs),) + lead))
         generators = [rngs(cell) for cell in cells]
-        given = [id(rng) for rng in generators if rng is not None]
-        if len(set(given)) < len(given):
+        if len({id(rng) for rng in generators if rng is not None}) < len(cells):
             raise ValueError("each Monte Carlo cell needs its own generator")
 
         def run_cell(cell, rng):
             p, *index = cell
             r, k = pairs[p]
-            for s in (0, 1):
-                estimate = gmd.entropy_exact(
-                    gmd.equal_weight_zero_mean_mixture(rows[r, k + s][tuple(index)]), method,
-                    rng=rng, samples=samples, tolerance=tolerance)
-                entropies[(p, s, slice(None), *index)] = estimate.value, estimate.std_error
+            for t in (k, k + 1):
+                if (r, t) not in h:
+                    estimate = gmd.entropy_monte_carlo(
+                        gmd.equal_weight_zero_mean_mixture(rows[r, t][tuple(index)]), rng, samples)
+                    sampled[(p, t - k, slice(None), *index)] = estimate.value, estimate.std_error
 
         workers = min(len(cells), _MC_WORKERS, _usable_cores()) if len(cells) > 1 else 1
         pool = ThreadPoolExecutor(workers)
@@ -135,6 +146,8 @@ def mi_rows(
         finally:
             # An error or Ctrl-C drops the queued cells instead of running them.
             pool.shutdown(cancel_futures=True)
+    entropies = [[h[r, t] if (r, t) in h else sampled[p, t - k] for t in (k, k + 1)]
+                 for p, (r, k) in enumerate(pairs)]
     return (np.stack([h_y[0] - h_w[0] for h_y, h_w in entropies]),
             np.stack([np.hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]))
 
@@ -146,8 +159,7 @@ def mi_lower_bound_k2(
     one row of lower_bound_k2_rows."""
     if config.num_users != 2:
         raise ValueError("closed-form lower bound is derived only for K = 2")
-    if not (1 <= k <= r <= 2):
-        raise ValueError(f"invalid decoder/message pair ({r}, {k}) for K = 2")
+    _check_decoding_pair(realization, config, r, k)
     gains_sq = np.abs(realization.channel_vectors[r - 1]) ** 2
     return float(lower_bound_k2_rows(gains_sq, np.array(config.power_levels), config.snr, k))
 
@@ -200,9 +212,7 @@ def _lower_bound_chunk(
         denom = 2.0 + c1 * p[:, :, None, :, None] + c2 * p[:, None, :, None, :]
         numer = 1.0 + c2 * g[:, None, :, None, None]
         inner = (numer / denom).sum(axis=(-2, -1))
-    # np.mean's arithmetic: the pairwise sum, then one division by the count.
-    mean = np.log2(inner).reshape(n, -1).sum(axis=-1) / inner[0].size
-    return (math.log2(m) - LOG2E) - mean
+    return (math.log2(m) - LOG2E) - np.log2(inner).reshape(n, -1).mean(axis=-1)
 
 
 def asymptotes(config: SystemConfig, r: int, k: int) -> AsymptoteReport:

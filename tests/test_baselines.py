@@ -13,7 +13,7 @@ from sm_noma.baselines import (
     sm_tdma_mi,
     sm_tdma_rows,
 )
-from sm_noma.system import SystemConfig, draw_channel
+from sm_noma.system import ChannelRealization, SystemConfig, draw_channel
 
 
 def config_at_snr(snr_db, powers=(4.0, 1.0)):
@@ -116,6 +116,10 @@ class TestMisoNoma:
         realization3 = realization_for(cfg3, 4)
         with pytest.raises(ValueError, match="K = 2"):
             miso_noma_mi(realization3, cfg3, 1, 1)
+        # A channel matrix of another system's shape.
+        for shape in ((2, 8), (3, 4)):
+            with pytest.raises(ValueError, match="channel matrix has shape"):
+                miso_noma_mi(ChannelRealization(np.ones(shape)), cfg, 1, 1)
         # A message index outside 1..K, which would read alpha_K^2 through
         # index -1 or past the last level.
         for k in (0, 3):
@@ -165,3 +169,10 @@ class TestSmTdma:
             sm_tdma_mi(realization, cfg, 1, 0.0)
         with pytest.raises(ValueError):
             sm_tdma_mi(realization, cfg, 1, 1.5)
+        # A channel matrix of another system's shape, and a user outside 1..K.
+        for shape in ((2, 8), (3, 4)):
+            with pytest.raises(ValueError, match="channel matrix has shape"):
+                sm_tdma_mi(ChannelRealization(np.ones(shape)), cfg, 1, 0.5)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="SIC order"):
+                sm_tdma_mi(realization, cfg, k, 0.5)

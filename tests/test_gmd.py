@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp as scipy_logsumexp
 
-from sm_noma import gmd
+from sm_noma import gmd, mi
 from sm_noma.baselines import sm_tdma_rows
+from sm_noma.system import (
+    SystemConfig,
+    draw_channel,
+    mixture_of_interference,
+    mixture_of_received,
+)
 
 LOG2_2PI = math.log2(2.0 * math.pi)
 LOG2_PI_E = math.log2(math.pi * math.e)
@@ -235,28 +241,44 @@ class TestEntropyExact:
         assert quad.value == pytest.approx(GOLDEN_H_L2_1_4, abs=1e-9)
 
     def test_dispatcher(self):
-        mix = gmd.equal_weight_zero_mean_mixture([1.0, 4.0])
-        est = gmd.entropy_exact(mix, "radial_quadrature")
-        assert est.sample_count == 0
-        assert est == gmd.entropy_radial_quadrature(mix)
-        est = gmd.entropy_exact(mix, "monte_carlo", rng=np.random.default_rng(0), samples=100)
-        assert est.sample_count == 100
-        assert est == gmd.entropy_monte_carlo(mix, np.random.default_rng(0), 100)
-        for m in (mix, unit_mixture()):
-            with pytest.raises(ValueError):
-                gmd.entropy_exact(m, "monte_carlo")
-            with pytest.raises(ValueError):
-                gmd.entropy_exact(m, "cubature")
+        # gmd holds the kernels and no estimator switch: mi.mi_rows picks
+        # the kernel, and each cell has that kernel's bits on its mixtures,
+        # h(r, k) first on the cell's generator.
+        assert not hasattr(gmd, "entropy_exact")
+        cfg = SystemConfig(2, 2, (4.0, 1.0), 10.0, 1.0)
+        realization = draw_channel(cfg, np.random.default_rng(2))
+        gains_sq = np.abs(realization.channel_vectors[None]) ** 2
+        mixtures = [mixture(realization, cfg, 2, 1)
+                    for mixture in (mixture_of_received, mixture_of_interference)]
+        quad = [gmd.entropy_radial_quadrature(m) for m in mixtures]
+        rng = np.random.default_rng(0)
+        mc = [gmd.entropy_monte_carlo(m, rng, 100) for m in mixtures]
+        for method, (h_y, h_w) in (("radial_quadrature", quad), ("monte_carlo", mc)):
+            values, errors = mi.mi_rows(
+                gains_sq, cfg.power_levels, cfg.signal_power, cfg.noise_power, ((2, 1),),
+                method, rngs=lambda cell: np.random.default_rng(0), samples=100)
+            assert values[0, 0] == h_y.value - h_w.value
+            assert errors[0, 0] == np.hypot(h_y.std_error, h_w.std_error)
 
     @pytest.mark.parametrize("method", ["radial_quadrature", "monte_carlo"])
     def test_one_component_closed_form(self, method):
-        # A plain Gaussian needs no estimator: the closed form, no samples,
-        # and the rng is left as it was.
-        mix = gmd.equal_weight_zero_mean_mixture([2.5])
+        # At M = 1 every mixture is a plain Gaussian, which needs no
+        # estimator: the closed form with error 0, no samples, and the
+        # generator is left as it was.
+        cfg = SystemConfig(1, 2, (4.0, 1.0), 10.0, 1.0)
+        realization = draw_channel(cfg, np.random.default_rng(3))
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        est = gmd.entropy_exact(mix, method, rng=rng, samples=100)
-        assert est == gmd.EntropyEstimate(gmd.gaussian_entropy(2.5), 0.0, 0)
+        for r, k in ((1, 1), (2, 1), (2, 2)):
+            h_y, h_w = (gmd.gaussian_entropy(mixture(realization, cfg, r, k).variances[0])
+                        for mixture in (mixture_of_received, mixture_of_interference))
+            values, errors = mi.mi_rows(
+                np.abs(realization.channel_vectors[None]) ** 2, cfg.power_levels,
+                cfg.signal_power, cfg.noise_power, ((r, k),), method,
+                rngs=lambda cell: rng, samples=100)
+            assert (values[0, 0], errors[0, 0]) == (h_y - h_w, 0.0)
+            result = mi.mi_exact(realization, cfg, r, k, method, rng=rng, samples=100)
+            assert result.mi_exact == gmd.EntropyEstimate(h_y - h_w, 0.0, 0)
         assert rng.bit_generator.state == state
 
     def test_monte_carlo_error_halves_with_4x_samples(self):
@@ -569,8 +591,8 @@ class TestRowKernel:
         assert estimate_bits([est]) == estimate_bits(
             [scalar_radial_quadrature(mix.weights, v[2], 1e-10)])
         # A (R, G, L) stack gives the bits of its flattened (R G, L) call,
-        # and each cell those of entropy_exact on the mixture of its row:
-        # the Gaussian closed form with error 0 at L = 1.
+        # and each cell those of its row alone: the Gaussian closed form
+        # with error 0 at L = 1, else the one-mixture quadrature.
         for n in (1, 4, 16):
             stack = 10.0 ** np.random.default_rng(n).uniform(-2, 2, (3, 2, n))
             values, errors = gmd.entropy_radial_quadrature_rows(stack)
@@ -578,7 +600,8 @@ class TestRowKernel:
             assert values.shape == errors.shape == (3, 2)
             assert values.tobytes() == flat[0].tobytes()
             assert errors.tobytes() == flat[1].tobytes()
-            exact = [gmd.entropy_exact(gmd.equal_weight_zero_mean_mixture(row))
+            exact = [gmd.EntropyEstimate(gmd.gaussian_entropy(row[0]), 0.0, 0) if n == 1
+                     else gmd.entropy_radial_quadrature(gmd.equal_weight_zero_mean_mixture(row))
                      for row in stack.reshape(6, n)]
             assert estimate_bits(exact) == estimate_bits(
                 [gmd.EntropyEstimate(x, e, 0) for x, e in zip(values.flat, errors.flat)])
@@ -653,15 +676,19 @@ class TestToleranceRejected:
             raise AssertionError("the kernel ran")
 
         monkeypatch.setattr(gmd, "_quadrature_rows", no_work)
+        monkeypatch.setattr(gmd, "entropy_monte_carlo", no_work)
         monkeypatch.setattr(gmd, "integrate", None)
         v = np.array([[1.0, 2.0, 3.0, 4.0]])
+        # Under Monte Carlo, gains of M = 2 give every block two or more
+        # components, so only mi_rows' own check stands before the sampler.
         calls = [
             lambda: gmd.entropy_radial_quadrature_rows(v, tolerance),
             lambda: gmd.entropy_radial_quadrature(
                 gmd.equal_weight_zero_mean_mixture(v[0]), tolerance),
-            lambda: gmd.entropy_exact(gmd.equal_weight_zero_mean_mixture(v[0]),
-                                      tolerance=tolerance),
-            lambda: gmd.entropy_exact(unit_mixture(), tolerance=tolerance),
+            *(lambda method=method: mi.mi_rows(
+                v.reshape(1, 2, 2), (4.0, 1.0), 10.0, 1.0, ((1, 1), (2, 2)), method,
+                rngs=np.random.default_rng, samples=100, tolerance=tolerance)
+              for method in ("radial_quadrature", "monte_carlo")),
             lambda: sm_tdma_rows(v, np.array([4.0, 1.0]), 10.0, 1.0, 0.5, tolerance),
             # One-component rows take the closed form, after the same check.
             lambda: gmd.entropy_radial_quadrature_rows(v.reshape(2, 2, 1), tolerance),

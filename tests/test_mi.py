@@ -114,7 +114,7 @@ class TestMiExact:
             time.sleep(0.01)
             raise RuntimeError("cell failed")
 
-        monkeypatch.setattr(mi.gmd, "entropy_exact", failing_entropy)
+        monkeypatch.setattr(mi.gmd, "entropy_monte_carlo", failing_entropy)
         with pytest.raises(RuntimeError, match="cell failed"):
             mi.mi_rows(gains_sq, cfg.power_levels, cfg.signal_power, cfg.noise_power,
                        ((1, 1),), "monte_carlo", rngs=np.random.default_rng, samples=100)
@@ -125,6 +125,15 @@ class TestMiExact:
         realization = random_realization(cfg, 3)
         with pytest.raises(ValueError):
             mi_exact(realization, cfg, 1, 2)
+        # Monte Carlo needs a generator for each cell, and a sample
+        # count >= 1 even at M = 1, where nothing is sampled.
+        with pytest.raises(ValueError, match="its own generator"):
+            mi_exact(realization, cfg, 1, 1, "monte_carlo")
+        single = SystemConfig(1, 2, (4.0, 1.0), 1.0, 1.0)
+        for samples in (-3, True):
+            with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+                mi_exact(random_realization(single, 3), single, 1, 1, "monte_carlo",
+                         rng=np.random.default_rng(0), samples=samples)
         # The row API checks its pairs before it builds a block or makes a
         # generator: (1, 2) is a pair SIC forbids, (3, 1) names a third
         # decoder at K = 2, and () holds no pair.
@@ -139,6 +148,24 @@ class TestMiExact:
                     mi.mi_rows(gains_sq, cfg.power_levels, cfg.signal_power, cfg.noise_power,
                                pairs, method, samples=100,
                                rngs=lambda cell: made.append(cell) or np.random.default_rng(0))
+        # So are the method, the gains' rank, the number of power levels and
+        # Monte Carlo's sample count.
+        bad_inputs = [
+            ({"method": "cubature"}, "unknown entropy method"),
+            ({"gains_sq": gains_sq[0, 0]}, "leading axis"),
+            ({"gains_sq": gains_sq[0]}, "leading axis"),
+            ({"power_levels": (4.0,)}, "K = 2 power levels"),
+            ({"power_levels": (4.0, 1.0, 1.0)}, "K = 2 power levels"),
+            ({"method": "monte_carlo", "samples": -3}, "samples"),
+            ({"method": "monte_carlo", "samples": True}, "samples"),
+        ]
+        good = {"gains_sq": gains_sq, "power_levels": cfg.power_levels,
+                "signal_power": cfg.signal_power, "noise_power": cfg.noise_power,
+                "pairs": ((1, 1), (2, 2)), "samples": 100,
+                "rngs": lambda cell: made.append(cell) or np.random.default_rng(0)}
+        for changes, match in bad_inputs:
+            with pytest.raises(ValueError, match=match):
+                mi.mi_rows(**{**good, **changes})
         assert built == made == []
 
     @pytest.mark.parametrize("signal_power", [0.1, 10.0, 1000.0])
@@ -214,6 +241,13 @@ class TestMiLowerBound:
         realization = draw_channel(cfg, np.random.default_rng(6))
         with pytest.raises(ValueError, match="K = 2"):
             mi_lower_bound_k2(realization, cfg, 1, 1)
+        # A channel matrix of another system's shape, and a pair SIC forbids.
+        cfg2 = config_at_snr(0.0)
+        for shape in ((2, 8), (3, 4)):
+            with pytest.raises(ValueError, match="channel matrix has shape"):
+                mi_lower_bound_k2(ChannelRealization(np.ones(shape)), cfg2, 1, 1)
+        with pytest.raises(ValueError, match="SIC order"):
+            mi_lower_bound_k2(random_realization(cfg2, 6), cfg2, 1, 2)
         # The row function rejects a message index other than 1 or 2
         # before it computes anything.
         monkeypatch.setattr(mi, "_lower_bound_chunk", None)
