@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,8 +28,9 @@ TAIL_MASS = 1e-14
 
 
 def __getattr__(name: str):
-    # scipy.integrate takes most of a second to import and only the
-    # quadrature fallback uses it, so it is imported on first access.
+    # Only bench/tracing.py and tests/test_bench_contract.py read this lazy
+    # scipy.integrate; no computation uses it. After ROADMAP item 1b, item
+    # 16b deletes it and moves scipy to the test extra.
     if name == "integrate":
         from scipy import integrate
 
@@ -95,8 +95,8 @@ def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
 def _logsumexp_overwrite(a: np.ndarray, a_max=None, is_max=None) -> np.ndarray | np.float64:
     """logsumexp of a float64 array that the caller no longer needs: the
     shifted exponentials and their partial sums are written into a. The
-    radial quadrature and its fallback reduce their terms here, and the
-    pinned property results hold the bits this gives them.
+    radial quadrature's panel rule reduces its terms here, and the pinned
+    property results hold the bits this gives them.
 
     a_max (a.shape[1:]) and the bool is_max (a.shape), when given, receive
     the slice maxima and the tie mask. Without ties a result of two or more
@@ -403,6 +403,7 @@ _PANEL_INDEX = np.arange(float(_PANELS))
 # float64, 983 kB, and each (B, 40, 48) per-row array at most 123 kB.
 _CHUNK_COMPONENTS = 64
 _CHUNK_ROWS = 8
+_MAX_PANELS = 400  # per row refined by _refine
 
 
 def _panel_edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -437,10 +438,10 @@ def entropy_radial_quadrature(
     scale. The error estimate is a null rule on the same 48 values per
     panel: the sum over the panels of each one's width times |c46| + |c47|,
     the last two Legendre coefficients of the degree-47 polynomial through
-    its values. A row whose estimate misses the tolerance falls back to
-    fully adaptive quadrature. If the fallback misses it too, a
-    RuntimeWarning names both numbers and the fallback's estimate is
-    returned.
+    its values. A row whose estimate misses the tolerance bisects its
+    panels, by the same rule, up to 400 panels; if it still misses, a
+    RuntimeWarning names both numbers. A variance whose truncation point
+    passes 1e308 (from about 2.5e306) raises ValueError.
 
     A one-row call of the kernel of entropy_radial_quadrature_rows: every
     call computes afresh, and the warning fires on each. A tolerance that
@@ -480,24 +481,26 @@ def _quadrature_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The panel rule of entropy_radial_quadrature on each row of variances
     (N, L), every row with the weights (L,): (values, error estimates),
-    each (N,). Only the rows whose estimate misses the tolerance are
-    visited one by one, by the adaptive fallback.
+    each (N,). Rows whose estimate misses the tolerance go on to _refine.
 
-    Rows go through in chunks of B = min(8, 64 // L) rows, at least one.
-    Each row's numbers take the operations a one-row chunk gives them: its
-    own log_coef, panel edges and nodes, a component-major (L, B, 40, 48)
-    term array reduced over its first axis, a sum over its contiguous 1920
-    node products, and one (40, 48) @ (48, 2) product for the error
-    estimate. The term array, its tie mask and the (B, 40, 48) nodes, log f
-    and g are allocated once per call and written by every chunk with out=.
+    Rows go through _panel_rule in chunks of B = min(8, 64 // L) rows, at
+    least one, each row with its own log_coef and panel edges and the sum
+    of its contiguous 1920 node products, so it has the bits of a one-row
+    chunk. The (L, B, 40, 48) term array, its tie mask and the (B, 40, 48)
+    nodes, log f and g are allocated once per call.
     """
     n_rows, n = variances.shape
-    chunk = min(n_rows, _CHUNK_ROWS, max(1, _CHUNK_COMPONENTS // n))
-    u_buf, log_f_buf, g_buf = np.empty((3, chunk, _PANELS, len(_GL_OFFSETS)))
-    workspace = np.empty((n,) + u_buf.shape)
-    mask = np.empty(workspace.shape, dtype=bool)
-    log_w = np.log(weights)
     log_tail = math.log(n / TAIL_MASS)
+    # Below 1e308, 10 ** log10 of the truncation point is finite too.
+    v_max = float(variances.max())
+    if not v_max * log_tail < 1e308:
+        raise ValueError(f"largest component variance {v_max:.4g} puts the truncation point "
+                         f"past the float range; at L = {n} it must be below {1e308 / log_tail:.4g}")
+    chunk = min(n_rows, _CHUNK_ROWS, max(1, _CHUNK_COMPONENTS // n))
+    per_row = np.empty((3, chunk, _PANELS, len(_GL_OFFSETS)))  # nodes, log f, g
+    workspace = np.empty((n,) + per_row.shape[1:])
+    buffers = (*per_row, workspace, np.empty(workspace.shape, dtype=bool))
+    log_w = np.log(weights)
     values, errors = np.empty(n_rows), np.empty(n_rows)
     for start in range(0, n_rows, chunk):
         v = variances[start : start + chunk]
@@ -505,72 +508,70 @@ def _quadrature_rows(
         log_coef = log_w - np.log(math.pi * v)
         inv_v = 1.0 / v
         # Truncate where the mixture tail mass is below TAIL_MASS.
-        u_max = np.maximum.reduce(v, axis=1) * log_tail
-        edges = _panel_edges(np.minimum.reduce(v, axis=1) / 8.0, u_max)
-        # Composite Gauss-Legendre sum of -pi f(u) log2 f(u) over the panels.
-        a = edges[:, :-1, None]
-        half = (edges[:, 1:, None] - a) / 2.0
-        u = u_buf[:b]
-        np.add(np.multiply(half, _GL_OFFSETS, out=u), a, out=u)
-        terms = workspace[:, :b]
-        np.multiply(u, inv_v.T[:, :, None, None], out=terms)
-        log_f = _logsumexp_overwrite(
-            np.subtract(log_coef.T[:, :, None, None], terms, out=terms),
-            log_f_buf[:b], mask[:, :b])
-        # -pi f log2 f, as ((-pi * f) * log f) / ln 2, in one array.
-        g = np.exp(log_f, out=g_buf[:b])
-        g *= -math.pi
-        g *= log_f
-        g /= LN2
-        # The node products (half * w) * g, written over the nodes.
-        np.multiply(np.multiply(half, _GL_WEIGHTS, out=u), g, out=u)
-        rows = slice(start, start + b)
-        values[rows] = u.reshape(b, -1).sum(axis=1)
-        # Null-rule error estimate: each panel's width times |c46| + |c47|.
-        # The stacked product runs one (40, 48) @ (48, 2) product per row,
-        # whose bits do not depend on the chunk.
-        tail = np.abs(g @ _TAIL_COEFFICIENTS).sum(axis=-1)
-        errors[rows] = ((edges[:, 1:] - edges[:, :-1]) * tail).sum(axis=1)
-        # Written as a negation so that a nan estimate falls back too.
-        for m in np.flatnonzero(~(errors[rows] <= tolerance)):
-            values[start + m], errors[start + m] = _adaptive_fallback(
-                log_coef[m], inv_v[m], edges[m], float(u_max[m]), tolerance)
+        edges = _panel_edges(np.minimum.reduce(v, axis=1) / 8.0,
+                             np.maximum.reduce(v, axis=1) * log_tail)
+        products, panel_errors = _panel_rule(edges[:, :-1], edges[:, 1:], log_coef, inv_v, *buffers)
+        values[start : start + b] = products.reshape(b, -1).sum(axis=1)
+        errors[start : start + b] = panel_errors.sum(axis=1)
+        # Written as a negation so that a nan estimate is refined too. Rows
+        # go in order, and _refine writes the buffers' first row only.
+        for m in np.flatnonzero(~(errors[start : start + b] <= tolerance)):
+            values[start + m], errors[start + m] = _refine(
+                np.stack([edges[m, :-1], edges[m, 1:]]), products[m].sum(axis=-1),
+                panel_errors[m], log_coef[m : m + 1], inv_v[m : m + 1], tolerance, buffers)
     return values, errors
 
 
-def _adaptive_fallback(
-    log_coef: np.ndarray,
-    inv_v: np.ndarray,
-    edges: np.ndarray,
-    u_max: float,
-    tolerance: float,
-) -> tuple[float, float]:
-    """The same integral by scipy's adaptive quad, for a row whose panel
-    rule's error estimate exceeds the tolerance: (value, error estimate)."""
+def _panel_rule(lo, hi, log_coef, inv_v, u_buf, log_f_buf, g_buf, workspace, mask):
+    """The rule of entropy_radial_quadrature on the panels [lo, hi] (B, P),
+    P <= 40, of rows with log_coef and inv_v (B, L), in the leading (B, P)
+    slices of _quadrature_rows' buffers: (the node products (B, P, 48), a
+    view of the nodes u_buf, and each panel's error estimate (B, P)).
+    """
+    b, p = lo.shape
+    a = lo[:, :, None]
+    half = (hi[:, :, None] - a) / 2.0
+    u = u_buf[:b, :p]
+    np.add(np.multiply(half, _GL_OFFSETS, out=u), a, out=u)
+    terms = workspace[:, :b, :p]
+    np.multiply(u, inv_v.T[:, :, None, None], out=terms)
+    log_f = _logsumexp_overwrite(
+        np.subtract(log_coef.T[:, :, None, None], terms, out=terms),
+        log_f_buf[:b, :p], mask[:, :b, :p])
+    # -pi f log2 f, as ((-pi * f) * log f) / ln 2, in one array.
+    g = np.exp(log_f, out=g_buf[:b, :p])
+    g *= -math.pi
+    g *= log_f
+    g /= LN2
+    # The node products (half * w) * g, written over the nodes.
+    np.multiply(np.multiply(half, _GL_WEIGHTS, out=u), g, out=u)
+    # Null-rule error estimate: each panel's width times |c46| + |c47|.
+    # The stacked product runs one (P, 48) @ (48, 2) product per row,
+    # whose bits do not depend on the chunk.
+    return u, (hi - lo) * np.abs(g @ _TAIL_COEFFICIENTS).sum(axis=-1)
 
-    def integrand(u: float) -> float:
-        log_f = _logsumexp_overwrite(log_coef - u * inv_v)
-        return -math.pi * math.exp(log_f) * log_f / LN2
 
-    # The panel edges as breakpoints keep the adaptive rule from stepping
-    # over a narrow component when the variances span many decades. The
-    # module attribute lookup applies the lazy import and any stand-in set
-    # on `gmd.integrate`.
-    value, abs_err = sys.modules[__name__].integrate.quad(
-        integrand,
-        0.0,
-        u_max,
-        epsabs=tolerance,
-        epsrel=tolerance,
-        limit=400,
-        points=edges[1:-1],
-    )
-    if abs_err > tolerance:
-        warnings.warn(
-            f"radial quadrature fallback missed the tolerance: error estimate "
-            f"{abs_err:.3g} > tolerance {tolerance:.3g}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    return float(value), float(abs_err)
-
+def _refine(panels, values, errors, log_coef, inv_v, tolerance, buffers) -> tuple[float, float]:
+    """Globally adaptive bisection, as in QUADPACK (Piessens et al., 1983),
+    of one row's panels (2, P: lower and upper edges) with their values
+    and errors: (value, error estimate). Each step halves every panel whose
+    error exceeds tolerance / P and evaluates the halves, in groups of 40
+    in the buffers' first row. It warns if none splits (nan splits none)
+    or P would pass _MAX_PANELS.
+    """
+    while not errors.sum() <= tolerance:
+        split = errors > tolerance / len(errors)
+        if not split.any() or len(errors) + np.count_nonzero(split) > _MAX_PANELS:
+            warnings.warn(f"radial quadrature refinement missed the tolerance: error estimate "
+                          f"{errors.sum():.3g} > tolerance {tolerance:.3g}", RuntimeWarning, 4)
+            break
+        lo, hi = panels[:, split]
+        mid = (lo + hi) / 2.0
+        panels = np.concatenate([panels[:, ~split], [lo, mid], [mid, hi]], axis=1)
+        values, errors = values[~split], errors[~split]
+        for s in range(len(values), panels.shape[1], _PANELS):
+            products, group_errors = _panel_rule(
+                *panels[:, None, s : s + _PANELS], log_coef, inv_v, *buffers)
+            values = np.append(values, products[0].sum(axis=-1))
+            errors = np.append(errors, group_errors[0])
+    return float(values.sum()), float(errors.sum())

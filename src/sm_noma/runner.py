@@ -71,6 +71,11 @@ MAX_MC_SAMPLES = 1 << 22
 # 10^(SNR/10) overflows or the noise dominates every variance to the last bit.
 MAX_ABS_SNR_DB = 300.0
 
+# Largest total power x 10^(SNR/10), at unit noise: for gains |h|^2 up to
+# 1e6, every variance stays below 1e306 + 1, under the radial quadrature's
+# limit of about 2.5e306 at MAX_MIXTURE_COMPONENTS components.
+MAX_SIGNAL_POWER = 1e300
+
 # The paper's baselines in Figs. 1 and 2(a): MISO-NOMA on 2 antennas and
 # SM-TDMA with one half of the frame per user.
 MISO_NOMA_ANTENNAS = 2
@@ -161,6 +166,10 @@ class ExperimentConfig:
             raise ConfigError("num_tx_antennas must be >= 1")
         if not isinstance(self.power_split, PowerSplit):
             raise ConfigError(f"power_split must be a PowerSplit, got {self.power_split!r}")
+        total, snr_db = self.power_split.total, self.snr_grid_db[-1]
+        if total * 10.0 ** (snr_db / 10.0) > MAX_SIGNAL_POWER:
+            raise ConfigError(f"total power {total!r} at {snr_db!r} dB gives a signal power "
+                              f"past the limit of {MAX_SIGNAL_POWER:g}")
         components = self.num_tx_antennas ** 2
         if components > MAX_MIXTURE_COMPONENTS:
             raise ConfigError(f"num_tx_antennas gives {components} mixture components, "

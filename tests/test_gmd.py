@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import mp_entropy
 from scipy.special import logsumexp as scipy_logsumexp
 
 from sm_noma import gmd, mi
@@ -289,52 +290,155 @@ class TestEntropyExact:
         assert small.std_error / large.std_error == pytest.approx(2.0, rel=0.2)
 
 
-class CountingIntegrate:
-    """Stands in for scipy.integrate on gmd and counts the quad calls."""
+class CountingRefine:
+    """Stands in for gmd._refine and counts the rows it refines."""
 
-    def __init__(self, module):
-        self.module = module
-        self.quad_calls = 0
+    def __init__(self, refine):
+        self.refine = refine
+        self.calls = 0
 
-    def quad(self, *args, **kwargs):
-        self.quad_calls += 1
-        return self.module.quad(*args, **kwargs)
+    def __call__(self, *args):
+        self.calls += 1
+        return self.refine(*args)
+
+
+def record_panel_rule(monkeypatch):
+    """The (rows, panels) shape of every gmd._panel_rule call, in order."""
+    shapes = []
+    panel_rule = gmd._panel_rule
+
+    def recording(lo, *args):
+        shapes.append(lo.shape)
+        return panel_rule(lo, *args)
+
+    monkeypatch.setattr(gmd, "_panel_rule", recording)
+    return shapes
+
+
+def truncation_allowance(variances):
+    """A bound on the entropy past the kernel's truncation point u_max =
+    s_max ln(L / TAIL_MASS), which its error estimate leaves out: each
+    component's mass there is at most TAIL_MASS / L^2, and there -log2 f(u)
+    is at most (u / s_max + ln(pi s_max L)) / ln 2, so the tail is at most
+    TAIL_MASS (ln(L / TAIL_MASS) + 1 + |ln(pi s_max L)|) / (L ln 2). It is
+    2.6e-13 bits on {1, 2}, whose tail is 1.3e-13."""
+    n, s_max = len(variances), float(np.max(variances))
+    log_tail = math.log(n / gmd.TAIL_MASS) + 1.0 + abs(math.log(math.pi * s_max * n))
+    return gmd.TAIL_MASS * log_tail / (n * gmd.LN2)
+
+
+# Roundoff in a kernel value of up to about 70 bits: the 1920 node products
+# and the oracle's rounding to float.
+ROUNDOFF_BITS = 1e-13
+
+
+def mp_bound(estimate, variances):
+    """How far the kernel's estimate may be from mp_entropy: its own error
+    estimate, or the roundoff and truncation allowance if that is larger."""
+    return max(estimate.std_error, ROUNDOFF_BITS + truncation_allowance(variances))
 
 
 class TestQuadratureFallback:
-    """A tolerance at roundoff level makes the panel rules miss it, so the
-    adaptive fallback runs; quad then warns that it met roundoff. Its own
-    error estimate misses the tolerance too on both mixtures, so a
-    RuntimeWarning names both numbers. Nothing is remembered: a repeat
-    call calls quad and warns again, with the same bits.
+    """A tolerance at roundoff level makes the panel rule miss it, so the row
+    is refined. The null-rule estimates of the halves level off at their
+    roundoff, so the refinement stops and a RuntimeWarning names both
+    numbers. Nothing is remembered: a repeat call refines and warns again,
+    with the same bits.
     """
 
-    @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
     @pytest.mark.parametrize("variances, tolerance", [
-        ([1.0, 1e6], 1e-17),  # quad's error estimate is about 1.6e-13
-        ([1e-10, 1e10], 1e-15),  # about 3.7e-13
+        ([1.0, 1e6], 1e-17),  # the refined estimate stops at about 3.0e-13
+        ([1e-10, 1e10], 1e-15),  # about 7.2e-13
     ])
     def test_wide_spread_fallback_matches_panel_rule(
             self, monkeypatch, variances, tolerance):
         mix = gmd.equal_weight_zero_mean_mixture(variances)
         panel = gmd.entropy_radial_quadrature(mix)
-        counter = CountingIntegrate(gmd.integrate)
-        monkeypatch.setattr(gmd, "integrate", counter)
+        counter = CountingRefine(gmd._refine)
+        monkeypatch.setattr(gmd, "_refine", counter)
         with pytest.warns(RuntimeWarning, match="missed the tolerance") as record:
-            fallback = gmd.entropy_radial_quadrature(mix, tolerance)
-        assert counter.quad_calls == 1
+            refined = gmd.entropy_radial_quadrature(mix, tolerance)
+        assert counter.calls == 1
         assert panel.std_error <= 1e-10
-        assert fallback.value == pytest.approx(panel.value, abs=1e-9)
-        assert fallback.std_error > tolerance
+        assert refined.value == pytest.approx(panel.value, abs=1e-9)
+        assert refined.std_error > tolerance
+        assert abs(refined.value - mp_entropy(mix.variances)) <= mp_bound(refined, mix.variances)
         message = str(next(w.message for w in record
                            if issubclass(w.category, RuntimeWarning)))
-        assert f"{fallback.std_error:.3g}" in message
+        assert f"{refined.std_error:.3g}" in message
         assert f"{tolerance:.3g}" in message
 
         with pytest.warns(RuntimeWarning, match="missed the tolerance"):
             again = gmd.entropy_radial_quadrature(mix, tolerance)
-        assert counter.quad_calls == 2
-        assert estimate_bits([again]) == estimate_bits([fallback])
+        assert counter.calls == 2
+        assert estimate_bits([again]) == estimate_bits([refined])
+
+    @pytest.mark.parametrize("cap", [100, 400])
+    def test_refinement_stops_at_the_panel_cap(self, monkeypatch, cap):
+        # Each step adds one panel per panel it halves and evaluates both
+        # halves; the row's panels never pass the cap.
+        monkeypatch.setattr(gmd, "_MAX_PANELS", cap)
+        evaluated = record_panel_rule(monkeypatch)
+        mix = gmd.equal_weight_zero_mean_mixture([1.0, 1e6])
+        with pytest.warns(RuntimeWarning, match="missed the tolerance"):
+            gmd.entropy_radial_quadrature(mix, 1e-17)
+        assert evaluated[0] == (1, gmd._PANELS)
+        halves = sum(p for _, p in evaluated[1:])
+        assert halves > 0
+        assert all(p <= gmd._PANELS for _, p in evaluated)
+        assert gmd._PANELS + halves // 2 <= cap
+
+    def test_refinement_stops_on_nan(self, monkeypatch):
+        # A nan table makes every panel's error nan: no panel splits, the
+        # row keeps the rule's panels, and the warning names the nan.
+        mix = gmd.equal_weight_zero_mean_mixture([1.0, 4.0])
+        rule = gmd.entropy_radial_quadrature(mix)
+        evaluated = record_panel_rule(monkeypatch)
+        monkeypatch.setattr(gmd, "_TAIL_COEFFICIENTS", np.full((48, 2), math.nan))
+        with pytest.warns(RuntimeWarning, match="error estimate nan > tolerance 1e-10"):
+            got = gmd.entropy_radial_quadrature(mix)
+        assert evaluated == [(1, gmd._PANELS)]
+        assert math.isnan(got.std_error)
+        assert got.value == pytest.approx(rule.value, abs=1e-13)
+
+    # Rows spanning 28, 30 and 34 decades: each 40-panel estimate misses
+    # 1e-10 (by up to 66 times) although the rule is within 1e-13 of mp;
+    # the refinement meets it.
+    @pytest.mark.parametrize("n, lo, hi", [(8, 5.35, 33.35), (8, 0.0, 30.0), (8, -17.0, 17.0)])
+    def test_wide_rows_refine_within_tolerance_of_mp(self, monkeypatch, n, lo, hi):
+        v = 10.0 ** np.linspace(lo, hi, n)
+        assert kernel_estimates(np.full(n, 1.0) / n, v[None], math.inf)[0].std_error > 1e-10
+        counter = CountingRefine(gmd._refine)
+        monkeypatch.setattr(gmd, "_refine", counter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errors = gmd.entropy_radial_quadrature_rows(v[None], 1e-10)
+        assert counter.calls == 1
+        assert errors[0] <= 1e-10
+        assert abs(values[0] - mp_entropy(v)) <= errors[0]
+
+    def test_refined_row_holds_only_the_kernel_buffers(self, monkeypatch):
+        # A 64-component row is a chunk of its own: one (64, 1, 40, 48) term
+        # array with its bool tie mask and three (1, 40, 48) arrays. The
+        # refinement evaluates its halves in slices of them, so the peak
+        # stays within the margin of test_peak_memory_is_the_per_call_buffers.
+        # The row is the 28-decade one above, each variance 8 times. At
+        # 3e-12 it is refined by 36 halves: one (64, 36, 48) term array with
+        # its mask would be 1 MB more.
+        v = np.repeat(10.0 ** np.linspace(5.35, 33.35, 8), 8)[None]
+        tolerance = 3e-12
+        evaluated = record_panel_rule(monkeypatch)
+        node_count = gmd._PANELS * len(gmd._GL_OFFSETS)
+        buffers = 64 * node_count * (8 + 1) + 3 * node_count * 8
+        tracemalloc.start()
+        try:
+            errors = gmd.entropy_radial_quadrature_rows(v, tolerance)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p for _, p in evaluated[1:]) >= 36
+        assert errors[0] <= tolerance
+        assert peak <= buffers + 256_000
 
 
 def kernel_estimates(weights, variances, tolerance):
@@ -423,10 +527,10 @@ def oracle_radial_quadrature(mixture):
 
 
 @st.composite
-def wide_equal_weight_mixtures(draw):
-    """Equal-weight zero-mean mixtures of 1..20 components whose variances
-    span up to 8 decades, some of them forced equal."""
-    n = draw(st.integers(1, 20))
+def wide_equal_weight_mixtures(draw, max_components=20):
+    """Equal-weight zero-mean mixtures of 1..max_components components whose
+    variances span up to 8 decades, some of them forced equal."""
+    n = draw(st.integers(1, max_components))
     base = draw(st.floats(-6.0, 6.0))
     spread = draw(st.floats(0.0, 8.0))
     positions = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
@@ -470,14 +574,32 @@ class TestComponentMajorKernel:
         assert gmd._panel_edges(lo, hi).tobytes() == np.array(expected).tobytes()
 
 
+class TestArbitraryPrecisionOracle:
+    """The kernel against mp_entropy, which shares no code with it. Each
+    mp row costs up to about a second, so the examples are few; the wide
+    refined rows are in TestQuadratureFallback."""
+
+    @given(wide_equal_weight_mixtures(max_components=16))
+    @settings(max_examples=12, deadline=None)
+    def test_kernel_within_its_estimate_of_mp(self, mix):
+        tolerance = 1e-10
+        est = gmd.entropy_radial_quadrature(mix, tolerance)
+        h = mp_entropy(mix.variances)
+        assert abs(est.value - h) <= mp_bound(est, mix.variances) <= tolerance
+        # The closed-form bounds sandwich it; at L = 1 the upper one is h.
+        assert gmd.entropy_lower_bound(mix) <= h <= gmd.entropy_upper_bound(mix) + 1e-12
+
+
 _LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
 
 
-def scalar_radial_quadrature(weights, variances, tolerance):
-    """The radial quadrature as it ran one mixture per call before the row
-    kernel, adaptive fallback included: the row kernel's oracle. The value
-    comes from the order-48 half of the 24 + 48 nodes per panel the kernel
-    evaluated then, the error estimate from null_rule_error."""
+def scalar_radial_quadrature(weights, variances):
+    """The 40-panel rule as it ran one mixture per call before the row
+    kernel: the row kernel's oracle on rows that meet their tolerance. The
+    value comes from the order-48 half of the 24 + 48 nodes per panel the
+    kernel evaluated then, the error estimate from null_rule_error. Rows
+    that miss it are refined, and their oracles are mp_entropy and their
+    own estimate."""
     w = np.asarray(weights, dtype=float)
     v = np.asarray(variances, dtype=float)
     log_coef = np.log(w) - np.log(math.pi * v)
@@ -496,17 +618,7 @@ def scalar_radial_quadrature(weights, variances, tolerance):
     log_f = gmd._logsumexp_overwrite(np.subtract(log_coef[:, None, None], terms, out=terms))
     g = -math.pi * np.exp(log_f) * log_f / gmd.LN2
     fine = float(np.sum(half * _LEGGAUSS[48][1] * g[:, 24:]))
-    err = null_rule_error(g[:, 24:], edges)
-    if err <= tolerance:
-        return gmd.EntropyEstimate(fine, err, 0)
-
-    def integrand(u):
-        log_f = gmd._logsumexp_overwrite(log_coef - u * inv_v)
-        return -math.pi * math.exp(log_f) * log_f / gmd.LN2
-
-    value, abs_err = gmd.integrate.quad(integrand, 0.0, u_max, epsabs=tolerance,
-                                        epsrel=tolerance, limit=400, points=edges[1:-1])
-    return gmd.EntropyEstimate(float(value), float(abs_err), 0)
+    return gmd.EntropyEstimate(fine, null_rule_error(g[:, 24:], edges), 0)
 
 
 def estimate_bits(estimates):
@@ -540,38 +652,45 @@ class TestRowKernel:
 
     @given(variance_rows(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_rows_equal_scalar_rule(self, v, force_fallback):
+    def test_rows_equal_scalar_rule(self, v, force_refinement):
         n = v.shape[1]
         weights = np.full(n, 1.0) / n
+        expected = [scalar_radial_quadrature(weights, row) for row in v]
         tolerance = 1e-10
-        if force_fallback:
+        if force_refinement:
             # A tolerance just below the largest panel-rule error sends the
-            # rows that have it to the adaptive fallback and lets the rest
-            # pass. A one-component row's fallback can take a second at
-            # such a tolerance, so the forced case starts at L = 2.
-            errors = [scalar_radial_quadrature(weights, row, math.inf).std_error
-                      for row in v]
+            # rows that have it to the refinement and lets the rest pass.
+            errors = [e.std_error for e in expected]
             top = max(errors)
-            assume(n > 1 and top > 0.0 and errors.count(top) <= 2)
+            assume(top > 0.0 and errors.count(top) <= 2)
             tolerance = max([e for e in errors if e < top] + [top / 2])
-        counter = CountingIntegrate(gmd.integrate)
-        saved, gmd.integrate = gmd.integrate, counter
+        counter = CountingRefine(gmd._refine)
+        saved, gmd._refine = gmd._refine, counter
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                expected = [scalar_radial_quadrature(weights, row, tolerance) for row in v]
-                calls = counter.quad_calls
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
                 got = kernel_estimates(weights, v, tolerance)
         finally:
-            gmd.integrate = saved
-        assert estimate_bits(got) == estimate_bits(expected)
-        assert counter.quad_calls == 2 * calls
-        assert (calls > 0) == force_fallback
+            gmd._refine = saved
+        refined = [e.std_error > tolerance for e in expected]
+        assert counter.calls == sum(refined)
+        assert (counter.calls > 0) == force_refinement
+        # Rows that meet the tolerance keep the rule's bits. A refined row
+        # stays within the two estimates of the rule's value, and warns
+        # where its own still misses the tolerance.
+        for g, e, r in zip(got, expected, refined):
+            if not r:
+                assert estimate_bits([g]) == estimate_bits([e])
+            else:
+                assert abs(g.value - e.value) <= g.std_error + e.std_error + ROUNDOFF_BITS
+        missed = sum(r and g.std_error > tolerance for g, r in zip(got, refined))
+        assert len(record) == missed
+        assert all("refinement missed the tolerance" in str(w.message) for w in record)
 
     @given(random_mixtures())
     @settings(max_examples=100, deadline=None)
     def test_one_row_call_with_unequal_weights(self, mix):
-        expected = scalar_radial_quadrature(mix.weights, mix.variances, 1e-10)
+        expected = scalar_radial_quadrature(mix.weights, mix.variances)
         assert estimate_bits([gmd.entropy_radial_quadrature(mix)]) == estimate_bits([expected])
 
     def test_rows_do_not_depend_on_position(self):
@@ -589,7 +708,7 @@ class TestRowKernel:
         est = gmd.entropy_radial_quadrature(mix)
         assert (est.value, est.std_error) == (values[2], errors[2])
         assert estimate_bits([est]) == estimate_bits(
-            [scalar_radial_quadrature(mix.weights, v[2], 1e-10)])
+            [scalar_radial_quadrature(mix.weights, v[2])])
         # A (R, G, L) stack gives the bits of its flattened (R G, L) call,
         # and each cell those of its row alone: the Gaussian closed form
         # with error 0 at L = 1, else the one-mixture quadrature.
@@ -622,12 +741,29 @@ class TestRowKernel:
         with pytest.raises(ValueError, match="variances"):
             gmd.entropy_radial_quadrature_rows(variances)
 
+    def test_truncation_point_overflow_rejected_before_the_kernel(self, monkeypatch):
+        # max(v) ln(L / TAIL_MASS) of 1e307 overflowed: overflow warnings,
+        # then scipy's bare ValueError about infinite break points.
+        def no_work(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(gmd, "_panel_rule", no_work)
+        v = np.array([[1.0, 1e307]])
+        calls = [lambda: gmd.entropy_radial_quadrature_rows(v),
+                 lambda: gmd.entropy_radial_quadrature(gmd.equal_weight_zero_mean_mixture(v[0]))]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"largest component variance 1e\+307 .* "
+                                                     r"at L = 2 it must be below 3.037e\+306"):
+                    call()
+
     @pytest.mark.parametrize("n", [4, 16])
     def test_chunk_width_does_not_change_bits(self, monkeypatch, n):
         # Rows for three chunks. Row 1's two smallest variances are equal,
         # so near u = 0 its largest terms tie, which sends its whole chunk
         # down the log-sum-exp's tie path. Row 2 spans the most decades, so
-        # the tolerance below its estimate sends it alone to the fallback.
+        # the tolerance below its estimate sends it alone to the refinement.
         rng = np.random.default_rng(n)
         v = 10.0 ** rng.uniform(-1.0, 1.0, (2 * chunk_rows(n) + 1, n))
         v[1, :2] = v[1].min()
@@ -638,12 +774,12 @@ class TestRowKernel:
         results = []
         for width in (1, gmd._CHUNK_ROWS):
             monkeypatch.setattr(gmd, "_CHUNK_ROWS", width)
-            counter = CountingIntegrate(gmd.integrate)
-            monkeypatch.setattr(gmd, "integrate", counter)
+            counter = CountingRefine(gmd._refine)
+            monkeypatch.setattr(gmd, "_refine", counter)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 values, errors = gmd.entropy_radial_quadrature_rows(v, tolerance)
-            assert counter.quad_calls == 1
+            assert counter.calls == 1
             results.append((values.tobytes(), errors.tobytes()))
         assert results[0] == results[1]
 
@@ -747,7 +883,7 @@ class TestNullRuleEstimate:
 
     def test_default_panels_meet_the_tolerance_up_to_24_decades(self):
         # Both ends of every spread are taken; from about 26 decades the
-        # estimate can exceed 1e-10 and send the row to the fallback.
+        # estimate can exceed 1e-10 and send the row to the refinement.
         rng = np.random.default_rng(24)
         worst = 0.0
         for spread in np.arange(0.0, 24.5, 0.5):

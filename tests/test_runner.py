@@ -159,6 +159,10 @@ class TestConfig:
         {"output_path": ["fig1.csv"]},
         *NON_REAL_INPUTS,
         *OLD_SCHEMA_INPUTS,
+        # Signal powers of 1e320 and 1e310: their variances overflowed the
+        # radial quadrature's truncation point.
+        {"snr_grid_db": [300.0], "power_split": {"total": 1e290, "ratio_grid": [4.0]}},
+        {"snr_grid_db": [300.0], "power_split": {"total": 1e280, "ratio_grid": [4.0]}},
     ])
     def test_bad_input_rejected(self, data):
         with pytest.raises(ConfigError):
@@ -672,6 +676,24 @@ class TestCli:
         cfg_path.write_text(json.dumps({"snr_grid_db": [-300.0, 300.0]}))
         assert main(["fig1", "--config", str(cfg_path), "--realizations", "1",
                      "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("total", [1e290, 1e280])
+    def test_signal_power_past_the_kernel_limit_exit_code(self, tmp_path, capsys, total):
+        # A finite total power at 300 dB made variances whose quadrature
+        # truncation point overflowed, and the run ended in a traceback.
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"snr_grid_db": [300.0], "power_split": {"total": total, "ratio_grid": [4.0]},
+               "realizations": 1}
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.csv"
+        assert main(["fig1", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert (f"config error: total power {total!r} at 300.0 dB gives a signal power past "
+                f"the limit of 1e+300" in capsys.readouterr().err)
+        assert not out.exists()
+        # A signal power just inside the limit runs.
+        cfg["power_split"]["total"] = 1e269
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["fig1", "--config", str(cfg_path), "--out", str(out)]) == 0
 
     def test_mc_samples_past_the_limit_exit_code(self, tmp_path, capsys):
         # 10^15 samples made numpy fail to allocate 21.3 PiB, in a traceback.
