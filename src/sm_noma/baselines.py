@@ -5,7 +5,7 @@ equal-weight combining vector (no precoding, no CSI), so the post-SIC
 channel collapses to a single complex gain and the per-realization MI is
 the Gaussian SINR formula. SM-TDMA gives each user an exclusive slot with
 the full power budget; its MI is the slot fraction times the single-user
-SM mutual information.
+SM mutual information, mi.mi_rows' I(1, 1) of a one-user system.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import gmd
+from .mi import mi_rows
 from .system import ChannelRealization, SystemConfig, _check_decoding_pair
 
 
@@ -66,13 +66,8 @@ def sm_tdma_mi(
     time_share: float,
     tolerance: float = 1e-10,
 ) -> float:
-    """Time-shared single-user SM MI for user k.
-
-    The user transmits alone in its slot with the full power budget, the
-    sum of all power levels, so the received signal is the
-    interference-free SM mixture and the interference entropy is the AWGN
-    closed form. One row of sm_tdma_rows.
-    """
+    """Time-shared single-user SM MI for user k, alone in its slot with the
+    sum of all power levels: one row of sm_tdma_rows."""
     _check_decoding_pair(realization, config, k, k)
     gains_sq = np.abs(realization.channel_vectors[k - 1 : k]) ** 2
     return float(sm_tdma_rows(gains_sq, np.array(config.power_levels), config.signal_power,
@@ -88,12 +83,12 @@ def sm_tdma_rows(
     tolerance: float = 1e-10,
 ) -> np.ndarray:
     """sm_tdma_mi for user k's |h_k|^2 (..., M), the power levels (..., K)
-    and the signal power, broadcast against each other with at least one
-    leading axis. Every received mixture goes through one
-    gmd.entropy_radial_quadrature_rows call."""
+    and rho, broadcast against each other with at least one leading axis:
+    time_share times mi_rows' I(1, 1) of one user at power level 1 and
+    signal power rho * sum_t alpha_t^2, whose interference is the noise."""
     if not (0.0 < time_share <= 1.0):
         raise ValueError("time_share must lie in (0, 1]")
     power = sum(power_levels[..., t] for t in range(power_levels.shape[-1]))
-    variances = noise_power + (signal_power * power)[..., None] * gains_sq
-    h_y = gmd.entropy_radial_quadrature_rows(variances, tolerance)[0]
-    return time_share * (h_y - gmd.gaussian_entropy(noise_power))
+    values = mi_rows(gains_sq[..., None, :], (1.0,), (signal_power * power)[..., None],
+                     noise_power, ((1, 1),), tolerance=tolerance)[0]
+    return time_share * values[0]

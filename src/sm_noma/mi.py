@@ -67,14 +67,11 @@ def mi_exact(
     """I_{r,k} = h(Y_{r,k}) - h(Omega_{r,k}), both entropies by the same
     method (Monte Carlo: both from rng, h(Y) first): one row of mi_rows."""
     _check_decoding_pair(realization, config, r, k)
-    values, errors = mi_rows(
+    values, errors, draws = mi_rows(
         np.abs(realization.channel_vectors[None]) ** 2, config.power_levels,
         config.signal_power, config.noise_power, ((r, k),), method,
         rngs=lambda cell: rng, samples=samples, tolerance=tolerance)
-    # Monte Carlo samples each mixture of M^(K + 1 - t) > 1 components.
-    sampled = sum(config.num_tx_antennas ** (config.num_users + 1 - t) > 1 for t in (k, k + 1))
-    count = samples * sampled if method == "monte_carlo" else 0
-    return MiResult(mi_exact=EntropyEstimate(values.item(), errors.item(), count))
+    return MiResult(mi_exact=EntropyEstimate(values.item(), errors.item(), int(draws[0])))
 
 
 def mi_rows(
@@ -82,11 +79,12 @@ def mi_rows(
     pairs: Sequence[tuple[int, int]], method: str = "radial_quadrature", *,
     rngs: Callable[[tuple[int, ...]], np.random.Generator | None] = lambda cell: None,
     samples: int = 10**6, tolerance: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact I(r, k) = h(r, k) - h(r, k + 1) of each decoder/message pair
     (r, k), from every decoder's |h_r|^2 (..., K, M) with at least one
     leading axis and the K powers of signal_variances: (values, error
-    estimates), each (len(pairs), ...). Block (r, t) holds decoder r's
+    estimates), each (len(pairs), ...), and the Monte Carlo draws made for
+    each pair, (len(pairs),), 0 under quadrature. Block (r, t) holds decoder r's
     variance rows for the users t and up (mixture_of_received's for t = k,
     mixture_of_interference's for t = k + 1) and is built once: I(2, 1) and
     I(2, 2) share block (2, 2). Under either method a block of one-component
@@ -121,8 +119,8 @@ def mi_rows(
               for r, k in pairs for t in (k, k + 1)}
     h = {key: gmd.entropy_radial_quadrature_rows(v, tolerance) for key, v in blocks.items()
          if method == "radial_quadrature" or v.shape[-1] == 1}
+    lead = np.broadcast_shapes(*(v.shape[:-1] for v in blocks.values()))
     if method == "monte_carlo":
-        lead = np.broadcast_shapes(*(v.shape[:-1] for v in blocks.values()))
         rows = {key: np.broadcast_to(v, lead + v.shape[-1:]) for key, v in blocks.items()}
         sampled = np.empty((len(pairs), 2, 2) + lead)  # (p, t - k, value/error, ...)
         cells = list(np.ndindex((len(pairs),) + lead))
@@ -149,7 +147,9 @@ def mi_rows(
     entropies = [[h[r, t] if (r, t) in h else sampled[p, t - k] for t in (k, k + 1)]
                  for p, (r, k) in enumerate(pairs)]
     return (np.stack([h_y[0] - h_w[0] for h_y, h_w in entropies]),
-            np.stack([np.hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]))
+            np.stack([np.hypot(h_y[1], h_w[1]) for h_y, h_w in entropies]),
+            np.array([samples * math.prod(lead) * sum((r, t) not in h for t in (k, k + 1))
+                      for r, k in pairs]))
 
 
 def mi_lower_bound_k2(

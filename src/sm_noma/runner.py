@@ -110,6 +110,8 @@ class PowerSplit:
             raise ConfigError("total power must be positive")
         if not self.ratio_grid or any(r < 0 for r in self.ratio_grid):
             raise ConfigError("ratio grid must be nonempty and nonnegative")
+        if any(b >= a for a, b in zip(self.ratio_grid[1:], self.ratio_grid)):
+            raise ConfigError("ratio grid must be strictly increasing")
 
     def split(self, ratio: float) -> tuple[float, float]:
         """alpha1^2 : alpha2^2 = ratio with alpha1^2 + alpha2^2 = total."""
@@ -340,7 +342,7 @@ def _mi_table(
     gains = np.abs(channels[:, None]) ** 2  # |h_r|^2 as (N, 1, 2, M), against the grid
     if "I" in quantities:
         # Each power level and the SNR are (..., 1), against the component axis.
-        table["I"], table["I_err"] = mi_rows(
+        table["I"], table["I_err"], _ = mi_rows(
             gains, levels.T[..., None], rho[..., None], _NOISE_POWER, pairs, config.entropy_method,
             rngs=lambda cell: substream(config.seed, _TAG_MC, *cell[1:], cell[0]),
             samples=config.mc_samples, tolerance=config.quadrature_tolerance)
@@ -633,10 +635,10 @@ def write_curves(
     config: ExperimentConfig,
     x_axis: str = "snr_db",
 ) -> None:
-    """CSV with one row per (curve, grid point) plus a JSON sidecar embedding
-    the fully resolved config for provenance."""
+    """CSV with one row per (curve, grid point), its x column named x_axis,
+    plus a JSON sidecar embedding the fully resolved config for provenance."""
     path = Path(path)
-    lines = ["label,snr_db,mean_bits,std_error_bits"]
+    lines = [f"label,{x_axis},mean_bits,std_error_bits"]
     for curve in curves:
         for x, mean, se in curve.points:
             lines.append(f"{curve.label},{x:.10g},{mean:.12g},{se:.12g}")

@@ -255,7 +255,7 @@ class TestEntropyExact:
         rng = np.random.default_rng(0)
         mc = [gmd.entropy_monte_carlo(m, rng, 100) for m in mixtures]
         for method, (h_y, h_w) in (("radial_quadrature", quad), ("monte_carlo", mc)):
-            values, errors = mi.mi_rows(
+            values, errors, _ = mi.mi_rows(
                 gains_sq, cfg.power_levels, cfg.signal_power, cfg.noise_power, ((2, 1),),
                 method, rngs=lambda cell: np.random.default_rng(0), samples=100)
             assert values[0, 0] == h_y.value - h_w.value
@@ -273,7 +273,7 @@ class TestEntropyExact:
         for r, k in ((1, 1), (2, 1), (2, 2)):
             h_y, h_w = (gmd.gaussian_entropy(mixture(realization, cfg, r, k).variances[0])
                         for mixture in (mixture_of_received, mixture_of_interference))
-            values, errors = mi.mi_rows(
+            values, errors, _ = mi.mi_rows(
                 np.abs(realization.channel_vectors[None]) ** 2, cfg.power_levels,
                 cfg.signal_power, cfg.noise_power, ((r, k),), method,
                 rngs=lambda cell: rng, samples=100)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sm_noma import gmd, mi, runner
+from sm_noma import baselines, gmd, mi, runner
 from sm_noma.mi import (
     asymptotes,
     mi_exact,
@@ -186,6 +186,105 @@ class TestMiExact:
                                               rng=np.random.default_rng(10 * r + k), samples=50)
             assert (mc.value.hex(), mc.std_error.hex()) == (value.hex(), error.hex())
             assert mc.sample_count == (50 if k == 3 else 100)
+
+    @pytest.mark.parametrize("num_users", [2, 3])
+    @pytest.mark.parametrize("num_tx_antennas", [1, 2])
+    def test_sample_count_is_what_was_drawn(self, monkeypatch, num_tx_antennas, num_users):
+        # mi_rows alone knows which blocks it samples: mi_exact's count is
+        # samples times the entropy_monte_carlo calls made, 0 by quadrature.
+        cfg = SystemConfig(num_tx_antennas, num_users, (4.0, 2.0, 1.0)[:num_users], 10.0, 1.0)
+        realization = random_realization(cfg, 8)
+        calls = []
+        sample = gmd.entropy_monte_carlo
+        monkeypatch.setattr(gmd, "entropy_monte_carlo",
+                            lambda *args: calls.append(args) or sample(*args))
+        for r in range(1, num_users + 1):
+            for k in range(1, r + 1):
+                calls.clear()
+                mc = mi_exact(realization, cfg, r, k, "monte_carlo",
+                              rng=np.random.default_rng(r + k), samples=30).mi_exact
+                assert mc.sample_count == 30 * len(calls)
+                # Only M = 1 leaves nothing to sample.
+                assert (len(calls) > 0) == (num_tx_antennas > 1)
+                calls.clear()
+                assert mi_exact(realization, cfg, r, k).mi_exact.sample_count == 0
+                assert calls == []
+
+
+# Allowance, in bits, beside a cell's error estimate, which covers the
+# quadrature rule but neither roundoff (about 100 ulps of entropies below
+# 50 bits in magnitude, 1e-12) nor the truncation at TAIL_MASS (below 1e-12
+# bits per entropy against 30-digit mpmath).
+ALLOWANCE_BITS = 3e-12
+
+snr_grids = st.lists(st.floats(-40.0, 60.0), min_size=2, max_size=6, unique=True).map(sorted)
+power_splits = st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+
+
+@st.composite
+def channels(draw):
+    """A (2, M) channel matrix, M from 1 to 4, entries up to 4 in magnitude."""
+    m = draw(st.integers(1, 4))
+    entry = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(entry, min_size=2 * m, max_size=2 * m))).reshape(2, m)
+
+
+def assert_monotone_and_bracketed(values, errors, s_y, s_w):
+    """For one MI curve over an increasing SNR grid, values and errors (G,)
+    and its received and interference variances s_y (G, L_y) and s_w
+    (G, L_w): each step up the grid is at least minus the two cells' error
+    estimates (a lower SNR is a degraded channel), and each cell lies in
+    E log2 s_y - log2 E s_w <= I <= log2 E s_y - E log2 s_w (Jensen, and
+    the Gaussian maximum entropy), each within its error estimate."""
+    slack = errors + ALLOWANCE_BITS
+    assert np.all(np.diff(values) >= -(slack[1:] + slack[:-1]))
+    lower = np.log2(s_y).mean(axis=-1) - np.log2(s_w.mean(axis=-1))
+    upper = np.log2(s_y.mean(axis=-1)) - np.log2(s_w).mean(axis=-1)
+    assert np.all(lower - slack <= values)
+    assert np.all(values <= upper + slack)
+
+
+class TestTheoremOracles:
+    """Properties any exact MI has, on mi_rows cells over random channels,
+    power splits and SNR grids, with the variances built here from |h|^2."""
+
+    @given(channels(), power_splits, snr_grids)
+    @settings(max_examples=60, deadline=None)
+    def test_two_user_cells(self, h, levels, snr_db):
+        a1, a2 = levels
+        rho = 10.0 ** (np.array(snr_db) / 10.0)
+        pairs = ((1, 1), (2, 1), (2, 2))
+        values, errors, _ = mi.mi_rows(np.abs(h[None]) ** 2, levels, rho[:, None], 1.0, pairs)
+        for p, (r, k) in enumerate(pairs):
+            rho_g = rho[:, None] * np.abs(h[r - 1]) ** 2  # (G, M)
+            if k == 1:  # index tuples (n1, n2) against the interference's n2
+                s_y = (1.0 + a1 * rho_g[:, :, None] + a2 * rho_g[:, None, :]).reshape(len(rho), -1)
+                s_w = 1.0 + a2 * rho_g
+            else:  # the interference of the last message is the noise alone
+                s_y, s_w = 1.0 + a2 * rho_g, np.ones((len(rho), 1))
+            assert_monotone_and_bracketed(values[p], errors[p], s_y, s_w)
+
+    @given(channels(), power_splits, snr_grids)
+    @settings(max_examples=60, deadline=None)
+    def test_sm_tdma_cells(self, h, levels, snr_db):
+        # SM-TDMA's full slot is mi_rows' I(1, 1) of one user at the total
+        # power a1 + a2; its error estimate is read from that call.
+        rho = 10.0 ** (np.array(snr_db) / 10.0)
+        results = []
+
+        def recording_mi_rows(*args, **kwargs):
+            results.append(mi.mi_rows(*args, **kwargs))
+            return results[-1]
+
+        for k in (1, 2):
+            g = np.abs(h[k - 1]) ** 2
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(baselines, "mi_rows", recording_mi_rows)
+                values = baselines.sm_tdma_rows(g[None], np.array([levels]), rho, 1.0, 1.0)
+            errors = results[-1][1][0]  # of the one pair (1, 1)
+            assert_monotone_and_bracketed(values, errors,
+                                          1.0 + (levels[0] + levels[1]) * rho[:, None] * g,
+                                          np.ones((len(rho), 1)))
 
 
 class TestMiLowerBound:

@@ -140,6 +140,8 @@ class TestConfig:
         {"power_split": {"total": 5.0, "ratio_grid": [4.0], "alpha3_sq": 1.0}},
         {"power_split": {"ratio_grid": []}},
         {"power_split": {"ratio_grid": [-1.0]}},
+        {"power_split": {"ratio_grid": [1.0, 4.0, 2.0]}},
+        {"power_split": {"ratio_grid": [1.0, 4.0, 4.0]}},
         {"power_split": {"total": -5.0}},
         {"snr_grid_db": []},
         {"method": "simulation"},
@@ -445,18 +447,21 @@ class TestSweepTable:
 
 class TestOutput:
     def test_csv_and_sidecar(self, tmp_path):
-        cfg = tiny_config()
-        curves = run_figure1(cfg)
-        out = tmp_path / "fig1.csv"
-        write_curves(out, curves, cfg)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "label,snr_db,mean_bits,std_error_bits"
-        assert len(lines) == 1 + sum(len(c.points) for c in curves)
-        sidecar = json.loads((tmp_path / "fig1.csv.json").read_text())
-        assert sidecar["config"]["seed"] == cfg.seed
-        assert sidecar["config"]["realizations"] == cfg.realizations
-        assert sidecar["config"]["mc_samples"] == cfg.mc_samples
-        assert sidecar["x_axis"] == "snr_db"
+        # The CSV's x column is named after the axis the sidecar states.
+        for run, cfg, x_axis in ((run_figure1, tiny_config(), "snr_db"),
+                                 (run_figure2b, figure2b_config(realizations=2, seed=11),
+                                  "power_ratio")):
+            curves = run(cfg)
+            out = tmp_path / f"{x_axis}.csv"
+            write_curves(out, curves, cfg, x_axis=x_axis)
+            lines = out.read_text().splitlines()
+            assert lines[0] == f"label,{x_axis},mean_bits,std_error_bits"
+            assert len(lines) == 1 + sum(len(c.points) for c in curves)
+            sidecar = json.loads((tmp_path / f"{x_axis}.csv.json").read_text())
+            assert sidecar["config"]["seed"] == cfg.seed
+            assert sidecar["config"]["realizations"] == cfg.realizations
+            assert sidecar["config"]["mc_samples"] == cfg.mc_samples
+            assert sidecar["x_axis"] == x_axis
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config()
@@ -593,6 +598,19 @@ class TestCli:
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert main(["fig1", "--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratios", [[4.0, 4.0, 1.0], [1.0, 4.0, 2.0]])
+    def test_ratio_grid_not_increasing_exit_code(self, tmp_path, capsys, ratios):
+        # [4, 4, 1] wrote two identical rows per label at a ratio of 4.
+        cfg_path = tmp_path / "cfg.json"
+        cfg = config_to_dict(figure2b_config(realizations=1))
+        cfg["power_split"]["ratio_grid"] = ratios
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.csv"
+        assert main(["fig2b", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert ("config error: ratio grid must be strictly increasing"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_float_antenna_count_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
