@@ -200,35 +200,38 @@ class EntropyEstimate:
 
 
 def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
-    """Natural log of the mixture PDF, evaluated via log-sum-exp."""
-    a = np.asarray(points, dtype=complex)
-    return _log_pdf_into(mixture, a, np.empty((len(mixture),) + a.shape))
-
-
-def _log_pdf_into(
-    mixture: GaussianMixture, a: np.ndarray, terms: np.ndarray
-) -> np.ndarray:
-    """log_pdf of the complex array a, with the (L, *a.shape) component
-    terms written into the float64 array terms.
+    """Natural log of the mixture PDF, evaluated via log-sum-exp.
 
     The density is radial: |a|^2 is taken once per point and shared by
     every component. It is squared as an array of at least one dimension:
     on a 0-d point, ** 2 would act on a numpy scalar, whose power can round
     differently from the array loop's product.
+    """
+    a = np.asarray(points, dtype=complex)
+    abs_sq = (np.abs(np.atleast_1d(a)) ** 2).reshape(a.shape)
+    return _log_pdf_into(mixture, abs_sq, np.empty((len(mixture),) + a.shape))
+
+
+def _log_pdf_into(
+    mixture: GaussianMixture, abs_sq: np.ndarray, terms: np.ndarray
+) -> np.ndarray:
+    """log_pdf at the points whose |a|^2 is the float64 array abs_sq, with
+    the (L, *abs_sq.shape) component terms written into the float64 array
+    terms.
 
     The terms reduce in place by a max-shift log-sum-exp, log f =
     log(sum of exp(term - m)) + m, with m each point's largest term, or 0
-    where that is -inf (giving -inf) or nan (giving nan); m overwrites |a|^2.
+    where that is -inf (giving -inf) or nan (giving nan); m overwrites
+    abs_sq.
     """
-    per_component = (len(mixture),) + (1,) * a.ndim
+    per_component = (len(mixture),) + (1,) * abs_sq.ndim
     log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
-    abs_sq = (np.abs(np.atleast_1d(a)) ** 2).reshape(a.shape)
     np.divide(abs_sq, mixture.variances.reshape(per_component), out=terms)
     np.subtract(log_coef.reshape(per_component), terms, out=terms)
     shift = np.max(terms, axis=0, out=abs_sq)
     np.copyto(shift, 0.0, where=~np.isfinite(shift))
     np.exp(np.subtract(terms, shift, out=terms), out=terms)
-    log_f = np.sum(terms, axis=0, out=np.empty(a.shape))
+    log_f = np.sum(terms, axis=0, out=np.empty(abs_sq.shape))
     with np.errstate(divide="ignore"):  # log(0) where every term is -inf
         np.add(np.log(log_f, out=log_f), shift, out=log_f)
     return log_f[()]  # an np.float64 for a 0-d point
@@ -239,14 +242,16 @@ def sample(
 ) -> np.ndarray:
     """i.i.d. draws: component chosen by weight, then CN(0, sigma_l^2).
 
-    The stream is read in the order component indices, then every real
-    part, then every imaginary part; callers' seeded results depend on it.
-    The component indices are the ones rng.choice(L, size=count, p=weights)
-    returns on the same stream. For equal weights they are computed here
-    from the same rng.random(count) draws (see _equal_weight_choice).
+    The stream is read as _draw_components reads it; callers' seeded
+    results depend on it.
     """
     _check_count("count", count)
-    return _sample_into(mixture, rng, np.empty(count, dtype=complex), np.empty(count))
+    real, imag = np.empty((2, count))
+    idx = _draw_components(mixture, rng, real, imag)
+    draws = np.empty(count, dtype=complex)
+    draws.real, draws.imag = real, imag
+    draws *= np.sqrt(mixture.variances / 2.0)[idx]
+    return draws
 
 
 def _check_count(name: str, count) -> None:
@@ -254,28 +259,30 @@ def _check_count(name: str, count) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
-def _sample_into(
+def _draw_components(
     mixture: GaussianMixture,
     rng: np.random.Generator,
-    draws: np.ndarray,
-    scratch: np.ndarray,
+    real: np.ndarray,
+    imag: np.ndarray,
 ) -> np.ndarray:
-    """sample(mixture, rng, len(draws)), written into the complex array
-    draws. The float64 array scratch, of the same length, is overwritten:
-    it holds the uniform draws, each normal part in turn, and the scales.
+    """The random stream of `sample`, for len(real) draws: the component
+    indices, which are returned, then every real part's standard normal,
+    written into the float64 array real, then every imaginary part's,
+    written into imag.
+
+    The indices are the ones rng.choice(L, size=count, p=weights) returns
+    on the same stream. For equal weights they are computed from the same
+    rng.random(count) draws (see _equal_weight_choice), which real and
+    imag hold as scratch until the normals overwrite them.
     """
-    count = len(draws)
     w = mixture.weights
     if (w == w[0]).all():
-        # draws is not written yet, so its memory is the choice's scratch.
-        idx = _equal_weight_choice(w, rng.random(out=scratch), draws.view(float)[:count])
+        idx = _equal_weight_choice(w, rng.random(out=real), imag)
     else:
-        idx = rng.choice(len(mixture), size=count, p=w)
-    draws.real = rng.standard_normal(out=scratch)
-    draws.imag = rng.standard_normal(out=scratch)
-    # take buffers its out= in the default mode="raise"; idx is in range.
-    draws *= np.take(np.sqrt(mixture.variances / 2.0), idx, out=scratch, mode="clip")
-    return draws
+        idx = rng.choice(len(mixture), size=len(real), p=w)
+    rng.standard_normal(out=real)
+    rng.standard_normal(out=imag)
+    return idx
 
 
 def _equal_weight_choice(
@@ -346,6 +353,9 @@ def gaussian_entropy(variance: float) -> float:
 # Component terms per Monte Carlo block. It bounds the (L, block) term
 # array at 512 kB whatever the sample count.
 _MC_BLOCK_TERMS = 1 << 16
+# Largest spread L * max(variances) / min(variances) whose Monte Carlo
+# density is summed directly; see entropy_monte_carlo for why it is safe.
+_MC_MAX_SPREAD = 1e200
 
 
 def entropy_monte_carlo(
@@ -353,36 +363,89 @@ def entropy_monte_carlo(
 ) -> EntropyEstimate:
     """Sample mean of -log2 f_A(a) over draws from the mixture.
 
-    Every draw is made, as `sample` makes them, before any is evaluated,
-    so the random stream does not depend on the block size; -log2 f is
+    The draws are the ones `sample` makes, from the same stream, and all
+    of them are made before any is evaluated, so the stream does not
+    depend on the block size. The density needs only |a|^2, which
+    _radial_draws forms from the normals without complex draws; -log2 f is
     then evaluated in blocks of about _MC_BLOCK_TERMS component terms.
 
-    The draws, -log2 f and the block terms share one buffer per call: the
-    -log2 f part is the sampler's scratch until the blocks fill it, and
-    each block writes its terms over the last. glibc's malloc raises its
-    trim threshold to twice the largest mmap-served block it frees, so
-    with the call's working set in one block the heap keeps its pages from
-    call to call instead of returning them and faulting them in again.
+    A block sums the density directly: with v the largest variance and
+    c_l = beta_l v / sigma_l^2,
+        log f = log(sum_l c_l exp(-|a|^2 / sigma_l^2)) - log(pi v),
+    a multiply, an exp and a multiply by c over the (L, block) terms, then
+    numpy's sum over the components. A matrix-vector product with c would
+    save the last multiply, but OpenBLAS's dgemv rounds an element by its
+    position in the call, so a blocked sum would not have the bits of a
+    one-shot one. While the spread L v / min(sigma_l^2) is at most
+    _MC_MAX_SPREAD (1e200) the direct sum is safe:
+    - No overflow: every c_l is at most v / min(sigma_l^2) (beta_l <= 1)
+      and every exponential at most 1, so the sum is at most the spread.
+    - Underflow is negligible: an exponential below 2^-1022 (2.2e-308)
+      loses at most its whole value, so the sum loses at most the spread
+      times that, 2.2e-108. A draw from component k has
+      |a|^2 = sigma_k^2 E, E exponential with mean 1, and k's own term
+      c_k e^-E is at least beta_k e^-E; the loss passes 1e-16 of it only
+      where e^-E < 2.2e-92 / beta_k, a chance of 2.2e-92 / beta_k per draw.
+    Wider mixtures take _log_pdf_into's max-shift log-sum-exp on the same
+    |a|^2.
+
+    |a|^2, -log2 f, the sampler's scratch and the block terms share one
+    buffer per call: each block's -log2 f is written over its |a|^2, the
+    terms over the scratch and each block's terms over the last. glibc's
+    malloc raises its trim threshold to twice the largest mmap-served
+    block it frees, so with the call's working set in one block the heap
+    keeps its pages from call to call instead of returning them and
+    faulting them in again.
     """
     _check_count("samples", samples)
     n = len(mixture)
     step = max(1, _MC_BLOCK_TERMS // n)
-    buffer = np.empty(3 * samples + n * min(step, samples))
-    neg_log2_f = buffer[2 * samples : 3 * samples]
-    draws = _sample_into(mixture, rng, buffer[: 2 * samples].view(complex), neg_log2_f)
-    workspace = buffer[3 * samples :]
+    buffer = np.empty(samples + max(samples, n * min(step, samples)))
+    neg_log2_f = _radial_draws(mixture, rng, buffer[:samples], buffer[samples : 2 * samples])
+    workspace = buffer[samples:]
+    v = mixture.variances
+    v_max = float(v.max())
+    direct = n * (v_max / float(v.min())) <= _MC_MAX_SPREAD
+    neg_inv_v = (-1.0 / v)[:, None]
+    coef = (mixture.weights * (v_max / v))[:, None]
+    log_norm = math.log(math.pi * v_max)
     for start in range(0, samples, step):
-        block = draws[start : start + step]
+        block = neg_log2_f[start : start + step]  # |a|^2 until overwritten
         terms = workspace[: n * len(block)].reshape(n, len(block))
+        if direct:
+            np.exp(np.multiply(block, neg_inv_v, out=terms), out=terms)
+            terms *= coef
+            log_f = np.log(np.sum(terms, axis=0, out=block), out=block)
+            log_f -= log_norm
+        else:
+            log_f = _log_pdf_into(mixture, block, terms)
         # x / -LN2 has the bits of -x / LN2: IEEE division is sign-symmetric.
-        log_f = _log_pdf_into(mixture, block, terms)
-        np.divide(log_f, -LN2, out=neg_log2_f[start : start + step])
+        np.divide(log_f, -LN2, out=block)
     value = float(np.mean(neg_log2_f))
     if samples > 1:
         std_error = float(np.std(neg_log2_f, ddof=1) / math.sqrt(samples))
     else:
         std_error = 0.0
     return EntropyEstimate(value, std_error, samples)
+
+
+def _radial_draws(
+    mixture: GaussianMixture,
+    rng: np.random.Generator,
+    abs_sq: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """|a|^2 of the draws sample(mixture, rng, len(abs_sq)), from the same
+    stream, written into the float64 array abs_sq: a draw from component l
+    with normals z1, z2 has |a|^2 = (sigma_l^2 / 2) (z1^2 + z2^2). The
+    float64 array scratch, of the same length, is overwritten.
+    """
+    idx = _draw_components(mixture, rng, abs_sq, scratch)
+    np.square(abs_sq, out=abs_sq)
+    abs_sq += np.square(scratch, out=scratch)
+    # take buffers its out= in the default mode="raise"; idx is in range.
+    abs_sq *= np.take(mixture.variances / 2.0, idx, out=scratch, mode="clip")
+    return abs_sq
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
@@ -459,7 +522,8 @@ def entropy_radial_quadrature_rows(
     variances (..., L), at least one leading axis: (values, error
     estimates) of the leading shape. Each row has the bits its mixture
     gets alone, whatever the other rows: gaussian_entropy with error 0 for
-    L = 1, else entropy_radial_quadrature.
+    L = 1 (called once per distinct variance), else
+    entropy_radial_quadrature.
     """
     _check_tolerance(tolerance)
     v = np.ascontiguousarray(variances, dtype=float)
@@ -471,7 +535,10 @@ def entropy_radial_quadrature_rows(
         raise ValueError("component variances must be finite")
     lead, n = v.shape[:-1], v.shape[-1]
     if n == 1:
-        return np.reshape([gaussian_entropy(x) for x in v.ravel()], lead), np.zeros(lead)
+        # One gaussian_entropy call per distinct variance, scattered back.
+        distinct, inverse = np.unique(v.ravel(), return_inverse=True)
+        values = np.array([gaussian_entropy(x) for x in distinct])
+        return values[inverse].reshape(lead), np.zeros(lead)
     values, errors = _quadrature_rows(np.full(n, 1.0) / n, v.reshape(-1, n), tolerance)
     return values.reshape(lead), errors.reshape(lead)
 

@@ -25,7 +25,9 @@ from .system import mixture_of_interference, mixture_of_received  # noqa: F401
 LOG2E = math.log2(math.e)
 
 # Most Monte Carlo worker threads. Two ran an R = 6 Monte Carlo fig2b sweep
-# in about three quarters of one's time on a 2-core machine; more were never
+# in about three quarters of one's time on a 2-core machine, and in two
+# thirds of it (0.148 s against 0.233 s, medians of 8) once the direct
+# density left the random fills most of a cell's time; more were never
 # measured, and each holds one entropy call's buffers (runner.MAX_MC_SAMPLES).
 _MC_WORKERS = 2
 

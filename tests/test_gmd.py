@@ -23,6 +23,7 @@ from sm_noma.system import (
     draw_channel,
     mixture_of_interference,
     mixture_of_received,
+    signal_variances,
 )
 
 LOG2_2PI = math.log2(2.0 * math.pi)
@@ -726,6 +727,30 @@ class TestRowKernel:
                 [gmd.EntropyEstimate(x, e, 0) for x, e in zip(values.flat, errors.flat)])
             assert (errors == 0.0).all() == (n == 1)
 
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           arrays(np.float64, st.integers(1, 8), elements=st.floats(-299.0, 300.0)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_component_rows_call_once_per_distinct_variance(self, lead, log_pool, seed):
+        # Rows drawn with repeats from a pool of variances, then the
+        # noise-only block of a sweep (noise power alone at every
+        # realization and SNR): each cell has the bits of its own
+        # math.log2, from one gaussian_entropy call per distinct variance.
+        pool = 10.0**log_pool
+        noise_only = signal_variances(np.ones((200, 1, 2)), (0.8, 0.2), np.ones((41, 1)), 1.0, 3)
+        for stack in (np.random.default_rng(seed).choice(pool, (*lead, 1)), noise_only):
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gmd, "gaussian_entropy",
+                              lambda x, f=gmd.gaussian_entropy: calls.append(x) or f(x))
+                values, errors = gmd.entropy_radial_quadrature_rows(stack)
+            expected = [math.log2(math.pi * math.e * x) for x in stack.ravel()]
+            assert values.shape == errors.shape == stack.shape[:-1]
+            assert values.tobytes() == np.reshape(expected, stack.shape[:-1]).tobytes()
+            assert (errors == 0.0).all()
+            assert len(calls) <= len(np.unique(stack))
+        assert len(calls) == 1
+
     def test_integer_parameters_give_float_bits(self):
         ints = gmd.GaussianMixture([1], [2])
         floats = gmd.equal_weight_zero_mean_mixture([2.0])
@@ -931,12 +956,100 @@ def oracle_sample(mixture, rng, count):
 
 
 def oracle_entropy_monte_carlo(mixture, rng, samples):
-    """-log2 f of every draw at once, in one (L, samples) array."""
-    neg_log2_f = -oracle_log_pdf(mixture, oracle_sample(mixture, rng, samples)) / gmd.LN2
+    """-log2 f of every draw at once by the direct mixture density, in one
+    (L, samples) array: |a|^2 = (sigma^2 / 2) (z1^2 + z2^2) from the
+    stream `sample` reads, then -log2 f = -(log(sum_l c_l
+    exp(-|a|^2 / sigma_l^2)) - log(pi v)) / ln 2, with v the largest
+    variance and c_l = beta_l v / sigma_l^2."""
+    w, v = mixture.weights, mixture.variances
+    idx = rng.choice(len(mixture), size=samples, p=w)
+    z1, z2 = rng.standard_normal(samples), rng.standard_normal(samples)
+    v_max = float(v.max())
+    neg_log2_f = -(np.log(np.sum((w * (v_max / v))[:, None] * np.exp(
+        ((z1 * z1 + z2 * z2) * (v[idx] / 2.0)) * (-1.0 / v)[:, None]), axis=0))
+        - math.log(math.pi * v_max)) / gmd.LN2
     std_error = 0.0
     if samples > 1:
         std_error = float(np.std(neg_log2_f, ddof=1) / math.sqrt(samples))
     return gmd.EntropyEstimate(float(np.mean(neg_log2_f)), std_error, samples)
+
+
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def log_sum_exp_tolerance(mixture, points):
+    """The log-sum-exp oracle's estimate at the draws points
+    (oracle_log_pdf, the independent check of entropy_monte_carlo), and
+    bounds on how far entropy_monte_carlo's value and std error, at the
+    same draws, may be from it by rounding alone: (estimate, value bound,
+    std error bound), in bits.
+
+    Per draw, the bound counts every rounding of both computations to first
+    order in the unit roundoff u = 2^-53, taking numpy's exp and log to be
+    within 4 ulps (8u) and hypot within 1 ulp (2u). With t_l = |a|^2 /
+    sigma_l^2, w_l component l's share of f, tau = sum_l w_l t_l and
+    A = max_l (|log beta_l| + |log pi sigma_l^2|) (at least |log pi v|), a
+    relative error e_l in each term moves log f by at most sum_l w_l e_l:
+    - the oracle: |a|^2 = fl(hypot(s z1, s z2))^2, s = fl(sqrt(sigma^2 /
+      2)), is within 9u; with the division and the subtraction from
+      log_coef (two logs and a product, 10u A) each term is within
+      11u t_l + 10u A + 2u; the shift, the exps, the sum of L terms, the
+      log of a sum in [1, L] and adding the maximum give
+      11u tau + 10u A + (L + 10)u + 9u log L + u |log f|;
+    - the radial |a|^2 is within 3u, so its log-sum-exp branch is the same
+      with 5u tau;
+    - the direct branch: |a|^2, -1 / sigma_l^2 and their product, 5u t_l;
+      the exp, 8u; c_l, 2u; the sum, Lu; log S, 8u |log S| <= 8u (|log f|
+      + A); log(pi v), 8u A + 2u; the subtraction, u |log f|:
+      5u tau + (L + 12)u + 16u A + 9u |log f|.
+    The oracle and the worse branch add to
+    u (16 tau + 26 A + 2L + 22 + 18 log L + 10 |log f|) nats, and the final
+    division by ln 2 rounds each -log2 f once more. Terms that underflow
+    are negligible next to that (see entropy_monte_carlo).
+
+    Over the n draws, numpy's pairwise mean is within
+    gamma = (log2 n + 20)u of sum |h| / n for either estimate. The exact
+    std of two samples differs by at most the root sum of squared
+    per-draw differences over sqrt(n - 1), and a computed std is within
+    sqrt(n / (n - 1)) (gamma + u) mean|h| + (gamma / 2 + 4u) std of the
+    exact std of its own samples; dividing by sqrt(n) rounds twice.
+    """
+    log_f = oracle_log_pdf(mixture, points)
+    neg_log2_f = -log_f / gmd.LN2
+    n = len(neg_log2_f)
+    w, v = mixture.weights, mixture.variances
+    with np.errstate(over="ignore", under="ignore"):
+        t = np.abs(points) ** 2 / v[:, None]
+        share = np.exp(general_terms(mixture, points) - log_f)
+        tau = np.sum(np.where(share > 0.0, share * t, 0.0), axis=0)
+    a = float(np.max(np.abs(np.log(w)) + np.abs(np.log(math.pi * v))))
+    per_draw = U * (16 * tau + 26 * a + 2 * len(v) + 22 + 18 * math.log(len(v))
+                    + 12 * np.abs(log_f)) / gmd.LN2
+    gamma = (math.log2(n) + 20) * U
+    mean_abs = float(np.mean(np.abs(neg_log2_f)))
+    value_bound = float(np.mean(per_draw)) + 2 * (gamma + U) * mean_abs
+    std_error = 0.0
+    se_bound = 0.0
+    if n > 1:
+        std = float(np.std(neg_log2_f, ddof=1))
+        std_error = std / math.sqrt(n)
+        spread = math.sqrt(float(np.sum(per_draw**2)) / (n - 1))
+        # The spread and the rounding allow for the other estimate's std.
+        std_max = std + spread
+        rounding = 2 * (math.sqrt(n / (n - 1)) * (gamma + U) * mean_abs
+                        + (gamma / 2 + 4 * U) * std_max)
+        se_bound = (spread + rounding) / math.sqrt(n) + 4 * U * std_max / math.sqrt(n)
+    estimate = gmd.EntropyEstimate(float(np.mean(neg_log2_f)), std_error, n)
+    return estimate, value_bound, se_bound
+
+
+def assert_within_rounding_of_log_sum_exp(mixture, seed, samples):
+    got = gmd.entropy_monte_carlo(mixture, np.random.default_rng(seed), samples)
+    points = oracle_sample(mixture, np.random.default_rng(seed), samples)
+    expected, value_bound, se_bound = log_sum_exp_tolerance(mixture, points)
+    assert abs(got.value - expected.value) <= value_bound
+    assert abs(got.std_error - expected.std_error) <= se_bound
+    return got
 
 
 def oracle_overlap_matrix(mixture):
@@ -980,8 +1093,8 @@ def signed_zero_points(draw):
 
 
 class TestMonteCarloBlocks:
-    """The blocked, radial Monte Carlo path against the one-shot formulas
-    it replaced, bit for bit."""
+    """The blocked Monte Carlo path against its one-shot formula, bit for
+    bit, and against the log-sum-exp oracle within rounding."""
 
     @given(weighted_mixtures(),
            st.sampled_from(["1", "2", "block-1", "block", "block+1", "3block+5"]),
@@ -997,6 +1110,54 @@ class TestMonteCarloBlocks:
         assert got.sample_count == samples
         draws = gmd.sample(mix, np.random.default_rng(seed), samples)
         assert np.array_equal(draws, oracle_sample(mix, np.random.default_rng(seed), samples))
+
+    @given(weighted_mixtures(), st.integers(2, 5000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_direct_density_within_rounding_of_log_sum_exp(self, mix, samples, seed):
+        assert_within_rounding_of_log_sum_exp(mix, seed, samples)
+
+    @pytest.mark.parametrize("n, lo, hi, direct", [
+        # Spreads n * hi / lo of 2e199 and 1.6e199, just under 1e200; then
+        # 1.6e200, just over, and 2e300 and 1.6e301.
+        (2, 1e-190, 1e9, True), (16, 1e-189, 1e9, True), (16, 1e-190, 1e9, False),
+        (2, 1e-290, 1e10, False), (16, 1e-290, 1e10, False)])
+    def test_spread_guard_both_sides(self, n, lo, hi, direct, monkeypatch):
+        # Either side of _MC_MAX_SPREAD against the log-sum-exp oracle; the
+        # log-sum-exp branch is the one that calls _log_pdf_into.
+        v = np.geomspace(lo, hi, n)
+        mix = gmd.equal_weight_zero_mean_mixture(v)
+        assert (n * (hi / lo) <= gmd._MC_MAX_SPREAD) == direct
+        calls = []
+        log_pdf_into = gmd._log_pdf_into
+        monkeypatch.setattr(gmd, "_log_pdf_into",
+                            lambda *args: calls.append(1) or log_pdf_into(*args))
+        got = assert_within_rounding_of_log_sum_exp(mix, 7, 3 * gmd._MC_BLOCK_TERMS // n + 5)
+        assert math.isfinite(got.value) and math.isfinite(got.std_error)
+        assert (len(calls) == 0) == direct
+
+    @given(weighted_mixtures(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stream_after_entropy_is_the_stream_after_sample(self, mix, samples, seed):
+        # mc_error_scaling's later checks and the per-cell substreams read
+        # on from where an entropy call leaves the generator.
+        after = []
+        for draw in (gmd.entropy_monte_carlo, gmd.sample):
+            rng = np.random.default_rng(seed)
+            draw(mix, rng, samples)
+            after.append(rng.random(4))
+        assert after[0].tobytes() == after[1].tobytes()
+
+    @given(weighted_mixtures(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_radial_draws_are_abs_sample_squared(self, mix, samples, seed):
+        # (sigma^2 / 2) (z1^2 + z2^2) rounds four times, within 3u; the
+        # sampler's |a|^2 = fl(hypot(s z1, s z2))^2 with s = fl(sqrt(sigma^2
+        # / 2)) is within 9u (hypot within 1 ulp). 12u to first order,
+        # 13u with room for the second; seen up to 9 ulps.
+        x = gmd._radial_draws(mix, np.random.default_rng(seed), np.empty(samples),
+                              np.empty(samples))
+        ref = np.abs(gmd.sample(mix, np.random.default_rng(seed), samples)) ** 2
+        assert (np.abs(x - ref) <= 13 * U * ref).all()
 
     @given(weighted_mixtures(), signed_zero_points())
     @example(gmd.mixture_from_arrays([1.0], [1.0]),
