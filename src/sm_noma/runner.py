@@ -412,6 +412,48 @@ def _random_zero_mean_mixture(rng: np.random.Generator) -> gmd.GaussianMixture:
     return gmd.equal_weight_zero_mean_mixture(variances)
 
 
+# The second-moment check's draw count, and the draws it simulates at a time.
+SECOND_MOMENT_DRAWS = 200_000
+SIMULATION_SLICE = 8192
+
+
+def received_second_moment(
+    realization: ChannelRealization, system: SystemConfig, rng: np.random.Generator,
+    draws: int,
+) -> float:
+    """The mean of |y|^2 over `draws` simulated received symbols y of
+    decoder 1 for message 1, by simulate_received_symbol.
+
+    rng draws the symbols' (draws, K) real normals, then their imaginary
+    normals, then each user's active indices, then the noise's real and
+    imaginary normals. Only these draws are held whole, the indices as int8,
+    so M above 127 raises ValueError (a run's M is at most 64). The complex
+    symbols, the noise and y are formed SIMULATION_SLICE draws at a time,
+    and each slice's |y|^2 overwrites the noise's real parts, which are one
+    mean at the end. Every operation is elementwise and the mean is over
+    one contiguous array, so the value has the bits of simulating all
+    draws at once."""
+    users, antennas = system.num_users, system.num_tx_antennas
+    if antennas > np.iinfo(np.int8).max:
+        raise ValueError(f"int8 indices hold at most 127 antennas, got M = {antennas}")
+    symbols_re = rng.standard_normal((draws, users))
+    symbols_im = rng.standard_normal((draws, users))
+    indices = np.empty((draws, users), dtype=np.int8)
+    for t in range(users):
+        indices[:, t] = rng.integers(1, antennas + 1, size=draws)
+    noise_re = rng.standard_normal(draws)
+    noise_im = rng.standard_normal(draws)
+    symbol_scale = math.sqrt(system.signal_power / 2.0)
+    noise_scale = math.sqrt(system.noise_power / 2.0)
+    for start in range(0, draws, SIMULATION_SLICE):
+        part = slice(start, start + SIMULATION_SLICE)
+        symbols = (symbols_re[part] + 1j * symbols_im[part]) * symbol_scale
+        noise = (noise_re[part] + 1j * noise_im[part]) * noise_scale
+        y = simulate_received_symbol(realization, system, 1, 1, symbols, indices[part], noise)
+        noise_re[part] = np.abs(y) ** 2
+    return float(np.mean(noise_re))
+
+
 def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     """Randomized cross-module invariant checks with the configured seed,
     at the powers of the split's one power ratio. The suite estimates every
@@ -574,16 +616,7 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     system = _at_snr(base, 10.0, powers)
     realization = draw_channel(system, rng)
     mix = mixture_of_received(realization, system, 1, 1)
-    draws = 200_000
-    symbols = (rng.standard_normal((draws, 2)) + 1j * rng.standard_normal((draws, 2))) \
-        * math.sqrt(system.signal_power / 2.0)
-    idx = np.column_stack([rng.integers(1, config.num_tx_antennas + 1, size=draws)
-                           for _ in range(2)])
-    noise = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) \
-        * math.sqrt(system.noise_power / 2.0)
-    power = float(np.mean(np.abs(
-        simulate_received_symbol(realization, system, 1, 1, symbols, idx, noise)
-    ) ** 2))
+    power = received_second_moment(realization, system, rng, SECOND_MOMENT_DRAWS)
     rel = abs(power - mix.mean_power) / mix.mean_power
     record("received_second_moment", rel < 0.01,
            f"relative deviation {rel:.4f} (tolerance 0.01)")

@@ -8,6 +8,8 @@ functions where it does (np.abs, np.log2, np.hypot), so a cell and its
 oracle agree to the bit, except the lower bound, which is assembled from
 the general entropy bounds instead of the closed form. mp_entropy shares
 no code with gmd: it integrates one mixture's entropy to 30 digits.
+received_second_moment is the property suite's second-moment check
+computed over all its draws at once.
 """
 
 import math
@@ -16,7 +18,11 @@ import mpmath
 import numpy as np
 
 from sm_noma import gmd
-from sm_noma.system import mixture_of_interference, mixture_of_received
+from sm_noma.system import (
+    mixture_of_interference,
+    mixture_of_received,
+    simulate_received_symbol,
+)
 
 
 def entropy(mixture, tolerance=1e-10, rng=None, samples=0):
@@ -103,3 +109,18 @@ def sm_tdma_mi(realization, system, k, time_share, tolerance=1e-10):
     received = gmd.equal_weight_zero_mean_mixture(system.noise_power + power * gains_sq)
     h_y = gmd.entropy_radial_quadrature(received, tolerance).value
     return time_share * (h_y - gmd.gaussian_entropy(system.noise_power))
+
+
+def received_second_moment(realization, system, rng, draws):
+    """The mean of |y|^2 over `draws` received symbols of decoder 1 for
+    message 1, all simulated in one call: the same draws from rng, in the
+    same order, held as whole complex arrays with int64 indices."""
+    users = system.num_users
+    symbols = (rng.standard_normal((draws, users)) + 1j * rng.standard_normal((draws, users))) \
+        * math.sqrt(system.signal_power / 2.0)
+    idx = np.column_stack([rng.integers(1, system.num_tx_antennas + 1, size=draws)
+                           for _ in range(users)])
+    noise = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) \
+        * math.sqrt(system.noise_power / 2.0)
+    return float(np.mean(np.abs(
+        simulate_received_symbol(realization, system, 1, 1, symbols, idx, noise)) ** 2))

@@ -286,6 +286,62 @@ class TestTheoremOracles:
                                           1.0 + (levels[0] + levels[1]) * rho[:, None] * g,
                                           np.ones((len(rho), 1)))
 
+    @given(channels(), power_splits, snr_grids, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cells_depend_on_gains_alone(self, h, levels, snr_db, data):
+        # Permuting a user's antennas, or turning each antenna's phase, leaves
+        # every |h|^2 of that user, so I, I_LB and SM-TDMA keep their values
+        # within the cells' error estimates. MISO-NOMA is left out: it sums
+        # the complex gains of two antennas.
+        m = h.shape[1]
+        order = [data.draw(st.permutations(range(m))) for _ in range(2)]
+        theta = np.array(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                                            min_size=2 * m, max_size=2 * m))).reshape(2, m)
+        turned = np.stack([h[u, order[u]] for u in range(2)]) * np.exp(1j * theta)
+        rho = 10.0 ** (np.array(snr_db) / 10.0)
+        pairs = ((1, 1), (2, 1), (2, 2))
+
+        def cells(h):
+            g = np.abs(h) ** 2
+            values, errors, _ = mi.mi_rows(g[None], levels, rho[:, None], 1.0, pairs)
+            bound = np.stack([mi.lower_bound_k2_rows(g[r - 1], np.array(levels), rho, k)
+                              for r, k in pairs])
+            tdma = [mi.mi_rows(g[k - 1, None, None], (1.0,), (levels[0] + levels[1]) * rho[:, None],
+                               1.0, ((1, 1),))[:2] for k in (1, 2)]
+            sm_tdma = np.stack([baselines.sm_tdma_rows(g[k - 1, None], np.array([levels]), rho,
+                                                       1.0, 0.5) for k in (1, 2)])
+            return values, errors, bound, sm_tdma, 0.5 * np.stack([e[0] for _, e in tdma])
+
+        values, errors, bound, sm_tdma, tdma_errors = cells(h)
+        values2, errors2, bound2, sm_tdma2, tdma_errors2 = cells(turned)
+        assert np.all(np.abs(values2 - values) <= errors + errors2 + ALLOWANCE_BITS)
+        assert np.all(np.abs(bound2 - bound) <= ALLOWANCE_BITS)
+        assert np.all(np.abs(sm_tdma2 - sm_tdma) <= tdma_errors + tdma_errors2 + ALLOWANCE_BITS)
+
+    @given(channels(), power_splits, snr_grids, st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_monte_carlo_cells_within_bracket(self, h, levels, snr_db, seed):
+        # Each Monte Carlo cell lies in the closed-form bracket of
+        # assert_monotone_and_bracketed within 4 of its standard errors.
+        a1, a2 = levels
+        rho = 10.0 ** (np.array(snr_db) / 10.0)
+        pairs = ((1, 1), (2, 1), (2, 2))
+        values, errors, _ = mi.mi_rows(
+            np.abs(h[None]) ** 2, levels, rho[:, None], 1.0, pairs, "monte_carlo",
+            rngs=lambda cell: np.random.default_rng((seed, *cell)), samples=2000)
+        for p, (r, k) in enumerate(pairs):
+            rho_g = rho[:, None] * np.abs(h[r - 1]) ** 2
+            if k == 1:
+                s_y = (1.0 + a1 * rho_g[:, :, None] + a2 * rho_g[:, None, :]).reshape(len(rho), -1)
+                s_w = 1.0 + a2 * rho_g
+            else:
+                s_y, s_w = 1.0 + a2 * rho_g, np.ones((len(rho), 1))
+            lower = np.log2(s_y).mean(axis=-1) - np.log2(s_w.mean(axis=-1))
+            upper = np.log2(s_y.mean(axis=-1)) - np.log2(s_w).mean(axis=-1)
+            slack = 4.0 * errors[p] + ALLOWANCE_BITS
+            assert np.all(lower - slack <= values[p])
+            assert np.all(values[p] <= upper + slack)
+
 
 class TestMiLowerBound:
     def test_flat_gain_closed_form_22(self):

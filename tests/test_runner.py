@@ -444,6 +444,18 @@ class TestSweepTable:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_property_suite_peak_memory(self):
+        # The second-moment check holds its 200 000 draws as float64 normals
+        # and int8 indices, about 10 MB, and simulates them in slices: at
+        # once, its complex symbols, noise and y would take about 24 MB.
+        tracemalloc.start()
+        try:
+            run_property_suite(figure1_config(seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+
 
 class TestOutput:
     def test_csv_and_sidecar(self, tmp_path):
@@ -527,6 +539,67 @@ class TestPropertySuite:
             f"mean I-I_LB at 40 dB off {math.log2(math.e * 2) - 1.0:.4f} ")
         assert default["constant_shift_convergence"].startswith(
             f"mean I-I_LB at 40 dB off {math.log2(math.e * 4) - 1.0:.4f} ")
+
+    # 200 000 draws end in a ragged slice, 1000 fit in one, 2 * 8192 end on a
+    # slice boundary; M = 64 is the largest index int8 must hold.
+    @pytest.mark.parametrize("draws", [runner.SECOND_MOMENT_DRAWS, 1000,
+                                       2 * runner.SIMULATION_SLICE])
+    @pytest.mark.parametrize("m", [1, 2, 4, 64])
+    def test_second_moment_equals_one_shot_simulation(self, m, draws):
+        cfg = figure1_config(num_tx_antennas=m)
+        system = _at_snr(cfg.system, 10.0, cfg.system.power_levels)
+        for seed in range(8):
+            rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            realization = runner.draw_channel(system, rng)
+            runner.draw_channel(system, expected_rng)
+            power = runner.received_second_moment(realization, system, rng, draws)
+            expected = oracles.received_second_moment(realization, system, expected_rng, draws)
+            assert power.hex() == expected.hex()
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_second_moment_rejects_antennas_past_int8(self):
+        system = SystemConfig(128, 2, (4.0, 1.0), 10.0, 1.0)
+        rng = np.random.default_rng(0)
+        realization = runner.draw_channel(system, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at most 127 antennas"):
+            runner.received_second_moment(realization, system, rng, 10)
+        assert rng.bit_generator.state == state
+
+    def test_second_moment_simulates_every_draw_once_in_slices(self, monkeypatch):
+        calls = []
+        simulate = runner.simulate_received_symbol
+
+        def counting_simulate(realization, system, r, k, symbols, indices, noise):
+            calls.append((symbols, indices, noise))
+            return simulate(realization, system, r, k, symbols, indices, noise)
+
+        monkeypatch.setattr(runner, "simulate_received_symbol", counting_simulate)
+        run_property_suite(figure1_config(seed=0))
+        draws, size = runner.SECOND_MOMENT_DRAWS, runner.SIMULATION_SLICE
+        assert len(calls) == -(-draws // size)
+        assert [len(noise) for *_, noise in calls] == [
+            min(size, draws - start) for start in range(0, draws, size)]
+
+        # The slices, joined in call order, are the draws of one simulation.
+        calls.clear()
+        cfg = figure1_config()
+        system = _at_snr(cfg.system, 10.0, cfg.system.power_levels)
+        rng = np.random.default_rng(5)
+        realization = runner.draw_channel(system, rng)
+        state = rng.bit_generator.state
+        draws = 2 * size + 100
+        runner.received_second_moment(realization, system, rng, draws)
+        rng.bit_generator.state = state
+        symbols = (rng.standard_normal((draws, 2)) + 1j * rng.standard_normal((draws, 2))) \
+            * math.sqrt(system.signal_power / 2.0)
+        indices = np.column_stack([rng.integers(1, 5, size=draws) for _ in range(2)])
+        noise = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) \
+            * math.sqrt(system.noise_power / 2.0)
+        assert len(calls) == 3
+        for expected, got in zip((symbols, indices, noise), zip(*calls)):
+            assert np.array_equal(np.concatenate(got), expected)
+        assert all(indices.dtype == np.int8 for _, indices, _ in calls)
 
     def test_needs_fixed_power_split(self):
         with pytest.raises(ConfigError, match="exactly one power ratio, got 7"):

@@ -145,8 +145,10 @@ class TestTransmitSignal:
         assert y == [0.0, 0.0]
 
     def test_index_out_of_range(self):
-        # Booleans would index antenna 1; floats are not indices at all.
-        for indices in ((0, 2), (1, 5), (True, True), (1.5, 2.0)):
+        # Booleans would index antenna 1; floats are not indices at all. The
+        # property suite passes int8 indices, held to the same range.
+        int8 = [np.array(indices, dtype=np.int8) for indices in ((0, 2), (1, 5))]
+        for indices in ((0, 2), (1, 5), (True, True), (1.5, 2.0), *int8):
             with pytest.raises(ValueError, match="active indices"):
                 self.received(indices)
 
@@ -192,6 +194,8 @@ class TestReceivedSymbol:
                 for d in range(n)
             ]
             assert batched.shape == (n,)
+            assert batched.tobytes() == simulate_received_symbol(
+                realization, cfg, r, k, sym, idx.astype(np.int8), noise).tobytes()
             assert all(isinstance(y, complex) for y in scalar)
             assert batched.tolist() == scalar
 
