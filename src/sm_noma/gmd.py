@@ -623,14 +623,15 @@ def _refine(panels, values, errors, log_coef, inv_v, tolerance, buffers) -> tupl
     of one row's panels (2, P: lower and upper edges) with their values
     and errors: (value, error estimate). Each step halves every panel whose
     error exceeds tolerance / P and evaluates the halves, in groups of 40
-    in the buffers' first row. It warns if none splits (nan splits none)
-    or P would pass _MAX_PANELS.
+    in the buffers' first row. It stops and warns if none splits (nan
+    splits none), if P would pass _MAX_PANELS, or, as QUADPACK's roundoff
+    detection does, once a step leaves the summed estimate no lower: the
+    null rule's estimate has reached its roundoff floor.
     """
-    while not errors.sum() <= tolerance:
+    estimate = errors.sum()
+    while not estimate <= tolerance:
         split = errors > tolerance / len(errors)
         if not split.any() or len(errors) + np.count_nonzero(split) > _MAX_PANELS:
-            warnings.warn(f"radial quadrature refinement missed the tolerance: error estimate "
-                          f"{errors.sum():.3g} > tolerance {tolerance:.3g}", RuntimeWarning, 4)
             break
         lo, hi = panels[:, split]
         mid = (lo + hi) / 2.0
@@ -641,4 +642,10 @@ def _refine(panels, values, errors, log_coef, inv_v, tolerance, buffers) -> tupl
                 *panels[:, None, s : s + _PANELS], log_coef, inv_v, *buffers)
             values = np.append(values, products[0].sum(axis=-1))
             errors = np.append(errors, group_errors[0])
-    return float(values.sum()), float(errors.sum())
+        last, estimate = estimate, errors.sum()
+        if not estimate < last:
+            break
+    if not estimate <= tolerance:
+        warnings.warn(f"radial quadrature refinement missed the tolerance: error estimate "
+                      f"{estimate:.3g} > tolerance {tolerance:.3g}", RuntimeWarning, 4)
+    return float(values.sum()), float(estimate)

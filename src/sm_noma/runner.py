@@ -10,6 +10,7 @@ for a fixed (config, seed) regardless of evaluation order.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -424,34 +425,53 @@ def received_second_moment(
     """The mean of |y|^2 over `draws` simulated received symbols y of
     decoder 1 for message 1, by simulate_received_symbol.
 
-    rng draws the symbols' (draws, K) real normals, then their imaginary
-    normals, then each user's active indices, then the noise's real and
-    imaginary normals. Only these draws are held whole, the indices as int8,
-    so M above 127 raises ValueError (a run's M is at most 64). The complex
-    symbols, the noise and y are formed SIMULATION_SLICE draws at a time,
-    and each slice's |y|^2 overwrites the noise's real parts, which are one
-    mean at the end. Every operation is elementwise and the mean is over
-    one contiguous array, so the value has the bits of simulating all
-    draws at once."""
+    rng's stream holds 2 + K + 2 sections, each `draws` long: the symbols'
+    (draws, K) real normals, then their imaginary normals, then each
+    user's active indices, then the noise's real and imaginary normals.
+    A pre-pass walks all but the last section in slices, keeping a copy of
+    the generator at the start of each, and rng itself is at the start of
+    the last. The main pass then steps these cursors together, each
+    SIMULATION_SLICE draws at a time, forms the slice's symbols, noise and
+    y, and writes its |y|^2 into one (draws,) array, whose mean is the
+    result. A section drawn in slices holds the values it holds drawn
+    whole, every operation is elementwise and the mean is over one
+    contiguous array, so the value, and rng's state at the end, have the
+    bits of simulating all draws at once. Only |y|^2 is held whole.
+
+    The indices go to simulate_received_symbol as int8, so M above 127
+    raises ValueError (a run's M is at most 64), as does a draw count that
+    is not an integer >= 1; either before any draw."""
+    gmd._check_count("draws", draws)
     users, antennas = system.num_users, system.num_tx_antennas
     if antennas > np.iinfo(np.int8).max:
         raise ValueError(f"int8 indices hold at most 127 antennas, got M = {antennas}")
-    symbols_re = rng.standard_normal((draws, users))
-    symbols_im = rng.standard_normal((draws, users))
-    indices = np.empty((draws, users), dtype=np.int8)
-    for t in range(users):
-        indices[:, t] = rng.integers(1, antennas + 1, size=draws)
-    noise_re = rng.standard_normal(draws)
-    noise_im = rng.standard_normal(draws)
+    sections = (
+        lambda g, n: g.standard_normal((n, users)),
+        lambda g, n: g.standard_normal((n, users)),
+        *[lambda g, n: g.integers(1, antennas + 1, size=n)] * users,
+        lambda g, n: g.standard_normal(n),
+        lambda g, n: g.standard_normal(n),
+    )
+    starts = range(0, draws, SIMULATION_SLICE)
+    cursors = []
+    for draw in sections[:-1]:
+        cursors.append(copy.deepcopy(rng))
+        for start in starts:
+            draw(rng, min(SIMULATION_SLICE, draws - start))
+    cursors.append(rng)
     symbol_scale = math.sqrt(system.signal_power / 2.0)
     noise_scale = math.sqrt(system.noise_power / 2.0)
-    for start in range(0, draws, SIMULATION_SLICE):
-        part = slice(start, start + SIMULATION_SLICE)
-        symbols = (symbols_re[part] + 1j * symbols_im[part]) * symbol_scale
-        noise = (noise_re[part] + 1j * noise_im[part]) * noise_scale
-        y = simulate_received_symbol(realization, system, 1, 1, symbols, indices[part], noise)
-        noise_re[part] = np.abs(y) ** 2
-    return float(np.mean(noise_re))
+    abs_sq = np.empty(draws)
+    for start in starts:
+        n = min(SIMULATION_SLICE, draws - start)
+        symbols_re, symbols_im, *indices, noise_re, noise_im = (
+            draw(cursor, n) for draw, cursor in zip(sections, cursors))
+        symbols = (symbols_re + 1j * symbols_im) * symbol_scale
+        noise = (noise_re + 1j * noise_im) * noise_scale
+        indices = np.stack(indices, axis=1, dtype=np.int8)
+        y = simulate_received_symbol(realization, system, 1, 1, symbols, indices, noise)
+        abs_sq[start : start + n] = np.abs(y) ** 2
+    return float(np.mean(abs_sq))
 
 
 def run_property_suite(config: ExperimentConfig) -> PropertyReport:

@@ -7,7 +7,8 @@ Each follows the row code's order of operations and takes numpy's
 functions where it does (np.abs, np.log2, np.hypot), so a cell and its
 oracle agree to the bit, except the lower bound, which is assembled from
 the general entropy bounds instead of the closed form. mp_entropy shares
-no code with gmd: it integrates one mixture's entropy to 30 digits.
+no code with gmd: it integrates one mixture's entropy to 30 digits, and
+mp_bound is how far a kernel estimate may be from it.
 received_second_moment is the property suite's second-moment check
 computed over all its draws at once.
 """
@@ -64,6 +65,29 @@ def mp_entropy(variances):
 
         logs = [mpmath.ln(s) for s in scales]
         return float(mpmath.quad(integrand, [logs[0] - 45, *logs, logs[-1] + 5]) / mpmath.ln(2))
+
+
+def truncation_allowance(variances):
+    """A bound on the entropy past the kernel's truncation point u_max =
+    s_max ln(L / TAIL_MASS), which its error estimate leaves out: each
+    component's mass there is at most TAIL_MASS / L^2, and there -log2 f(u)
+    is at most (u / s_max + ln(pi s_max L)) / ln 2, so the tail is at most
+    TAIL_MASS (ln(L / TAIL_MASS) + 1 + |ln(pi s_max L)|) / (L ln 2). It is
+    2.6e-13 bits on {1, 2}, whose tail is 1.3e-13."""
+    n, s_max = len(variances), float(np.max(variances))
+    log_tail = math.log(n / gmd.TAIL_MASS) + 1.0 + abs(math.log(math.pi * s_max * n))
+    return gmd.TAIL_MASS * log_tail / (n * gmd.LN2)
+
+
+# Roundoff in a kernel value of up to about 70 bits: the 1920 node products
+# and the oracle's rounding to float.
+ROUNDOFF_BITS = 1e-13
+
+
+def mp_bound(estimate, variances):
+    """How far the kernel's estimate may be from mp_entropy: its own error
+    estimate, or the roundoff and truncation allowance if that is larger."""
+    return max(estimate.std_error, ROUNDOFF_BITS + truncation_allowance(variances))
 
 
 def mixture_mi(realization, system, r, k, tolerance=1e-10, rng=None, samples=0):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import mp_entropy
+from oracles import ROUNDOFF_BITS, mp_bound, mp_entropy
 from scipy.special import logsumexp as scipy_logsumexp
 
 from sm_noma import gmd, mi
@@ -316,40 +316,17 @@ def record_panel_rule(monkeypatch):
     return shapes
 
 
-def truncation_allowance(variances):
-    """A bound on the entropy past the kernel's truncation point u_max =
-    s_max ln(L / TAIL_MASS), which its error estimate leaves out: each
-    component's mass there is at most TAIL_MASS / L^2, and there -log2 f(u)
-    is at most (u / s_max + ln(pi s_max L)) / ln 2, so the tail is at most
-    TAIL_MASS (ln(L / TAIL_MASS) + 1 + |ln(pi s_max L)|) / (L ln 2). It is
-    2.6e-13 bits on {1, 2}, whose tail is 1.3e-13."""
-    n, s_max = len(variances), float(np.max(variances))
-    log_tail = math.log(n / gmd.TAIL_MASS) + 1.0 + abs(math.log(math.pi * s_max * n))
-    return gmd.TAIL_MASS * log_tail / (n * gmd.LN2)
-
-
-# Roundoff in a kernel value of up to about 70 bits: the 1920 node products
-# and the oracle's rounding to float.
-ROUNDOFF_BITS = 1e-13
-
-
-def mp_bound(estimate, variances):
-    """How far the kernel's estimate may be from mp_entropy: its own error
-    estimate, or the roundoff and truncation allowance if that is larger."""
-    return max(estimate.std_error, ROUNDOFF_BITS + truncation_allowance(variances))
-
-
 class TestQuadratureFallback:
     """A tolerance at roundoff level makes the panel rule miss it, so the row
     is refined. The null-rule estimates of the halves level off at their
-    roundoff, so the refinement stops and a RuntimeWarning names both
-    numbers. Nothing is remembered: a repeat call refines and warns again,
-    with the same bits.
+    roundoff, so the refinement stops once a step leaves the summed
+    estimate no lower, and a RuntimeWarning names both numbers. Nothing is
+    remembered: a repeat call refines and warns again, with the same bits.
     """
 
     @pytest.mark.parametrize("variances, tolerance", [
-        ([1.0, 1e6], 1e-17),  # the refined estimate stops at about 3.0e-13
-        ([1e-10, 1e10], 1e-15),  # about 7.2e-13
+        ([1.0, 1e6], 1e-17),  # the refined estimate stops at about 3.1e-13
+        ([1e-10, 1e10], 1e-15),  # about 7.4e-13
     ])
     def test_wide_spread_fallback_matches_panel_rule(
             self, monkeypatch, variances, tolerance):
@@ -377,17 +354,33 @@ class TestQuadratureFallback:
     @pytest.mark.parametrize("cap", [100, 400])
     def test_refinement_stops_at_the_panel_cap(self, monkeypatch, cap):
         # Each step adds one panel per panel it halves and evaluates both
-        # halves; the row's panels never pass the cap.
+        # halves; the row's panels never pass the cap. On the 34-decade row
+        # at 1e-13 every step lowers the summed estimate for more than 400
+        # panels, so the cap, not the roundoff floor, stops it.
         monkeypatch.setattr(gmd, "_MAX_PANELS", cap)
         evaluated = record_panel_rule(monkeypatch)
-        mix = gmd.equal_weight_zero_mean_mixture([1.0, 1e6])
+        mix = gmd.equal_weight_zero_mean_mixture(10.0 ** np.linspace(-17.0, 17.0, 8))
         with pytest.warns(RuntimeWarning, match="missed the tolerance"):
-            gmd.entropy_radial_quadrature(mix, 1e-17)
+            gmd.entropy_radial_quadrature(mix, 1e-13)
         assert evaluated[0] == (1, gmd._PANELS)
         halves = sum(p for _, p in evaluated[1:])
         assert halves > 0
         assert all(p <= gmd._PANELS for _, p in evaluated)
         assert gmd._PANELS + halves // 2 <= cap
+
+    def test_refinement_stops_at_the_roundoff_floor(self, monkeypatch):
+        # At 1e-17 the 40-panel estimate of about 3.0e-13 is already at the
+        # null rule's roundoff: the first step's halves sum to no less, so
+        # the refinement stops after it, in at most 3 panel-rule calls,
+        # where halving on to the 400-panel cap took 15.
+        evaluated = record_panel_rule(monkeypatch)
+        mix = gmd.equal_weight_zero_mean_mixture([1.0, 1e6])
+        with pytest.warns(RuntimeWarning, match="missed the tolerance") as record:
+            got = gmd.entropy_radial_quadrature(mix, 1e-17)
+        assert len(evaluated) <= 3
+        assert got.std_error >= gmd.entropy_radial_quadrature(mix).std_error
+        assert abs(got.value - mp_entropy(mix.variances)) <= mp_bound(got, mix.variances)
+        assert f"{got.std_error:.3g} > tolerance 1e-17" in str(record[0].message)
 
     def test_refinement_stops_on_nan(self, monkeypatch):
         # A nan table makes every panel's error nan: no panel splits, the

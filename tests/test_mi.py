@@ -222,9 +222,10 @@ power_splits = st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0))
 
 
 @st.composite
-def channels(draw):
-    """A (2, M) channel matrix, M from 1 to 4, entries up to 4 in magnitude."""
-    m = draw(st.integers(1, 4))
+def channels(draw, max_antennas=4):
+    """A (2, M) channel matrix, M from 1 to max_antennas, entries up to 4 in
+    magnitude."""
+    m = draw(st.integers(1, max_antennas))
     entry = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
     return np.array(draw(st.lists(entry, min_size=2 * m, max_size=2 * m))).reshape(2, m)
 
@@ -341,6 +342,27 @@ class TestTheoremOracles:
             slack = 4.0 * errors[p] + ALLOWANCE_BITS
             assert np.all(lower - slack <= values[p])
             assert np.all(values[p] <= upper + slack)
+
+    @given(channels(max_antennas=2), power_splits,
+           st.lists(st.floats(-40.0, 60.0), min_size=1, max_size=2, unique=True).map(sorted))
+    @settings(max_examples=8, deadline=None)
+    def test_chain_rule_at_the_last_decoder(self, h, levels, snr_db):
+        # Decoder 2 decodes both messages, so I(2, 1) + I(2, 2) telescopes to
+        # h(Y_2) - log2(pi e sigma_v^2), the entropy of all that decoder 2
+        # receives less that of the noise. h(Y_2) is 30-digit mpmath on the
+        # variances built here, so no block of mi_rows enters both sides.
+        # Decoder 1 has I(1, 1) alone: the SIC order has no I(1, 2).
+        a1, a2 = levels
+        rho = 10.0 ** (np.array(snr_db) / 10.0)
+        values, errors, _ = mi.mi_rows(np.abs(h[None]) ** 2, levels, rho[:, None], 1.0,
+                                       ((2, 1), (2, 2)))
+        rho_g = rho[:, None] * np.abs(h[1]) ** 2
+        s_y = (1.0 + a1 * rho_g[:, :, None] + a2 * rho_g[:, None, :]).reshape(len(rho), -1)
+        for j, s in enumerate(s_y):
+            h_y = gmd.EntropyEstimate(values[0, j] + values[1, j] + gmd.gaussian_entropy(1.0),
+                                      errors[0, j] + errors[1, j], 0)
+            assert abs(h_y.value - oracles.mp_entropy(s)) <= (oracles.mp_bound(h_y, s)
+                                                             + ALLOWANCE_BITS)
 
 
 class TestMiLowerBound:

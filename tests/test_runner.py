@@ -445,16 +445,17 @@ class TestSweepTable:
         assert peak < 4e6
 
     def test_property_suite_peak_memory(self):
-        # The second-moment check holds its 200 000 draws as float64 normals
-        # and int8 indices, about 10 MB, and simulates them in slices: at
-        # once, its complex symbols, noise and y would take about 24 MB.
+        # The second-moment check holds only its 200 000 values of |y|^2
+        # (1.6 MB) and one slice of each stream section: its draws held
+        # whole would take about 10 MB more, and its complex symbols, noise
+        # and y at once about 24 MB. Every other check stays below 3 MB.
         tracemalloc.start()
         try:
             run_property_suite(figure1_config(seed=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 14e6
+        assert peak < 4e6
 
 
 class TestOutput:
@@ -541,9 +542,11 @@ class TestPropertySuite:
             f"mean I-I_LB at 40 dB off {math.log2(math.e * 4) - 1.0:.4f} ")
 
     # 200 000 draws end in a ragged slice, 1000 fit in one, 2 * 8192 end on a
-    # slice boundary; M = 64 is the largest index int8 must hold.
+    # slice boundary and 2 * 8192 + 1 in a slice of one odd draw; M = 64 is
+    # the largest index int8 must hold.
     @pytest.mark.parametrize("draws", [runner.SECOND_MOMENT_DRAWS, 1000,
-                                       2 * runner.SIMULATION_SLICE])
+                                       2 * runner.SIMULATION_SLICE,
+                                       2 * runner.SIMULATION_SLICE + 1])
     @pytest.mark.parametrize("m", [1, 2, 4, 64])
     def test_second_moment_equals_one_shot_simulation(self, m, draws):
         cfg = figure1_config(num_tx_antennas=m)
@@ -564,6 +567,16 @@ class TestPropertySuite:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="at most 127 antennas"):
             runner.received_second_moment(realization, system, rng, 10)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("draws", [0, -5, True, 2.0, "3", None])
+    def test_second_moment_rejects_bad_draw_counts(self, draws):
+        system = SystemConfig(4, 2, (4.0, 1.0), 10.0, 1.0)
+        rng = np.random.default_rng(0)
+        realization = runner.draw_channel(system, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="draws must be an integer >= 1"):
+            runner.received_second_moment(realization, system, rng, draws)
         assert rng.bit_generator.state == state
 
     def test_second_moment_simulates_every_draw_once_in_slices(self, monkeypatch):
