@@ -14,7 +14,6 @@ from .gmd import (
     gaussian_entropy,
     mixture_from_arrays,
     overlap_matrix,
-    sample,
 )
 from .system import (
     ChannelRealization,

@@ -4,8 +4,9 @@ MISO-NOMA transmits each user's symbol over M' antennas with a fixed
 equal-weight combining vector (no precoding, no CSI), so the post-SIC
 channel collapses to a single complex gain and the per-realization MI is
 the Gaussian SINR formula. SM-TDMA gives each user an exclusive slot with
-the full power budget; its MI is the slot fraction times the single-user
-SM mutual information, mi.mi_rows' I(1, 1) of a one-user system.
+the full power budget for 1/K of the frame; its MI is 1/K times the
+single-user SM mutual information, mi.mi_rows' I(1, 1) of a one-user
+system.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from .gmd import QUADRATURE_TOLERANCE
 from .mi import mi_rows
 from .system import ChannelRealization, SystemConfig, _check_decoding_pair
 
@@ -63,15 +65,14 @@ def sm_tdma_mi(
     realization: ChannelRealization,
     config: SystemConfig,
     k: int,
-    time_share: float,
-    tolerance: float = 1e-10,
+    tolerance: float = QUADRATURE_TOLERANCE,
 ) -> float:
     """Time-shared single-user SM MI for user k, alone in its slot with the
     sum of all power levels: one row of sm_tdma_rows."""
     _check_decoding_pair(realization, config, k, k)
     gains_sq = np.abs(realization.channel_vectors[k - 1 : k]) ** 2
     return float(sm_tdma_rows(gains_sq, np.array(config.power_levels), config.signal_power,
-                              config.noise_power, time_share, tolerance)[0])
+                              config.noise_power, tolerance)[0])
 
 
 def sm_tdma_rows(
@@ -79,16 +80,13 @@ def sm_tdma_rows(
     power_levels: np.ndarray,
     signal_power,
     noise_power: float,
-    time_share: float,
-    tolerance: float = 1e-10,
+    tolerance: float = QUADRATURE_TOLERANCE,
 ) -> np.ndarray:
     """sm_tdma_mi for user k's |h_k|^2 (..., M), the power levels (..., K)
     and rho, broadcast against each other with at least one leading axis:
-    time_share times mi_rows' I(1, 1) of one user at power level 1 and
-    signal power rho * sum_t alpha_t^2, whose interference is the noise."""
-    if not (0.0 < time_share <= 1.0):
-        raise ValueError("time_share must lie in (0, 1]")
+    1/K times mi_rows' I(1, 1) of one user at power level 1 and signal
+    power rho * sum_t alpha_t^2, whose interference is the noise."""
     power = sum(power_levels[..., t] for t in range(power_levels.shape[-1]))
     values = mi_rows(gains_sq[..., None, :], (1.0,), (signal_power * power)[..., None],
                      noise_power, ((1, 1),), tolerance=tolerance)[0]
-    return time_share * values[0]
+    return values[0] / power_levels.shape[-1]

@@ -2,10 +2,10 @@
 
 Every SM-NOMA mixture is zero-mean (Gaussian symbols on the antenna the SM
 index picks), so a mixture holds weights and variances only and its density
-is radially symmetric. PDF evaluation, sampling, overlap integrals,
-differential entropy (Monte Carlo and radial quadrature), and the
-closed-form entropy lower/upper bounds. All entropies are in bits;
-internals use natural logs and convert once at the boundary.
+is radially symmetric. Overlap integrals, differential entropy (Monte
+Carlo and radial quadrature, of the equal-weight mixture of a row of
+variances), and the closed-form entropy lower/upper bounds. All entropies
+are in bits; internals use natural logs and convert once at the boundary.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ VARIANCE_FLOOR = 1e-300
 WEIGHT_SUM_TOL = 1e-12
 # Radial quadrature truncates where the mixture tail mass drops below this.
 TAIL_MASS = 1e-14
+# Each radial-quadrature entropy's default error bound, in bits.
+QUADRATURE_TOLERANCE = 1e-10
 
 
 def __getattr__(name: str):
@@ -142,18 +144,14 @@ class GaussianMixture:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        v = np.array(self.variances, dtype=float)
-        if not (w.ndim == v.ndim == 1 and len(w) == len(v) >= 1):
-            raise ValueError("need nonempty 1-D weights and variances of one length")
+        v = np.array(_check_row(self.variances))
+        if w.shape != v.shape:
+            raise ValueError("need 1-D weights and variances of one length")
         if not ((w > 0.0) & (w <= 1.0)).all():
             raise ValueError(f"component weights must be in (0, 1], got {w}")
         total = math.fsum(w)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights must sum to 1, got {total!r}")
-        if not (v > VARIANCE_FLOOR).all():
-            raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}, got {v}")
-        if not np.isfinite(v).all():
-            raise ValueError("component variances must be finite")
         for name, a in (("weights", w), ("variances", v)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -199,59 +197,45 @@ class EntropyEstimate:
             raise ValueError("sample_count must be nonnegative")
 
 
-def log_pdf(mixture: GaussianMixture, points: np.ndarray | complex) -> np.ndarray:
-    """Natural log of the mixture PDF, evaluated via log-sum-exp.
-
-    The density is radial: |a|^2 is taken once per point and shared by
-    every component. It is squared as an array of at least one dimension:
-    on a 0-d point, ** 2 would act on a numpy scalar, whose power can round
-    differently from the array loop's product.
-    """
-    a = np.asarray(points, dtype=complex)
-    abs_sq = (np.abs(np.atleast_1d(a)) ** 2).reshape(a.shape)
-    return _log_pdf_into(mixture, abs_sq, np.empty((len(mixture),) + a.shape))
-
-
 def _log_pdf_into(
-    mixture: GaussianMixture, abs_sq: np.ndarray, terms: np.ndarray
+    log_coef: np.ndarray, variances: np.ndarray, abs_sq: np.ndarray, terms: np.ndarray
 ) -> np.ndarray:
-    """log_pdf at the points whose |a|^2 is the float64 array abs_sq, with
-    the (L, *abs_sq.shape) component terms written into the float64 array
-    terms.
+    """Natural log of the zero-mean mixture density with log_coef[l] =
+    log(beta_l / (pi sigma_l^2)), at the points whose |a|^2 is the 1-D
+    float64 array abs_sq, with the (L, len(abs_sq)) component terms written
+    into the float64 array terms.
 
     The terms reduce in place by a max-shift log-sum-exp, log f =
     log(sum of exp(term - m)) + m, with m each point's largest term, or 0
     where that is -inf (giving -inf) or nan (giving nan); m overwrites
     abs_sq.
     """
-    per_component = (len(mixture),) + (1,) * abs_sq.ndim
-    log_coef = np.log(mixture.weights) - np.log(math.pi * mixture.variances)
-    np.divide(abs_sq, mixture.variances.reshape(per_component), out=terms)
-    np.subtract(log_coef.reshape(per_component), terms, out=terms)
+    np.divide(abs_sq, variances[:, None], out=terms)
+    np.subtract(log_coef[:, None], terms, out=terms)
     shift = np.max(terms, axis=0, out=abs_sq)
     np.copyto(shift, 0.0, where=~np.isfinite(shift))
     np.exp(np.subtract(terms, shift, out=terms), out=terms)
     log_f = np.sum(terms, axis=0, out=np.empty(abs_sq.shape))
     with np.errstate(divide="ignore"):  # log(0) where every term is -inf
         np.add(np.log(log_f, out=log_f), shift, out=log_f)
-    return log_f[()]  # an np.float64 for a 0-d point
+    return log_f
 
 
-def sample(
-    mixture: GaussianMixture, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """i.i.d. draws: component chosen by weight, then CN(0, sigma_l^2).
-
-    The stream is read as _draw_components reads it; callers' seeded
-    results depend on it.
-    """
-    _check_count("count", count)
-    real, imag = np.empty((2, count))
-    idx = _draw_components(mixture, rng, real, imag)
-    draws = np.empty(count, dtype=complex)
-    draws.real, draws.imag = real, imag
-    draws *= np.sqrt(mixture.variances / 2.0)[idx]
-    return draws
+def _check_row(variances, stacked: bool = False) -> np.ndarray:
+    """variances as a C-contiguous float64 array: one row (L,) of an
+    equal-weight zero-mean mixture's variances, or with stacked rows
+    (..., L) with at least one leading axis. An empty or misshapen array,
+    or a variance that is not finite or not above VARIANCE_FLOOR, raises
+    ValueError."""
+    v = np.asarray(variances, dtype=float)
+    if v.size == 0 or not (v.ndim >= 2 if stacked else v.ndim == 1):
+        shape = "(..., L) array with a leading axis" if stacked else "1-D row"
+        raise ValueError(f"need a nonempty {shape} of variances, got shape {v.shape}")
+    if not (v > VARIANCE_FLOOR).all():
+        raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}")
+    if not np.isfinite(v).all():
+        raise ValueError("component variances must be finite")
+    return np.ascontiguousarray(v)
 
 
 def _check_count(name: str, count) -> None:
@@ -259,38 +243,10 @@ def _check_count(name: str, count) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
-def _draw_components(
-    mixture: GaussianMixture,
-    rng: np.random.Generator,
-    real: np.ndarray,
-    imag: np.ndarray,
-) -> np.ndarray:
-    """The random stream of `sample`, for len(real) draws: the component
-    indices, which are returned, then every real part's standard normal,
-    written into the float64 array real, then every imaginary part's,
-    written into imag.
-
-    The indices are the ones rng.choice(L, size=count, p=weights) returns
-    on the same stream. For equal weights they are computed from the same
-    rng.random(count) draws (see _equal_weight_choice), which real and
-    imag hold as scratch until the normals overwrite them.
-    """
-    w = mixture.weights
-    if (w == w[0]).all():
-        idx = _equal_weight_choice(w, rng.random(out=real), imag)
-    else:
-        idx = rng.choice(len(mixture), size=len(real), p=w)
-    rng.standard_normal(out=real)
-    rng.standard_normal(out=imag)
-    return idx
-
-
-def _equal_weight_choice(
-    weights: np.ndarray, u: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Indices of rng.choice(L, p=weights) for equal weights and its
-    uniform draws u; the float64 array scratch, as long as u, is
-    overwritten.
+def _equal_weight_choice(n: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Indices of rng.choice(L, p=weights) for the L = n equal weights
+    np.full(L, 1.0) / L and its uniform draws u; the float64 array scratch,
+    as long as u, is overwritten.
 
     numpy's choice returns cdf.searchsorted(u, side="right") for
     cdf = weights.cumsum() / its last entry: the number of cdf entries at
@@ -300,8 +256,7 @@ def _equal_weight_choice(
     1, far beyond the mixtures a run builds. floor(u L) needs no cap at
     L - 1: u is at most 1 - 2^-53, and L times that rounds below L.
     """
-    n = len(weights)
-    cdf = weights.cumsum()
+    cdf = (np.full(n, 1.0) / n).cumsum()
     cdf /= cdf[-1]
     # lower[k] = cdf[k - 1], the least u that index k takes.
     lower = np.concatenate([[0.0], cdf[:-1]])
@@ -337,7 +292,7 @@ def entropy_bounds_equal_weight_zero_mean(
     variances: Sequence[float],
 ) -> tuple[float, float]:
     """Closed-form (h_LB, h_UB) for an equal-weight zero-mean mixture."""
-    v = equal_weight_zero_mean_mixture(variances).variances
+    v = _check_row(variances)
     n = len(v)
     inv_sums = np.sum(1.0 / (v[:, None] + v[None, :]), axis=1)
     lb = math.log2(math.pi * n) - float(np.mean(np.log2(inv_sums)))
@@ -359,18 +314,19 @@ _MC_MAX_SPREAD = 1e200
 
 
 def entropy_monte_carlo(
-    mixture: GaussianMixture, rng: np.random.Generator, samples: int
+    variances, rng: np.random.Generator, samples: int
 ) -> EntropyEstimate:
-    """Sample mean of -log2 f_A(a) over draws from the mixture.
+    """Sample mean of -log2 f_A(a) over draws from the equal-weight
+    zero-mean mixture of the 1-D row of variances.
 
-    The draws are the ones `sample` makes, from the same stream, and all
-    of them are made before any is evaluated, so the stream does not
-    depend on the block size. The density needs only |a|^2, which
-    _radial_draws forms from the normals without complex draws; -log2 f is
-    then evaluated in blocks of about _MC_BLOCK_TERMS component terms.
+    All draws are made before any is evaluated (see _radial_draws), so the
+    stream does not depend on the block size. The density needs only
+    |a|^2, which _radial_draws forms from the normals without complex
+    draws; -log2 f is then evaluated in blocks of about _MC_BLOCK_TERMS
+    component terms.
 
-    A block sums the density directly: with v the largest variance and
-    c_l = beta_l v / sigma_l^2,
+    A block sums the density directly: with v the largest variance,
+    beta_l = 1 / L and c_l = beta_l v / sigma_l^2,
         log f = log(sum_l c_l exp(-|a|^2 / sigma_l^2)) - log(pi v),
     a multiply, an exp and a multiply by c over the (L, block) terms, then
     numpy's sum over the components. A matrix-vector product with c would
@@ -395,19 +351,22 @@ def entropy_monte_carlo(
     malloc raises its trim threshold to twice the largest mmap-served
     block it frees, so with the call's working set in one block the heap
     keeps its pages from call to call instead of returning them and
-    faulting them in again.
+    faulting them in again. A bad row or sample count raises ValueError
+    before any draw.
     """
+    v = _check_row(variances)
     _check_count("samples", samples)
-    n = len(mixture)
+    n = len(v)
     step = max(1, _MC_BLOCK_TERMS // n)
     buffer = np.empty(samples + max(samples, n * min(step, samples)))
-    neg_log2_f = _radial_draws(mixture, rng, buffer[:samples], buffer[samples : 2 * samples])
+    neg_log2_f = _radial_draws(v, rng, buffer[:samples], buffer[samples : 2 * samples])
     workspace = buffer[samples:]
-    v = mixture.variances
+    weights = np.full(n, 1.0) / n
     v_max = float(v.max())
     direct = n * (v_max / float(v.min())) <= _MC_MAX_SPREAD
     neg_inv_v = (-1.0 / v)[:, None]
-    coef = (mixture.weights * (v_max / v))[:, None]
+    coef = (weights * (v_max / v))[:, None]
+    log_coef = np.log(weights) - np.log(math.pi * v)
     log_norm = math.log(math.pi * v_max)
     for start in range(0, samples, step):
         block = neg_log2_f[start : start + step]  # |a|^2 until overwritten
@@ -418,7 +377,7 @@ def entropy_monte_carlo(
             log_f = np.log(np.sum(terms, axis=0, out=block), out=block)
             log_f -= log_norm
         else:
-            log_f = _log_pdf_into(mixture, block, terms)
+            log_f = _log_pdf_into(log_coef, v, block, terms)
         # x / -LN2 has the bits of -x / LN2: IEEE division is sign-symmetric.
         np.divide(log_f, -LN2, out=block)
     value = float(np.mean(neg_log2_f))
@@ -430,21 +389,27 @@ def entropy_monte_carlo(
 
 
 def _radial_draws(
-    mixture: GaussianMixture,
+    variances: np.ndarray,
     rng: np.random.Generator,
     abs_sq: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """|a|^2 of the draws sample(mixture, rng, len(abs_sq)), from the same
-    stream, written into the float64 array abs_sq: a draw from component l
-    with normals z1, z2 has |a|^2 = (sigma_l^2 / 2) (z1^2 + z2^2). The
-    float64 array scratch, of the same length, is overwritten.
+    """|a|^2 of len(abs_sq) i.i.d. draws from the equal-weight zero-mean
+    mixture of the float64 row variances, written into the float64 array
+    abs_sq; the float64 array scratch, as long, is overwritten.
+
+    The stream, on which callers' seeded results depend, holds the
+    component indices that rng.choice(L, p=np.full(L, 1.0) / L) draws (see
+    _equal_weight_choice), then every real part's standard normal z1, then
+    every imaginary part's z2: |a|^2 = (sigma_l^2 / 2) (z1^2 + z2^2).
     """
-    idx = _draw_components(mixture, rng, abs_sq, scratch)
+    idx = _equal_weight_choice(len(variances), rng.random(out=abs_sq), scratch)
+    rng.standard_normal(out=abs_sq)
+    rng.standard_normal(out=scratch)
     np.square(abs_sq, out=abs_sq)
     abs_sq += np.square(scratch, out=scratch)
     # take buffers its out= in the default mode="raise"; idx is in range.
-    abs_sq *= np.take(mixture.variances / 2.0, idx, out=scratch, mode="clip")
+    abs_sq *= np.take(variances / 2.0, idx, out=scratch, mode="clip")
     return abs_sq
 
 
@@ -490,13 +455,14 @@ def _check_tolerance(tolerance) -> None:
 
 
 def entropy_radial_quadrature(
-    mixture: GaussianMixture, tolerance: float = 1e-10
+    variances, tolerance: float = QUADRATURE_TOLERANCE
 ) -> EntropyEstimate:
-    """Adaptive 1-D quadrature entropy of the mixture.
+    """Adaptive 1-D quadrature entropy of the equal-weight zero-mean
+    mixture of the 1-D row of variances.
 
     The mixture is radially symmetric, so with u = |a|^2 the
     entropy reduces to h = -int_0^inf pi f(u) log2 f(u) du where
-    f(u) = sum_l beta_l / (pi sigma_l^2) exp(-u / sigma_l^2). 40 geometric
+    f(u) = sum_l exp(-u / sigma_l^2) / (pi sigma_l^2 L). 40 geometric
     panels of the order-48 Gauss-Legendre rule resolve every variance
     scale. The error estimate is a null rule on the same 48 values per
     panel: the sum over the panels of each one's width times |c46| + |c47|,
@@ -508,15 +474,16 @@ def entropy_radial_quadrature(
 
     A one-row call of the kernel of entropy_radial_quadrature_rows: every
     call computes afresh, and the warning fires on each. A tolerance that
-    is not a finite real number > 0 raises ValueError before any work.
+    is not a finite real number > 0, or a bad row (see _check_row), raises
+    ValueError before any work.
     """
     _check_tolerance(tolerance)
-    values, errors = _quadrature_rows(mixture.weights, mixture.variances[None], tolerance)
+    values, errors = _quadrature_rows(_check_row(variances)[None], tolerance)
     return EntropyEstimate(float(values[0]), float(errors[0]), 0)
 
 
 def entropy_radial_quadrature_rows(
-    variances: np.ndarray, tolerance: float = 1e-10
+    variances: np.ndarray, tolerance: float = QUADRATURE_TOLERANCE
 ) -> tuple[np.ndarray, np.ndarray]:
     """The entropy of the equal-weight zero-mean mixture of each row of
     variances (..., L), at least one leading axis: (values, error
@@ -526,28 +493,22 @@ def entropy_radial_quadrature_rows(
     entropy_radial_quadrature.
     """
     _check_tolerance(tolerance)
-    v = np.ascontiguousarray(variances, dtype=float)
-    if v.ndim < 2 or v.size == 0:
-        raise ValueError("need a nonempty (..., L) array of variances with a leading axis")
-    if not (v > VARIANCE_FLOOR).all():
-        raise ValueError(f"component variances must exceed {VARIANCE_FLOOR}")
-    if not np.isfinite(v).all():
-        raise ValueError("component variances must be finite")
+    v = _check_row(variances, stacked=True)
     lead, n = v.shape[:-1], v.shape[-1]
     if n == 1:
         # One gaussian_entropy call per distinct variance, scattered back.
         distinct, inverse = np.unique(v.ravel(), return_inverse=True)
         values = np.array([gaussian_entropy(x) for x in distinct])
         return values[inverse].reshape(lead), np.zeros(lead)
-    values, errors = _quadrature_rows(np.full(n, 1.0) / n, v.reshape(-1, n), tolerance)
+    values, errors = _quadrature_rows(v.reshape(-1, n), tolerance)
     return values.reshape(lead), errors.reshape(lead)
 
 
 def _quadrature_rows(
-    weights: np.ndarray, variances: np.ndarray, tolerance: float
+    variances: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The panel rule of entropy_radial_quadrature on each row of variances
-    (N, L), every row with the weights (L,): (values, error estimates),
+    """The panel rule of entropy_radial_quadrature on the equal-weight
+    mixture of each row of variances (N, L): (values, error estimates),
     each (N,). Rows whose estimate misses the tolerance go on to _refine.
 
     Rows go through _panel_rule in chunks of B = min(8, 64 // L) rows, at
@@ -567,7 +528,7 @@ def _quadrature_rows(
     per_row = np.empty((3, chunk, _PANELS, len(_GL_OFFSETS)))  # nodes, log f, g
     workspace = np.empty((n,) + per_row.shape[1:])
     buffers = (*per_row, workspace, np.empty(workspace.shape, dtype=bool))
-    log_w = np.log(weights)
+    log_w = np.log(np.full(n, 1.0) / n)
     values, errors = np.empty(n_rows), np.empty(n_rows)
     for start in range(0, n_rows, chunk):
         v = variances[start : start + chunk]
@@ -626,9 +587,10 @@ def _refine(panels, values, errors, log_coef, inv_v, tolerance, buffers) -> tupl
     in the buffers' first row. It stops and warns if none splits (nan
     splits none), if P would pass _MAX_PANELS, or, as QUADPACK's roundoff
     detection does, once a step leaves the summed estimate no lower: the
-    null rule's estimate has reached its roundoff floor.
+    null rule's estimate has reached its roundoff floor, and the panels
+    before that step give the result.
     """
-    estimate = errors.sum()
+    value, estimate = values.sum(), errors.sum()
     while not estimate <= tolerance:
         split = errors > tolerance / len(errors)
         if not split.any() or len(errors) + np.count_nonzero(split) > _MAX_PANELS:
@@ -642,10 +604,10 @@ def _refine(panels, values, errors, log_coef, inv_v, tolerance, buffers) -> tupl
                 *panels[:, None, s : s + _PANELS], log_coef, inv_v, *buffers)
             values = np.append(values, products[0].sum(axis=-1))
             errors = np.append(errors, group_errors[0])
-        last, estimate = estimate, errors.sum()
-        if not estimate < last:
+        if not (refined := errors.sum()) < estimate:
             break
+        value, estimate = values.sum(), refined
     if not estimate <= tolerance:
         warnings.warn(f"radial quadrature refinement missed the tolerance: error estimate "
                       f"{estimate:.3g} > tolerance {tolerance:.3g}", RuntimeWarning, 4)
-    return float(values.sum()), float(estimate)
+    return float(value), float(estimate)

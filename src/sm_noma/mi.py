@@ -64,7 +64,7 @@ def mi_exact(
     *,
     rng: np.random.Generator | None = None,
     samples: int = 10**6,
-    tolerance: float = 1e-10,
+    tolerance: float = gmd.QUADRATURE_TOLERANCE,
 ) -> MiResult:
     """I_{r,k} = h(Y_{r,k}) - h(Omega_{r,k}), both entropies by the same
     method (Monte Carlo: both from rng, h(Y) first): one row of mi_rows."""
@@ -80,7 +80,7 @@ def mi_rows(
     gains_sq: np.ndarray, power_levels, signal_power, noise_power: float,
     pairs: Sequence[tuple[int, int]], method: str = "radial_quadrature", *,
     rngs: Callable[[tuple[int, ...]], np.random.Generator | None] = lambda cell: None,
-    samples: int = 10**6, tolerance: float = 1e-10,
+    samples: int = 10**6, tolerance: float = gmd.QUADRATURE_TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact I(r, k) = h(r, k) - h(r, k + 1) of each decoder/message pair
     (r, k), from every decoder's |h_r|^2 (..., K, M) with at least one
@@ -92,8 +92,9 @@ def mi_rows(
     I(2, 2) share block (2, 2). Under either method a block of one-component
     rows (noise alone, or M = 1) takes entropy_radial_quadrature_rows'
     closed form, and "radial_quadrature" takes every block through that one
-    call. "monte_carlo" calls entropy_monte_carlo per cell, h(r, k) first,
-    on the generator rngs gives the cell index (p, ...); each cell needs its
+    call. "monte_carlo" calls entropy_monte_carlo on each cell's rows,
+    h(r, k) first, on the generator rngs gives the cell index (p, ...),
+    and builds no mixture; each cell needs its
     own generator, and a missing or shared one raises ValueError before
     anything is drawn. The cells run on a thread pool of at most _MC_WORKERS
     workers, one per usable core and cell; an error drops the queued cells.
@@ -135,8 +136,7 @@ def mi_rows(
             r, k = pairs[p]
             for t in (k, k + 1):
                 if (r, t) not in h:
-                    estimate = gmd.entropy_monte_carlo(
-                        gmd.equal_weight_zero_mean_mixture(rows[r, t][tuple(index)]), rng, samples)
+                    estimate = gmd.entropy_monte_carlo(rows[r, t][tuple(index)], rng, samples)
                     sampled[(p, t - k, slice(None), *index)] = estimate.value, estimate.std_error
 
         workers = min(len(cells), _MC_WORKERS, _usable_cores()) if len(cells) > 1 else 1

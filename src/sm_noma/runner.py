@@ -79,9 +79,8 @@ MAX_ABS_SNR_DB = 300.0
 MAX_SIGNAL_POWER = 1e300
 
 # The paper's baselines in Figs. 1 and 2(a): MISO-NOMA on 2 antennas and
-# SM-TDMA with one half of the frame per user.
+# SM-TDMA, whose K = 2 users each take one half of the frame.
 MISO_NOMA_ANTENNAS = 2
-SM_TDMA_SHARE = 0.5
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -131,7 +130,7 @@ class ExperimentConfig:
     SM with M = num_tx_antennas; power_split gives their power levels."""
 
     # Each entropy's error bound for the radial quadrature.
-    quadrature_tolerance: ClassVar[float] = 1e-10
+    quadrature_tolerance: ClassVar[float] = gmd.QUADRATURE_TOLERANCE
 
     num_tx_antennas: int = 4
     snr_grid_db: tuple[float, ...] = default_snr_grid()
@@ -324,7 +323,7 @@ def _sweep_table(config: ExperimentConfig, x_axis: str) -> dict[str, np.ndarray]
             miso_noma_rows(miso_gains[:, k - 1], levels, rho, _NOISE_POWER, k) for k in (1, 2)])
         table["SM-TDMA"] = np.stack([
             sm_tdma_rows(np.abs(channels[:, k, None, :]) ** 2, levels, rho, _NOISE_POWER,
-                         SM_TDMA_SHARE, config.quadrature_tolerance) for k in (0, 1)])
+                         config.quadrature_tolerance) for k in (0, 1)])
     for rows in table.values():
         rows.setflags(write=False)
     return table
@@ -500,7 +499,7 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     violations = 0
     for _ in range(100):
         mix = _random_zero_mean_mixture(rng)
-        h = gmd.entropy_radial_quadrature(mix, 1e-10).value
+        h = gmd.entropy_radial_quadrature(mix.variances, gmd.QUADRATURE_TOLERANCE).value
         lb = gmd.entropy_lower_bound(mix)
         ub = gmd.entropy_upper_bound(mix)
         gap = max(lb - h, h - ub)
@@ -548,8 +547,9 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
             max_dev,
             abs(gmd.entropy_lower_bound(scaled) - gmd.entropy_lower_bound(mix) - shift),
             abs(gmd.entropy_upper_bound(scaled) - gmd.entropy_upper_bound(mix) - shift),
-            abs(gmd.entropy_radial_quadrature(scaled, 1e-10).value
-                - gmd.entropy_radial_quadrature(mix, 1e-10).value - shift),
+            abs(gmd.entropy_radial_quadrature(scaled.variances, gmd.QUADRATURE_TOLERANCE).value
+                - gmd.entropy_radial_quadrature(mix.variances, gmd.QUADRATURE_TOLERANCE).value
+                - shift),
         )
     record("variance_scaling", max_dev < 1e-8, f"max deviation {max_dev:.3e} bits")
 
@@ -625,8 +625,8 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     ratios = []
     for _ in range(5):
         mix = _random_zero_mean_mixture(rng)
-        se_small = gmd.entropy_monte_carlo(mix, rng, 20_000).std_error
-        se_large = gmd.entropy_monte_carlo(mix, rng, 80_000).std_error
+        se_small = gmd.entropy_monte_carlo(mix.variances, rng, 20_000).std_error
+        se_large = gmd.entropy_monte_carlo(mix.variances, rng, 80_000).std_error
         ratios.append(se_small / se_large)
     mean_ratio = float(np.mean(ratios))
     record("mc_error_scaling", abs(mean_ratio - 2.0) < 0.4,

@@ -32,9 +32,9 @@ def entropy(mixture, tolerance=1e-10, rng=None, samples=0):
     if len(mixture) == 1:
         return gmd.gaussian_entropy(mixture.variances[0]), 0.0
     if rng is None:
-        estimate = gmd.entropy_radial_quadrature(mixture, tolerance)
+        estimate = gmd.entropy_radial_quadrature(mixture.variances, tolerance)
     else:
-        estimate = gmd.entropy_monte_carlo(mixture, rng, samples)
+        estimate = gmd.entropy_monte_carlo(mixture.variances, rng, samples)
     return estimate.value, estimate.std_error
 
 
@@ -67,6 +67,13 @@ def mp_entropy(variances):
         return float(mpmath.quad(integrand, [logs[0] - 45, *logs, logs[-1] + 5]) / mpmath.ln(2))
 
 
+# The tail mass past which the kernel may truncate the integral: the
+# value of gmd.TAIL_MASS that the allowance below was derived for, fixed
+# here so that a larger kernel truncation fails the mpmath oracles instead
+# of widening their allowance with it.
+TAIL_MASS = 1e-14
+
+
 def truncation_allowance(variances):
     """A bound on the entropy past the kernel's truncation point u_max =
     s_max ln(L / TAIL_MASS), which its error estimate leaves out: each
@@ -75,8 +82,8 @@ def truncation_allowance(variances):
     TAIL_MASS (ln(L / TAIL_MASS) + 1 + |ln(pi s_max L)|) / (L ln 2). It is
     2.6e-13 bits on {1, 2}, whose tail is 1.3e-13."""
     n, s_max = len(variances), float(np.max(variances))
-    log_tail = math.log(n / gmd.TAIL_MASS) + 1.0 + abs(math.log(math.pi * s_max * n))
-    return gmd.TAIL_MASS * log_tail / (n * gmd.LN2)
+    log_tail = math.log(n / TAIL_MASS) + 1.0 + abs(math.log(math.pi * s_max * n))
+    return TAIL_MASS * log_tail / (n * math.log(2.0))
 
 
 # Roundoff in a kernel value of up to about 70 bits: the 1920 node products
@@ -127,10 +134,10 @@ def miso_noma_mi(realization, system, k):
 
 def sm_tdma_mi(realization, system, k, time_share, tolerance=1e-10):
     """time_share times h(received) - h(noise) of user k alone at the total
-    power, h(received) by the radial quadrature of its mixture."""
+    power, h(received) by the radial quadrature of its variance row."""
     gains_sq = np.abs(realization.channel_vectors[k - 1]) ** 2
     power = system.signal_power * sum(system.power_levels)
-    received = gmd.equal_weight_zero_mean_mixture(system.noise_power + power * gains_sq)
+    received = system.noise_power + power * gains_sq
     h_y = gmd.entropy_radial_quadrature(received, tolerance).value
     return time_share * (h_y - gmd.gaussian_entropy(system.noise_power))
 

@@ -78,7 +78,7 @@ def ordering_grid(realizations):
             out["i22"][i, j] = mi_exact(realization, system, 2, 2).mi_exact.value
             out["miso11"][i, j] = miso_noma_mi(realization, system, 1, 1)
             out["tdma_sum"][i, j] = sum(
-                sm_tdma_mi(realization, system, k, 0.5) for k in (1, 2)
+                sm_tdma_mi(realization, system, k) for k in (1, 2)
             )
     return grid, out
 
@@ -141,7 +141,7 @@ def test_entropy_bound_validity():
         n = int(rng.integers(1, 9))
         variances = 10.0 ** rng.uniform(-2, 2, size=n)
         mix = gmd.equal_weight_zero_mean_mixture(variances)
-        h = gmd.entropy_radial_quadrature(mix, 1e-10).value
+        h = gmd.entropy_radial_quadrature(mix.variances, 1e-10).value
         slack = max(gmd.entropy_lower_bound(mix) - h, h - gmd.entropy_upper_bound(mix))
         worst = max(worst, slack)
         if slack > 1e-8:
@@ -189,8 +189,8 @@ def test_estimator_cross_validation():
                 mixture_of_interference(realization, system, 1, 1),
                 mixture_of_received(realization, system, 2, 2),
             ):
-                mc = gmd.entropy_monte_carlo(mix, rng, 10**6)
-                quad = gmd.entropy_radial_quadrature(mix)
+                mc = gmd.entropy_monte_carlo(mix.variances, rng, 10**6)
+                quad = gmd.entropy_radial_quadrature(mix.variances)
                 worst_sigma = max(worst_sigma, abs(mc.value - quad.value) / mc.std_error)
                 checked += 1
     report(

@@ -129,50 +129,40 @@ class TestMisoNoma:
 
 class TestSmTdma:
     def test_full_slot_is_single_user_mi(self):
+        # Each of the K = 2 users holds half of the frame: half of the
+        # single-user MI over the whole frame.
         cfg = config_at_snr(10.0)
         realization = realization_for(cfg, 5)
-        full = sm_tdma_mi(realization, cfg, 1, 1.0)
-        half = sm_tdma_mi(realization, cfg, 1, 0.5)
-        assert half == pytest.approx(full / 2.0, abs=1e-10)
-
-    def test_linear_in_time_share(self):
-        cfg = config_at_snr(15.0)
-        realization = realization_for(cfg, 6)
-        values = [sm_tdma_mi(realization, cfg, 2, tau) for tau in (0.2, 0.4, 0.8)]
-        assert values[1] == pytest.approx(2 * values[0], abs=1e-10)
-        assert values[2] == pytest.approx(4 * values[0], abs=1e-10)
+        full = oracles.sm_tdma_mi(realization, cfg, 1, 1.0)
+        assert sm_tdma_mi(realization, cfg, 1) == pytest.approx(full / 2.0, abs=1e-10)
 
     def test_uses_total_power_budget(self):
         # The slot carries the sum of the power levels, however it is split.
         cfg = config_at_snr(10.0, powers=(4.0, 1.0))
         realization = realization_for(cfg, 7)
-        default = sm_tdma_mi(realization, cfg, 1, 1.0)
-        even = sm_tdma_mi(realization, config_at_snr(10.0, powers=(2.5, 2.5)), 1, 1.0)
+        default = sm_tdma_mi(realization, cfg, 1)
+        even = sm_tdma_mi(realization, config_at_snr(10.0, powers=(2.5, 2.5)), 1)
         assert even == default
-        less = sm_tdma_mi(realization, config_at_snr(10.0, powers=(0.5, 0.5)), 1, 1.0)
+        less = sm_tdma_mi(realization, config_at_snr(10.0, powers=(0.5, 0.5)), 1)
         assert less < default
 
     def test_rows_equal_oracle_on_random_cells(self):
-        # Shares other than 1/2 pin the order of the arithmetic: the share
-        # times the difference, not the difference of the products.
+        # The rows take 1/K of the difference, the oracle its share of 1/2
+        # times it: at K = 2 both scale by a power of two, to the bit.
         cells = random_cells(1500, 31)
         channels, levels, rho = stacked(cells)
-        for k, share in ((1, 0.3), (2, 0.7)):
-            rows = sm_tdma_rows(np.abs(channels[:, k - 1]) ** 2, levels, rho, 1.0, share)
+        for k in (1, 2):
+            rows = sm_tdma_rows(np.abs(channels[:, k - 1]) ** 2, levels, rho, 1.0)
             assert [i for i, (h, cfg) in enumerate(cells)
-                    if rows[i].hex() != oracles.sm_tdma_mi(h, cfg, k, share).hex()] == []
+                    if rows[i].hex() != oracles.sm_tdma_mi(h, cfg, k, 0.5).hex()] == []
 
-    def test_invalid_time_share_rejected(self):
+    def test_invalid_channel_or_user_rejected(self):
+        # A channel matrix of another system's shape, and a user outside 1..K.
         cfg = config_at_snr(0.0)
         realization = realization_for(cfg, 8)
-        with pytest.raises(ValueError):
-            sm_tdma_mi(realization, cfg, 1, 0.0)
-        with pytest.raises(ValueError):
-            sm_tdma_mi(realization, cfg, 1, 1.5)
-        # A channel matrix of another system's shape, and a user outside 1..K.
         for shape in ((2, 8), (3, 4)):
             with pytest.raises(ValueError, match="channel matrix has shape"):
-                sm_tdma_mi(ChannelRealization(np.ones(shape)), cfg, 1, 0.5)
+                sm_tdma_mi(ChannelRealization(np.ones(shape)), cfg, 1)
         for k in (0, 3):
             with pytest.raises(ValueError, match="SIC order"):
-                sm_tdma_mi(realization, cfg, k, 0.5)
+                sm_tdma_mi(realization, cfg, k)

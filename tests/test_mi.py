@@ -55,7 +55,7 @@ class TestMiExact:
         # h(Omega_{2,2}) = log2(pi e sigma_v^2): interference is pure noise,
         # so the exact MI equals h(Y) minus that closed form
         h_y = gmd.entropy_radial_quadrature(
-            mixture_of_received(realization, cfg, 2, 2)
+            mixture_of_received(realization, cfg, 2, 2).variances
         ).value
         assert res.mi_exact.value == pytest.approx(
             h_y - gmd.gaussian_entropy(cfg.noise_power), abs=1e-9
@@ -210,6 +210,27 @@ class TestMiExact:
                 assert mi_exact(realization, cfg, r, k).mi_exact.sample_count == 0
                 assert calls == []
 
+    def test_monte_carlo_builds_no_mixture(self, monkeypatch):
+        # Each cell passes its variance rows straight to the sampler: a
+        # sweep over 3 realizations and 2 SNRs makes no GaussianMixture.
+        # Each (realization, SNR) samples h(1, 1), h(1, 2), h(2, 1), h(2, 2)
+        # and, for I(2, 2), h(2, 2) again: 30 calls, each on a 1-D row of
+        # M^2 = 16 or M = 4 variances.
+        cfg = config_at_snr(5.0)
+        gains_sq = np.stack([np.abs(random_realization(cfg, seed).channel_vectors) ** 2
+                             for seed in range(3)])[:, None]
+        built, rows = [], []
+        monkeypatch.setattr(gmd.GaussianMixture, "__post_init__",
+                            lambda self: built.append(self))
+        sample = gmd.entropy_monte_carlo
+        monkeypatch.setattr(gmd, "entropy_monte_carlo",
+                            lambda v, *args: rows.append(v.shape) or sample(v, *args))
+        mi.mi_rows(gains_sq, cfg.power_levels, np.array([[1.0], [10.0]]), cfg.noise_power,
+                   ((1, 1), (2, 1), (2, 2)), "monte_carlo", rngs=np.random.default_rng,
+                   samples=50)
+        assert built == []
+        assert sorted(rows) == [(4,)] * 18 + [(16,)] * 12
+
 
 # Allowance, in bits, beside a cell's error estimate, which covers the
 # quadrature rule but neither roundoff (about 100 ulps of entropies below
@@ -268,8 +289,9 @@ class TestTheoremOracles:
     @given(channels(), power_splits, snr_grids)
     @settings(max_examples=60, deadline=None)
     def test_sm_tdma_cells(self, h, levels, snr_db):
-        # SM-TDMA's full slot is mi_rows' I(1, 1) of one user at the total
-        # power a1 + a2; its error estimate is read from that call.
+        # SM-TDMA is half of mi_rows' I(1, 1) of one user at the total power
+        # a1 + a2 (K = 2); that full slot's error estimate is read from the
+        # same call.
         rho = 10.0 ** (np.array(snr_db) / 10.0)
         results = []
 
@@ -281,9 +303,10 @@ class TestTheoremOracles:
             g = np.abs(h[k - 1]) ** 2
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(baselines, "mi_rows", recording_mi_rows)
-                values = baselines.sm_tdma_rows(g[None], np.array([levels]), rho, 1.0, 1.0)
-            errors = results[-1][1][0]  # of the one pair (1, 1)
-            assert_monotone_and_bracketed(values, errors,
+                values = baselines.sm_tdma_rows(g[None], np.array([levels]), rho, 1.0)
+            full, errors = results[-1][0][0], results[-1][1][0]  # of the one pair (1, 1)
+            assert values.tobytes() == (full / 2).tobytes()
+            assert_monotone_and_bracketed(full, errors,
                                           1.0 + (levels[0] + levels[1]) * rho[:, None] * g,
                                           np.ones((len(rho), 1)))
 
@@ -310,7 +333,7 @@ class TestTheoremOracles:
             tdma = [mi.mi_rows(g[k - 1, None, None], (1.0,), (levels[0] + levels[1]) * rho[:, None],
                                1.0, ((1, 1),))[:2] for k in (1, 2)]
             sm_tdma = np.stack([baselines.sm_tdma_rows(g[k - 1, None], np.array([levels]), rho,
-                                                       1.0, 0.5) for k in (1, 2)])
+                                                       1.0) for k in (1, 2)])
             return values, errors, bound, sm_tdma, 0.5 * np.stack([e[0] for _, e in tdma])
 
         values, errors, bound, sm_tdma, tdma_errors = cells(h)

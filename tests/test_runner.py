@@ -23,7 +23,6 @@ from sm_noma.baselines import (
     miso_noma_gains_sq,
     miso_noma_mi,
     miso_noma_rows,
-    sm_tdma_mi,
     sm_tdma_rows,
 )
 from sm_noma.cli import main
@@ -328,7 +327,7 @@ class TestFigureRuns:
             system = _at_snr(cfg.system, snr_db, (4.0, 1.0))
             for k in (1, 2):
                 miso = [miso_noma_mi(h, system, k, k, 2) for h in realizations]
-                tdma = [sm_tdma_mi(h, system, k, 0.5) for h in realizations]
+                tdma = [oracles.sm_tdma_mi(h, system, k, 0.5) for h in realizations]
                 assert curves[f"MISO-NOMA I({k},{k})"][j] == pytest.approx(np.mean(miso))
                 assert curves[f"SM-TDMA I({k})"][j] == pytest.approx(np.mean(tdma))
 
@@ -376,7 +375,7 @@ class TestSweepTable:
                      "MISO-NOMA": np.stack([miso_noma_rows(miso_gains[:, k - 1], levels, rho,
                                                            1.0, k) for k in (1, 2)]),
                      "SM-TDMA": np.stack([sm_tdma_rows(np.abs(channels[:, k, None, :]) ** 2,
-                                                       levels, rho, 1.0, 0.5, tolerance)
+                                                       levels, rho, 1.0, tolerance)
                                           for k in (0, 1)])}
         for i, h in enumerate(realizations):
             for j, system in enumerate(systems):
