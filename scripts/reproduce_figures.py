@@ -6,17 +6,31 @@ Runs the per-user MI sweep (fig1), the sum-MI sweep at fixed total power
 CLI with its default configs, writing CSV + JSON sidecars into the chosen
 output directory. Each figure's line reports its elapsed time and whether
 it reused the previous figure's table (fig2a reuses fig1's); a last line
-gives the total elapsed time, the process's peak resident set size
-and its minor page faults.
+gives the total elapsed time, the process's peak resident set size, its
+minor page faults, and what the times depend on: the usable cores, the
+radial-quadrature kernel's worker threads, and the Python, numpy and scipy
+versions.
 """
 
 import argparse
+import platform
 import resource
 import time
+from importlib import metadata
 from pathlib import Path
 
-from sm_noma import runner
+import numpy as np
+
+from sm_noma import gmd, runner
 from sm_noma.cli import main as sm_noma
+
+
+def scipy_version() -> str:
+    # Read from the installed metadata: the package imports no scipy.
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return "absent"
 
 
 def main() -> int:
@@ -43,7 +57,9 @@ def main() -> int:
     # ru_maxrss is in KiB on Linux.
     print(f"total: {time.perf_counter() - first:.1f}s for fig1, fig2a and fig2b "
           f"at R={args.realizations}, peak RSS {usage.ru_maxrss / 1024:.1f} MB, "
-          f"{usage.ru_minflt} minor page faults")
+          f"{usage.ru_minflt} minor page faults; nproc {gmd._usable_cores()}, "
+          f"{gmd._workers(2)} kernel workers, Python {platform.python_version()}, "
+          f"numpy {np.__version__}, scipy {scipy_version()}")
     return 0
 
 

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import queue
+import threading
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -243,6 +246,110 @@ def _check_count(name: str, count) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux; not macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(items: int) -> int:
+    """How many threads _share runs items items on: the caller and the
+    helper, no more than the items or the usable cores."""
+    return min(items, 2, _usable_cores())
+
+
+# The helper thread's task queue, None until the first shared call starts
+# it. A forked child has no helper thread, so it forgets the queue and
+# starts its own.
+_helper_tasks: queue.SimpleQueue | None = None
+_helper_start = threading.Lock()
+
+
+def _forget_helper() -> None:
+    global _helper_tasks, _helper_start
+    _helper_tasks, _helper_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _submit(task: Callable[[], None]) -> None:
+    """Queue task for the helper thread, starting the thread on the first."""
+    global _helper_tasks
+    with _helper_start:
+        if _helper_tasks is None:
+            _helper_tasks = queue.SimpleQueue()
+            _helper_tasks.put(task)
+            threading.Thread(target=_serve, args=(_helper_tasks,), name="sm_noma-helper",
+                             daemon=True).start()
+        else:
+            _helper_tasks.put(task)
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        tasks.get()()
+
+
+_END = object()  # marks the end of _share's items
+
+
+def _share(start_worker: Callable[[], Callable], items: Sequence, min_items: int = 2) -> None:
+    """Call a worker function on every item of items, on the calling thread
+    and, for at least min_items items and two usable cores, on the helper
+    thread too: each pulls the next item as it finishes one. A worker
+    makes its function by start_worker() on its first item, so each holds
+    its own buffers.
+
+    The first exception stops the other worker at its next item and is
+    raised here once that worker is done. The helper's task is never
+    waited for before it starts: once the items run out, the caller drops
+    a task the helper has not begun. So a call made while the helper is
+    busy (a call from a helper task, a second core taken by another
+    process) runs on the calling thread alone instead of waiting.
+    """
+    pending = iter(items)
+    pull = threading.Lock()
+    errors = []
+
+    def drain():
+        work = None
+        while not errors:
+            with pull:
+                item = next(pending, _END)
+            if item is _END:
+                return
+            try:
+                if work is None:
+                    work = start_worker()
+                work(item)
+            except BaseException as error:  # Ctrl-C too: the other worker stops
+                errors.append(error)
+
+    if len(items) >= min_items and _workers(len(items)) == 2:
+        started = threading.Lock()
+
+        def helper_task():
+            if started.acquire(blocking=False):
+                try:
+                    drain()
+                finally:
+                    started.release()
+
+        _submit(helper_task)
+        drain()
+        try:
+            started.acquire()  # waits only for a task the helper has begun
+        except BaseException as error:  # Ctrl-C while waiting: the helper stops too
+            errors.append(error)
+            raise
+    else:
+        drain()
+    if errors:
+        raise errors[0]
+
+
 def _equal_weight_choice(n: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Indices of rng.choice(L, p=weights) for the L = n equal weights
     np.full(L, 1.0) / L and its uniform draws u; the float64 array scratch,
@@ -413,16 +520,47 @@ def _radial_draws(
     return abs_sq
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# The order-48 Gauss-Legendre rule on [-1, 1], with the bits of numpy's
+# leggauss(48), which makes it exactly symmetric: its 24 positive nodes and
+# their weights, mirrored.
+_GL_HALF_NODES = np.array([float.fromhex(x) for x in """
+    0x1.094223ea6196ep-5 0x1.8d54ccaa9b7b4p-4 0x1.4a2ef25599831p-3 0x1.cc50f5488fbefp-3
+    0x1.26425a1527d42p-2 0x1.65204357a6388p-2 0x1.a27eb589dea3bp-2 0x1.de1bcb894046ap-2
+    0x1.0bdbc159f3714p-1 0x1.2789ffd1f24a0p-1 0x1.41fae84d5a001p-1 0x1.5b1216aac49a1p-1
+    0x1.72b49a0302d99p-1 0x1.88c91196f8e2dp-1 0x1.9d37c81006d1dp-1 0x1.afeaccf5eeb9ep-1
+    0x1.c0ce0c3f55453p-1 0x1.cfcf63e4a4e84p-1 0x1.dcdeb7610754bp-1 0x1.e7ee011520dfap-1
+    0x1.f0f161978472fp-1 0x1.f7df2d6c8eed7p-1 0x1.fcaffc9af24a4p-1 0x1.ff5ee9d8af2e2p-1
+    """.split()])
+_GL_HALF_WEIGHTS = np.array([float.fromhex(x) for x in """
+    0x1.092a652a0fba4p-4 0x1.080dac3f3724cp-4 0x1.05d56c2248c2dp-4 0x1.028406fc86d22p-4
+    0x1.fc3a19b11a281p-5 0x1.f14a6f9e10aacp-5 0x1.e444cde6cfffcp-5 0x1.d537300bfd4b4p-5
+    0x1.c431bfe4b318dp-5 0x1.b146c443c7e03p-5 0x1.9c8a8d586186bp-5 0x1.86135edf0a9e7p-5
+    0x1.6df9583af7196p-5 0x1.54565a91a83e9p-5 0x1.3945ed05d7d52p-5 0x1.1ce51f31f7018p-5
+    0x1.fea4d40fed237p-6 0x1.c15b1e8f69982p-6 0x1.822eefbc974b7p-6 0x1.416423e8cbb26p-6
+    0x1.fe80c5c315b36p-7 0x1.781605954a664p-7 0x1.e037f45d9bc6dp-8 0x1.9d50bc55d51a7p-9
+    """.split()])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 # The nodes shifted to [0, 2]: a panel [a, a + 2h] holds h * _GL_OFFSETS + a.
 _GL_OFFSETS = _GL_NODES + 1.0
+
+
+def _last_legendre(x: np.ndarray, degree: int) -> np.ndarray:
+    """(P_{degree - 1}(x), P_degree(x)) as the columns of a (len(x), 2)
+    array, by the three-term recurrence in the order of operations of
+    numpy's legvander(x, degree), whose last two columns it equals."""
+    previous, p = x * 0 + 1, x
+    for i in range(2, degree + 1):
+        previous, p = p, (p * x * (2 * i - 1) - previous * (i - 1)) / i
+    return np.stack([previous, p], axis=1)
+
+
 # A panel's 48 values g_i times this (48, 2) table give c46 and c47, the last
 # two Legendre coefficients of the degree-47 polynomial through them:
 # c_k = (2k + 1) / 2 * sum_i w_i P_k(x_i) g_i, exact by the rule's
 # orthogonality up to degree 95.
-_TAIL_COEFFICIENTS = np.ascontiguousarray(
-    np.polynomial.legendre.legvander(_GL_NODES, 47)[:, 46:]
-    * (_GL_WEIGHTS[:, None] * (np.array([93.0, 95.0]) / 2.0)))
+_TAIL_COEFFICIENTS = (_last_legendre(_GL_NODES, 47)
+                      * (_GL_WEIGHTS[:, None] * (np.array([93.0, 95.0]) / 2.0)))
 _PANELS = 40
 _PANEL_INDEX = np.arange(float(_PANELS))
 # Rows per kernel chunk: B = min(8, 64 // L) rows of L components go
@@ -432,6 +570,9 @@ _PANEL_INDEX = np.arange(float(_PANELS))
 _CHUNK_COMPONENTS = 64
 _CHUNK_ROWS = 8
 _MAX_PANELS = 400  # per row refined by _refine
+# Fewest chunks a _quadrature_rows call shares with the helper thread; see
+# README for how it was measured.
+_SHARED_CHUNKS = 32
 
 
 def _panel_edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -514,8 +655,12 @@ def _quadrature_rows(
     Rows go through _panel_rule in chunks of B = min(8, 64 // L) rows, at
     least one, each row with its own log_coef and panel edges and the sum
     of its contiguous 1920 node products, so it has the bits of a one-row
-    chunk. The (L, B, 40, 48) term array, its tie mask and the (B, 40, 48)
-    nodes, log f and g are allocated once per call.
+    chunk, whichever worker runs it. A call of at least _SHARED_CHUNKS
+    chunks runs them on the helper thread too (see _share). The
+    (L, B, 40, 48) term array, its tie mask and the (B, 40, 48) nodes,
+    log f and g are allocated once per worker. Every row whose estimate
+    still misses the tolerance then warns, in row order, in the calling
+    thread.
     """
     n_rows, n = variances.shape
     log_tail = math.log(n / TAIL_MASS)
@@ -525,28 +670,40 @@ def _quadrature_rows(
         raise ValueError(f"largest component variance {v_max:.4g} puts the truncation point "
                          f"past the float range; at L = {n} it must be below {1e308 / log_tail:.4g}")
     chunk = min(n_rows, _CHUNK_ROWS, max(1, _CHUNK_COMPONENTS // n))
-    per_row = np.empty((3, chunk, _PANELS, len(_GL_OFFSETS)))  # nodes, log f, g
-    workspace = np.empty((n,) + per_row.shape[1:])
-    buffers = (*per_row, workspace, np.empty(workspace.shape, dtype=bool))
     log_w = np.log(np.full(n, 1.0) / n)
     values, errors = np.empty(n_rows), np.empty(n_rows)
-    for start in range(0, n_rows, chunk):
-        v = variances[start : start + chunk]
-        b = len(v)
-        log_coef = log_w - np.log(math.pi * v)
-        inv_v = 1.0 / v
-        # Truncate where the mixture tail mass is below TAIL_MASS.
-        edges = _panel_edges(np.minimum.reduce(v, axis=1) / 8.0,
-                             np.maximum.reduce(v, axis=1) * log_tail)
-        products, panel_errors = _panel_rule(edges[:, :-1], edges[:, 1:], log_coef, inv_v, *buffers)
-        values[start : start + b] = products.reshape(b, -1).sum(axis=1)
-        errors[start : start + b] = panel_errors.sum(axis=1)
-        # Written as a negation so that a nan estimate is refined too. Rows
-        # go in order, and _refine writes the buffers' first row only.
-        for m in np.flatnonzero(~(errors[start : start + b] <= tolerance)):
-            values[start + m], errors[start + m] = _refine(
-                np.stack([edges[m, :-1], edges[m, 1:]]), products[m].sum(axis=-1),
-                panel_errors[m], log_coef[m : m + 1], inv_v[m : m + 1], tolerance, buffers)
+
+    def start_worker():
+        per_row = np.empty((3, chunk, _PANELS, len(_GL_OFFSETS)))  # nodes, log f, g
+        workspace = np.empty((n,) + per_row.shape[1:])
+        buffers = (*per_row, workspace, np.empty(workspace.shape, dtype=bool))
+
+        def run_chunk(start):
+            v = variances[start : start + chunk]
+            b = len(v)
+            log_coef = log_w - np.log(math.pi * v)
+            inv_v = 1.0 / v
+            # Truncate where the mixture tail mass is below TAIL_MASS.
+            edges = _panel_edges(np.minimum.reduce(v, axis=1) / 8.0,
+                                 np.maximum.reduce(v, axis=1) * log_tail)
+            products, panel_errors = _panel_rule(
+                edges[:, :-1], edges[:, 1:], log_coef, inv_v, *buffers)
+            values[start : start + b] = products.reshape(b, -1).sum(axis=1)
+            errors[start : start + b] = panel_errors.sum(axis=1)
+            # Written as a negation so that a nan estimate is refined too. Rows
+            # go in order, and _refine writes the buffers' first row only.
+            for m in np.flatnonzero(~(errors[start : start + b] <= tolerance)):
+                values[start + m], errors[start + m] = _refine(
+                    np.stack([edges[m, :-1], edges[m, 1:]]), products[m].sum(axis=-1),
+                    panel_errors[m], log_coef[m : m + 1], inv_v[m : m + 1], tolerance, buffers)
+
+        return run_chunk
+
+    _share(start_worker, range(0, n_rows, chunk), _SHARED_CHUNKS)
+    for estimate in errors[~(errors <= tolerance)]:
+        # At the stack level of the caller of entropy_radial_quadrature(_rows).
+        warnings.warn(f"radial quadrature refinement missed the tolerance: error estimate "
+                      f"{estimate:.3g} > tolerance {tolerance:.3g}", RuntimeWarning, 3)
     return values, errors
 
 
@@ -559,8 +716,13 @@ def _panel_rule(lo, hi, log_coef, inv_v, u_buf, log_f_buf, g_buf, workspace, mas
     b, p = lo.shape
     a = lo[:, :, None]
     half = (hi[:, :, None] - a) / 2.0
+    # The nodes half * offset + a. Each product is formed in place on a
+    # broadcast copy of the rule's table, which numpy makes without the
+    # ufunc iterator's 62 kB buffer for a second broadcast operand.
     u = u_buf[:b, :p]
-    np.add(np.multiply(half, _GL_OFFSETS, out=u), a, out=u)
+    np.copyto(u, _GL_OFFSETS)
+    u *= half
+    u += a
     terms = workspace[:, :b, :p]
     np.multiply(u, inv_v.T[:, :, None, None], out=terms)
     log_f = _logsumexp_overwrite(
@@ -572,7 +734,9 @@ def _panel_rule(lo, hi, log_coef, inv_v, u_buf, log_f_buf, g_buf, workspace, mas
     g *= log_f
     g /= LN2
     # The node products (half * w) * g, written over the nodes.
-    np.multiply(np.multiply(half, _GL_WEIGHTS, out=u), g, out=u)
+    np.copyto(u, _GL_WEIGHTS)
+    u *= half
+    u *= g
     # Null-rule error estimate: each panel's width times |c46| + |c47|.
     # The stacked product runs one (P, 48) @ (48, 2) product per row,
     # whose bits do not depend on the chunk.
@@ -584,8 +748,8 @@ def _refine(panels, values, errors, log_coef, inv_v, tolerance, buffers) -> tupl
     of one row's panels (2, P: lower and upper edges) with their values
     and errors: (value, error estimate). Each step halves every panel whose
     error exceeds tolerance / P and evaluates the halves, in groups of 40
-    in the buffers' first row. It stops and warns if none splits (nan
-    splits none), if P would pass _MAX_PANELS, or, as QUADPACK's roundoff
+    in the buffers' first row. It stops if none splits (nan splits none),
+    if P would pass _MAX_PANELS, or, as QUADPACK's roundoff
     detection does, once a step leaves the summed estimate no lower: the
     null rule's estimate has reached its roundoff floor, and the panels
     before that step give the result.
@@ -607,7 +771,4 @@ def _refine(panels, values, errors, log_coef, inv_v, tolerance, buffers) -> tupl
         if not (refined := errors.sum()) < estimate:
             break
         value, estimate = values.sum(), refined
-    if not estimate <= tolerance:
-        warnings.warn(f"radial quadrature refinement missed the tolerance: error estimate "
-                      f"{estimate:.3g} > tolerance {tolerance:.3g}", RuntimeWarning, 4)
     return float(value), float(estimate)

@@ -8,9 +8,7 @@ asymptotic values with their constant shifts.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +21,6 @@ from .system import ChannelRealization, SystemConfig, _check_decoding_pair, sign
 from .system import mixture_of_interference, mixture_of_received  # noqa: F401
 
 LOG2E = math.log2(math.e)
-
-# Most Monte Carlo worker threads. Two ran an R = 6 Monte Carlo fig2b sweep
-# in about three quarters of one's time on a 2-core machine, and in two
-# thirds of it (0.148 s against 0.233 s, medians of 8) once the direct
-# density left the random fills most of a cell's time; more were never
-# measured, and each holds one entropy call's buffers (runner.MAX_MC_SAMPLES).
-_MC_WORKERS = 2
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):  # Linux; not macOS or Windows
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 @dataclass(frozen=True)
 class MiResult:
@@ -96,8 +80,9 @@ def mi_rows(
     h(r, k) first, on the generator rngs gives the cell index (p, ...),
     and builds no mixture; each cell needs its
     own generator, and a missing or shared one raises ValueError before
-    anything is drawn. The cells run on a thread pool of at most _MC_WORKERS
-    workers, one per usable core and cell; an error drops the queued cells.
+    anything is drawn. The cells run on gmd._share's two workers, the
+    calling thread and the helper, or on one for one cell or one usable
+    core; an error drops the cells not yet begun.
     Every generator is made first, in the calling thread, and each cell
     draws only from its own and writes only its own slots, so no value
     depends on the scheduling. The two errors add by np.hypot. An unknown
@@ -131,21 +116,15 @@ def mi_rows(
         if len({id(rng) for rng in generators if rng is not None}) < len(cells):
             raise ValueError("each Monte Carlo cell needs its own generator")
 
-        def run_cell(cell, rng):
-            p, *index = cell
+        def run_cell(item):
+            (p, *index), rng = item
             r, k = pairs[p]
             for t in (k, k + 1):
                 if (r, t) not in h:
                     estimate = gmd.entropy_monte_carlo(rows[r, t][tuple(index)], rng, samples)
                     sampled[(p, t - k, slice(None), *index)] = estimate.value, estimate.std_error
 
-        workers = min(len(cells), _MC_WORKERS, _usable_cores()) if len(cells) > 1 else 1
-        pool = ThreadPoolExecutor(workers)
-        try:
-            list(pool.map(run_cell, cells, generators))
-        finally:
-            # An error or Ctrl-C drops the queued cells instead of running them.
-            pool.shutdown(cancel_futures=True)
+        gmd._share(lambda: run_cell, list(zip(cells, generators)))
     entropies = [[h[r, t] if (r, t) in h else sampled[p, t - k] for t in (k, k + 1)]
                  for p, (r, k) in enumerate(pairs)]
     return (np.stack([h_y[0] - h_w[0] for h_y, h_w in entropies]),

@@ -65,8 +65,8 @@ MAX_TABLE_ENTRIES = 1 << 24
 # Largest Monte Carlo sample count: each entropy call holds one buffer of
 # 16 B per sample (|a|^2 then -log2 f, and scratch) and one 8 B array at a
 # time (the indices, then np.std's deviations), 100 MB at this limit. mi_rows
-# runs one call at a time per worker thread, on at most two threads
-# (mi._MC_WORKERS), so a sweep holds at most 200 MB of them.
+# runs one call at a time per worker thread, on at most two threads (the
+# caller and gmd's helper), so a sweep holds at most 200 MB of them.
 MAX_MC_SAMPLES = 1 << 22
 
 # Largest |SNR| a grid point may have, in dB. Far beyond it the signal power

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -328,6 +330,43 @@ def record_panel_rule(monkeypatch):
     return shapes
 
 
+def chunk_threads(monkeypatch, release=None):
+    """Record in the returned set the threads that run gmd._panel_rule.
+
+    With release, a zero-argument callable, the calling thread waits
+    before each panel rule it runs, up to 10 s, until release() is true:
+    with helper_ran(threads), until the helper has begun a chunk, so that
+    a shared call runs chunks on both workers. Clearing the set re-arms it.
+    """
+    threads = set()
+    caller = threading.current_thread()
+    panel_rule = gmd._panel_rule
+
+    def recording(*args):
+        me = threading.current_thread()
+        if release is not None and me is caller:
+            deadline = time.monotonic() + 10.0
+            while not release() and time.monotonic() < deadline:
+                time.sleep(1e-4)
+        threads.add(me)
+        return panel_rule(*args)
+
+    monkeypatch.setattr(gmd, "_panel_rule", recording)
+    return threads
+
+
+def helper_ran(threads):
+    """A release for chunk_threads: another thread has run a chunk, or no
+    helper can run (one usable core)."""
+    caller = threading.current_thread()
+    return lambda: gmd._workers(2) < 2 or bool(threads - {caller})
+
+
+def shared_rows(n, chunks, seed=0):
+    """Rows of n components, fig1-like variances, that fill chunks kernel chunks."""
+    return 10.0 ** np.random.default_rng(seed).uniform(-2.0, 2.0, (chunks * chunk_rows(n), n))
+
+
 class TestQuadratureFallback:
     """A tolerance at roundoff level makes the panel rule miss it, so the row
     is refined. The null-rule estimates of the halves level off at their
@@ -460,18 +499,27 @@ def kernel_estimates(variances, tolerance):
 
 class TestImports:
     def test_package_import_loads_no_scipy(self):
-        src = str(Path(gmd.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+        # Nor numpy.polynomial (the rule is literal), nor a thread (the
+        # helper starts on the first shared call).
         code = (
-            "import sys, sm_noma, sm_noma.cli, sm_noma.runner\n"
+            "import sys, threading, sm_noma, sm_noma.cli, sm_noma.runner\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print('numpy.polynomial' in sys.modules, threading.active_count())\n"
             "import scipy.integrate\n"
             "print(sm_noma.gmd.integrate is scipy.integrate)\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.split("\n")[:2] == ["[]", "True"]
+        assert run_python(code).split("\n")[:3] == ["[]", "False 1", "True"]
+
+
+def run_python(code, timeout=None):
+    """The standard output of code run by a fresh interpreter that imports
+    this checkout's sm_noma; a nonzero exit or the timeout, in seconds,
+    raises."""
+    src = str(Path(gmd.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=timeout).stdout
 
 
 def last_axis_logsumexp(a):
@@ -814,6 +862,8 @@ class TestRowKernel:
         # so near u = 0 its largest terms tie, which sends its whole chunk
         # down the log-sum-exp's tie path. Row 2 spans the most decades, so
         # the tolerance below its estimate sends it alone to the refinement.
+        # Each width runs on the calling thread alone and, with every call
+        # shared, on both workers.
         rng = np.random.default_rng(n)
         v = 10.0 ** rng.uniform(-1.0, 1.0, (2 * chunk_rows(n) + 1, n))
         v[1, :2] = v[1].min()
@@ -821,25 +871,33 @@ class TestRowKernel:
         errors = gmd.entropy_radial_quadrature_rows(v)[1]
         assert errors.argmax() == 2
         tolerance = float(np.sort(errors)[-2])
+        threads = chunk_threads(monkeypatch, lambda: shared > 1 or helper_ran(threads)())
         results = []
         for width in (1, gmd._CHUNK_ROWS):
-            monkeypatch.setattr(gmd, "_CHUNK_ROWS", width)
-            counter = CountingRefine(gmd._refine)
-            monkeypatch.setattr(gmd, "_refine", counter)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                values, errors = gmd.entropy_radial_quadrature_rows(v, tolerance)
-            assert counter.calls == 1
-            results.append((values.tobytes(), errors.tobytes()))
-        assert results[0] == results[1]
+            for shared in (10**9, 1):
+                monkeypatch.setattr(gmd, "_CHUNK_ROWS", width)
+                monkeypatch.setattr(gmd, "_SHARED_CHUNKS", shared)
+                counter = CountingRefine(gmd._refine)
+                monkeypatch.setattr(gmd, "_refine", counter)
+                threads.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    values, errors = gmd.entropy_radial_quadrature_rows(v, tolerance)
+                assert counter.calls == 1
+                assert len(threads) == (1 if shared > 1 else gmd._workers(3))
+                results.append((values.tobytes(), errors.tobytes()))
+        assert results[1:] == results[:1] * 3
 
-    def test_peak_memory_is_the_per_call_buffers(self):
-        # At L = 16 a chunk is 4 rows. The call keeps one (16, 4, 40, 48)
+    def test_peak_memory_is_the_per_call_buffers(self, monkeypatch):
+        # At L = 16 a chunk is 4 rows, and 600 rows are 150 chunks, enough
+        # to share. Each worker the call runs on keeps one (16, 4, 40, 48)
         # term array with its bool tie mask and three (4, 40, 48) arrays
         # (nodes, log f, g); the margin covers the outputs, each chunk's
         # (4, 40) set-up arrays and numpy's ufunc buffers (up to 64 kB per
-        # broadcast operand), but not a second term array (983 kB).
-        v = 10.0 ** np.random.default_rng(16).uniform(-2.0, 2.0, (600, 16))
+        # broadcast operand, one at a time per worker), but not a second
+        # term array (983 kB) in any worker.
+        v = shared_rows(16, 150, seed=16)
+        threads = chunk_threads(monkeypatch)
         node_count = chunk_rows(16) * gmd._PANELS * len(gmd._GL_OFFSETS)
         buffers = 16 * node_count * (8 + 1) + 3 * node_count * 8
         tracemalloc.start()
@@ -848,7 +906,175 @@ class TestRowKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert 1 <= len(threads) <= 2
+        assert peak <= len(threads) * buffers + 256_000
+
+    def test_peak_memory_below_the_sharing_threshold(self, monkeypatch):
+        # One chunk fewer than the threshold runs on the calling thread
+        # alone, with one buffer set.
+        v = shared_rows(16, gmd._SHARED_CHUNKS - 1, seed=16)
+        threads = chunk_threads(monkeypatch)
+        node_count = chunk_rows(16) * gmd._PANELS * len(gmd._GL_OFFSETS)
+        buffers = 16 * node_count * (8 + 1) + 3 * node_count * 8
+        tracemalloc.start()
+        try:
+            gmd.entropy_radial_quadrature_rows(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert threads == {threading.current_thread()}
         assert peak <= buffers + 256_000
+
+
+class TestSharedKernel:
+    """_quadrature_rows on the calling thread and the helper thread
+    (gmd._share): the same bits as on one worker, warnings in the calling
+    thread, errors raised there, and no wait on a helper that is busy or
+    gone."""
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_shared_rows_equal_one_worker(self, monkeypatch, n, extra):
+        # One chunk fewer than the threshold, the threshold, and one row
+        # more (a last chunk of one row).
+        v = shared_rows(n, gmd._SHARED_CHUNKS, seed=n)
+        v = v[: len(v) - chunk_rows(n)] if extra < 0 else np.vstack([v, v[:extra]])
+        shared = extra >= 0 and gmd._workers(2) == 2
+        threads = chunk_threads(monkeypatch, lambda: not shared or helper_ran(threads)())
+        values, errors = gmd.entropy_radial_quadrature_rows(v)
+        assert len(threads) == (2 if shared else 1)
+        monkeypatch.setattr(gmd, "_usable_cores", lambda: 1)
+        threads.clear()
+        alone = gmd.entropy_radial_quadrature_rows(v)
+        assert threads == {threading.current_thread()}
+        assert (values.tobytes(), errors.tobytes()) == (alone[0].tobytes(), alone[1].tobytes())
+
+    def test_refining_row_warns_in_the_calling_thread(self, monkeypatch):
+        # The last row's estimate sits at its roundoff floor, above every
+        # other row's: at a tolerance between them it alone is refined, and
+        # misses. It is in the last chunk, and the calling thread's first
+        # chunk waits until it is refined, so the helper refines it.
+        v = shared_rows(4, gmd._SHARED_CHUNKS)
+        v[-1] = [1.0, 1.0, 1e6, 1e6]
+        errors = gmd.entropy_radial_quadrature_rows(v)[1]
+        assert errors.argmax() == len(v) - 1
+        tolerance = float(np.sort(errors)[-2])
+        counter = CountingRefine(gmd._refine)
+        refined_by = []
+
+        def refine(*args):
+            refined_by.append(threading.current_thread())
+            return counter(*args)
+
+        monkeypatch.setattr(gmd, "_refine", refine)
+        chunk_threads(monkeypatch, lambda: gmd._workers(2) < 2 or counter.calls > 0)
+        with pytest.warns(RuntimeWarning, match="refinement missed the tolerance") as record:
+            values, errors = gmd.entropy_radial_quadrature_rows(v, tolerance)
+        assert counter.calls == 1
+        if gmd._workers(2) == 2:
+            assert refined_by[0] is not threading.current_thread()
+        missed = [w for w in record if issubclass(w.category, RuntimeWarning)]
+        assert len(missed) == 1
+        assert f"{errors[-1]:.3g} > tolerance" in str(missed[0].message)
+        # At the caller's line, as from a one-worker call.
+        assert missed[0].filename == __file__
+
+    def test_error_in_a_helper_chunk_stops_the_caller(self, monkeypatch):
+        # The helper's first chunk raises. The calling thread's first chunk
+        # waits until it has; each worker then stops at its next item: the
+        # caller finishes that chunk alone, and the helper runs no other.
+        if gmd._workers(2) < 2:
+            pytest.skip("one usable core: no helper")
+        raised = threading.Event()
+        panel_rule = gmd._panel_rule
+        caller = threading.current_thread()
+        ran = []
+
+        def failing(*args):
+            me = threading.current_thread()
+            if me is not caller and not raised.is_set():
+                raised.set()
+                raise ArithmeticError("in the helper")
+            raised.wait(10.0)
+            ran.append(me)
+            return panel_rule(*args)
+
+        monkeypatch.setattr(gmd, "_panel_rule", failing)
+        with pytest.raises(ArithmeticError, match="in the helper"):
+            gmd.entropy_radial_quadrature_rows(shared_rows(16, gmd._SHARED_CHUNKS))
+        assert raised.is_set()
+        assert ran == [caller]
+
+    def test_concurrent_callers_share_one_helper(self):
+        # Four calling threads, more than the cores, share items and run
+        # kernel calls at once under a 1 us switch interval: each of a
+        # call's items runs exactly once, and each kernel call keeps the
+        # bits of a call made alone.
+        v = shared_rows(4, gmd._SHARED_CHUNKS)
+        expected = [a.tobytes() for a in gmd.entropy_radial_quadrature_rows(v)]
+        results = {}
+
+        def caller(i):
+            seen = []
+            gmd._share(lambda: seen.append, range(5000))
+            got = [a.tobytes() for a in gmd.entropy_radial_quadrature_rows(v)]
+            results[i] = (sorted(seen) == list(range(5000)), got == expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == {i: (True, True) for i in range(4)}
+
+    # Each of the next two runs in a fresh interpreter under a timeout, so a
+    # helper stuck by a regression fails the test and leaves this process's
+    # helper free.
+    SHARED_CALL = (
+        "import os, sys, threading, time\n"
+        "import numpy as np\n"
+        "from sm_noma import gmd\n"
+        "v = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, (gmd._SHARED_CHUNKS * 8, 4))\n"
+        "expected = [a.tobytes() for a in gmd.entropy_radial_quadrature_rows(v)]\n"
+        "def same():\n"
+        "    return [a.tobytes() for a in gmd.entropy_radial_quadrature_rows(v)] == expected\n"
+    )
+
+    def test_shared_call_in_a_helper_task_finishes(self):
+        # The helper is busy with the task, so the nested call's own helper
+        # task never starts: the call runs on the helper thread alone.
+        code = self.SHARED_CALL + (
+            "done, got = threading.Event(), []\n"
+            "gmd._submit(lambda: (got.append(same()), done.set()))\n"
+            "print(done.wait(30.0), got)\n"
+        )
+        assert run_python(code, timeout=60.0).strip() == "True [True]"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_shared_call_in_a_forked_child_finishes(self):
+        # The child inherits no helper thread; its shared call must finish,
+        # with the parent's bits, instead of waiting for one. The parent
+        # kills a child that has not exited within 30 s.
+        code = self.SHARED_CALL + (
+            "assert gmd._helper_tasks is not None or gmd._workers(2) < 2\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if same() else 1)\n"
+            "deadline = time.monotonic() + 30.0\n"
+            "while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:\n"
+            "    time.sleep(0.01)\n"
+            "if status[0] == 0:\n"
+            "    os.kill(pid, 9)\n"
+            "    sys.exit('the forked child hung')\n"
+            "print(os.waitstatus_to_exitcode(status[1]))\n"
+        )
+        assert run_python(code, timeout=60.0).strip() == "0"
 
 
 class TestToleranceRejected:
@@ -886,6 +1112,32 @@ class TestToleranceRejected:
     def test_finite_positive_reals_accepted(self, tolerance):
         v = [1.0, 2.0]
         assert gmd.entropy_radial_quadrature(v, tolerance) == gmd.entropy_radial_quadrature(v)
+
+
+class TestGaussLegendreRule:
+    """The kernel's literal order-48 rule and its null-rule table."""
+
+    def test_literals_are_numpys_rule_to_the_bit(self):
+        x, w = np.polynomial.legendre.leggauss(48)
+        assert gmd._GL_NODES.tobytes() == x.tobytes()
+        assert gmd._GL_WEIGHTS.tobytes() == w.tobytes()
+        tail = np.polynomial.legendre.legvander(x, 47)[:, 46:]
+        assert gmd._last_legendre(gmd._GL_NODES, 47).tobytes() == tail.tobytes()
+        assert gmd._TAIL_COEFFICIENTS.tobytes() == _TAIL.tobytes()
+
+    def test_moments_up_to_degree_94(self):
+        # Independent of numpy's eigenvalue solver: the rule integrates x^k
+        # over [-1, 1] exactly up to degree 95, to 2 / (k + 1) for even k
+        # (measured worst 3.3e-13 relative) and 0 for odd k.
+        x, w = gmd._GL_NODES, gmd._GL_WEIGHTS
+        assert (x == -x[::-1]).all() and (w == w[::-1]).all()
+        assert (np.diff(x) > 0.0).all() and (w > 0.0).all()
+        for k in range(95):
+            moment = math.fsum((w * x**k).tolist())
+            if k % 2:
+                assert abs(moment) <= 1e-16
+            else:
+                assert moment == pytest.approx(2.0 / (k + 1), rel=1e-12, abs=0.0)
 
 
 class TestNullRuleEstimate:

@@ -9,8 +9,9 @@ property suite at seed 0. To regenerate it from a given checkout:
 import json
 import math
 import os
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 import oracles
 import pytest
 
-from sm_noma import cli, mi, runner
+from sm_noma import cli, gmd, runner
 from sm_noma.baselines import (
     miso_noma_gains_sq,
     miso_noma_mi,
@@ -393,33 +394,54 @@ class TestSweepTable:
                         h, system, k, 0.5, tolerance).hex()
                     assert cell["MISO-NOMA"].hex() == oracles.miso_noma_mi(h, system, k).hex()
 
-    # cap: the most workers the pool may take, None for the module's;
-    # cores: the usable core count it reads, None for the machine's;
+    # cores: the usable core count the helper reads, None for the machine's;
     # affinity False hides os.sched_getaffinity, as on macOS and Windows.
-    @pytest.mark.parametrize("m, cap, cores, affinity", [
-        pytest.param(1, None, None, True, id="1"), pytest.param(3, None, None, True, id="3"),
-        pytest.param(3, 1, 1, True, id="3-one-worker"),
-        pytest.param(3, 3, 3, True, id="3-three-workers"),
-        pytest.param(3, None, 64, True, id="3-many-cores"),
-        pytest.param(3, 3, 3, False, id="3-no-affinity")])
-    def test_monte_carlo_cells_equal_scalar_calls(self, m, cap, cores, affinity, monkeypatch):
-        # The cells' values do not depend on how many threads run them.
-        if cap is not None:
-            monkeypatch.setattr(mi, "_MC_WORKERS", cap)
+    @pytest.mark.parametrize("m, cores, affinity", [
+        pytest.param(1, None, True, id="1"), pytest.param(3, None, True, id="3"),
+        pytest.param(3, 1, True, id="3-one-worker"),
+        pytest.param(3, 3, True, id="3-three-cores"),
+        pytest.param(3, 64, True, id="3-many-cores"),
+        pytest.param(3, 3, False, id="3-no-affinity")])
+    def test_monte_carlo_cells_equal_scalar_calls(self, m, cores, affinity, monkeypatch):
+        # The cells' values do not depend on how many threads run them, and
+        # they run on min(cells, 2, usable cores): the calling thread and
+        # the helper. With two workers, the calling thread waits (up to
+        # 10 s) before its cells until the helper has begun one, so that
+        # both run cells.
         if cores is not None:
-            monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: set(range(cores)))
-            monkeypatch.setattr(mi.os, "cpu_count", lambda: cores)
+            monkeypatch.setattr(gmd.os, "sched_getaffinity", lambda pid: set(range(cores)))
+            monkeypatch.setattr(gmd.os, "cpu_count", lambda: cores)
         if not affinity:
-            monkeypatch.delattr(mi.os, "sched_getaffinity")
-        pools = []
-        monkeypatch.setattr(mi, "ThreadPoolExecutor",
-                            lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
+            monkeypatch.delattr(gmd.os, "sched_getaffinity")
         cfg = figure2b_config(num_tx_antennas=m, realizations=2, seed=4,
                               method="montecarlo", mc_samples=300)
+        usable = len(os.sched_getaffinity(0)) if affinity else os.cpu_count()
+        cells = 2 * cfg.realizations * len(runner._grid(cfg, "power_ratio"))
+        workers = min(cells, 2, usable)
+        threads = set()
+        caller = threading.current_thread()
+        share = gmd._share
+
+        def recording_share(start_worker, items, *args):
+            def start():
+                work = start_worker()
+
+                def recorded(item):
+                    deadline = time.monotonic() + 10.0
+                    while (workers == 2 and threads <= {caller}
+                           and threading.current_thread() is caller
+                           and time.monotonic() < deadline):
+                        time.sleep(1e-4)
+                    threads.add(threading.current_thread())
+                    return work(item)
+                return recorded
+            return share(start, items, *args)
+
+        monkeypatch.setattr(gmd, "_share", recording_share)
         runner._sweep_table.cache_clear()  # so the sweep runs at this worker count
         table = runner._sweep(cfg, "power_ratio")
-        cores = len(os.sched_getaffinity(0)) if affinity else os.cpu_count()
-        assert pools == [min(table["I"].size, mi._MC_WORKERS, cores)]
+        assert table["I"].size == cells
+        assert len(threads) == workers
         for i, h in enumerate(_draw_realizations(cfg)):
             for j, system in enumerate(runner._grid(cfg, "power_ratio")):
                 for k in (1, 2):
