@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import queue
 import threading
 import warnings
 from collections.abc import Callable, Sequence
@@ -84,24 +83,16 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray | np.float64:
     return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray | np.float64:
-    """log(sum(exp(a))) over the first axis (the mixture components).
-
-    The arithmetic of scipy.special.logsumexp along a contiguous last axis,
-    so logsumexp(np.moveaxis(b, -1, 0)) has the bits of
-    scipy.special.logsumexp(b, axis=-1) for a C-contiguous b: the maximal
-    terms are taken out of the shifted sum and added back through
-    log1p(s / count) + log(count) + max. Slices holding inf or nan give
-    scipy's results too. A 1-D input gives an np.float64 scalar.
-    """
-    return _logsumexp_overwrite(np.array(a, dtype=float))
-
-
 def _logsumexp_overwrite(a: np.ndarray, a_max=None, is_max=None) -> np.ndarray | np.float64:
-    """logsumexp of a float64 array that the caller no longer needs: the
-    shifted exponentials and their partial sums are written into a. The
-    radial quadrature's panel rule reduces its terms here, and the pinned
-    property results hold the bits this gives them.
+    """log(sum(exp(a))) over the first axis (the mixture components) of a
+    float64 array that the caller no longer needs: the shifted exponentials
+    and their partial sums are written into a. It is the arithmetic of
+    scipy.special.logsumexp along a contiguous last axis, so a copy of
+    np.moveaxis(b, -1, 0) gives the bits of scipy.special.logsumexp(b,
+    axis=-1) for a C-contiguous b, slices holding inf or nan included; a
+    1-D a gives an np.float64 scalar. The radial quadrature's panel rule
+    and the Monte Carlo density of a wide mixture reduce their terms here,
+    and the pinned property results hold the bits this gives the former.
 
     a_max (a.shape[1:]) and the bool is_max (a.shape), when given, receive
     the slice maxima and the tie mask. Without ties a result of two or more
@@ -206,22 +197,12 @@ def _log_pdf_into(
     """Natural log of the zero-mean mixture density with log_coef[l] =
     log(beta_l / (pi sigma_l^2)), at the points whose |a|^2 is the 1-D
     float64 array abs_sq, with the (L, len(abs_sq)) component terms written
-    into the float64 array terms.
-
-    The terms reduce in place by a max-shift log-sum-exp, log f =
-    log(sum of exp(term - m)) + m, with m each point's largest term, or 0
-    where that is -inf (giving -inf) or nan (giving nan); m overwrites
-    abs_sq.
+    into the float64 array terms and reduced there by _logsumexp_overwrite:
+    -inf where every term is -inf, nan at a nan point.
     """
     np.divide(abs_sq, variances[:, None], out=terms)
     np.subtract(log_coef[:, None], terms, out=terms)
-    shift = np.max(terms, axis=0, out=abs_sq)
-    np.copyto(shift, 0.0, where=~np.isfinite(shift))
-    np.exp(np.subtract(terms, shift, out=terms), out=terms)
-    log_f = np.sum(terms, axis=0, out=np.empty(abs_sq.shape))
-    with np.errstate(divide="ignore"):  # log(0) where every term is -inf
-        np.add(np.log(log_f, out=log_f), shift, out=log_f)
-    return log_f
+    return _logsumexp_overwrite(terms)
 
 
 def _check_row(variances, stacked: bool = False) -> np.ndarray:
@@ -253,43 +234,9 @@ def _usable_cores() -> int:
 
 
 def _workers(items: int) -> int:
-    """How many threads _share runs items items on: the caller and the
+    """How many threads _share runs items items on: the caller and its
     helper, no more than the items or the usable cores."""
     return min(items, 2, _usable_cores())
-
-
-# The helper thread's task queue, None until the first shared call starts
-# it. A forked child has no helper thread, so it forgets the queue and
-# starts its own.
-_helper_tasks: queue.SimpleQueue | None = None
-_helper_start = threading.Lock()
-
-
-def _forget_helper() -> None:
-    global _helper_tasks, _helper_start
-    _helper_tasks, _helper_start = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _submit(task: Callable[[], None]) -> None:
-    """Queue task for the helper thread, starting the thread on the first."""
-    global _helper_tasks
-    with _helper_start:
-        if _helper_tasks is None:
-            _helper_tasks = queue.SimpleQueue()
-            _helper_tasks.put(task)
-            threading.Thread(target=_serve, args=(_helper_tasks,), name="sm_noma-helper",
-                             daemon=True).start()
-        else:
-            _helper_tasks.put(task)
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    while True:
-        tasks.get()()
 
 
 _END = object()  # marks the end of _share's items
@@ -297,17 +244,14 @@ _END = object()  # marks the end of _share's items
 
 def _share(start_worker: Callable[[], Callable], items: Sequence, min_items: int = 2) -> None:
     """Call a worker function on every item of items, on the calling thread
-    and, for at least min_items items and two usable cores, on the helper
-    thread too: each pulls the next item as it finishes one. A worker
-    makes its function by start_worker() on its first item, so each holds
-    its own buffers.
+    and, for at least min_items items and two usable cores, on a helper
+    thread that the call starts and joins: each pulls the next item as it
+    finishes one. A worker makes its function by start_worker() on its
+    first item, so each holds its own buffers.
 
     The first exception stops the other worker at its next item and is
-    raised here once that worker is done. The helper's task is never
-    waited for before it starts: once the items run out, the caller drops
-    a task the helper has not begun. So a call made while the helper is
-    busy (a call from a helper task, a second core taken by another
-    process) runs on the calling thread alone instead of waiting.
+    raised here once that worker is done. Each call owns its helper, so a
+    nested, concurrent or forked call needs nothing more.
     """
     pending = iter(items)
     pull = threading.Lock()
@@ -328,19 +272,11 @@ def _share(start_worker: Callable[[], Callable], items: Sequence, min_items: int
                 errors.append(error)
 
     if len(items) >= min_items and _workers(len(items)) == 2:
-        started = threading.Lock()
-
-        def helper_task():
-            if started.acquire(blocking=False):
-                try:
-                    drain()
-                finally:
-                    started.release()
-
-        _submit(helper_task)
+        helper = threading.Thread(target=drain, name="sm_noma-helper", daemon=True)
+        helper.start()
         drain()
         try:
-            started.acquire()  # waits only for a task the helper has begun
+            helper.join()
         except BaseException as error:  # Ctrl-C while waiting: the helper stops too
             errors.append(error)
             raise
@@ -449,8 +385,7 @@ def entropy_monte_carlo(
       |a|^2 = sigma_k^2 E, E exponential with mean 1, and k's own term
       c_k e^-E is at least beta_k e^-E; the loss passes 1e-16 of it only
       where e^-E < 2.2e-92 / beta_k, a chance of 2.2e-92 / beta_k per draw.
-    Wider mixtures take _log_pdf_into's max-shift log-sum-exp on the same
-    |a|^2.
+    Wider mixtures take _log_pdf_into's log-sum-exp on the same |a|^2.
 
     |a|^2, -log2 f, the sampler's scratch and the block terms share one
     buffer per call: each block's -log2 f is written over its |a|^2, the
@@ -570,7 +505,7 @@ _PANEL_INDEX = np.arange(float(_PANELS))
 _CHUNK_COMPONENTS = 64
 _CHUNK_ROWS = 8
 _MAX_PANELS = 400  # per row refined by _refine
-# Fewest chunks a _quadrature_rows call shares with the helper thread; see
+# Fewest chunks a _quadrature_rows call shares with a helper thread; see
 # README for how it was measured.
 _SHARED_CHUNKS = 32
 
@@ -656,7 +591,7 @@ def _quadrature_rows(
     least one, each row with its own log_coef and panel edges and the sum
     of its contiguous 1920 node products, so it has the bits of a one-row
     chunk, whichever worker runs it. A call of at least _SHARED_CHUNKS
-    chunks runs them on the helper thread too (see _share). The
+    chunks runs them on a helper thread too (see _share). The
     (L, B, 40, 48) term array, its tie mask and the (B, 40, 48) nodes,
     log f and g are allocated once per worker. Every row whose estimate
     still misses the tolerance then warns, in row order, in the calling

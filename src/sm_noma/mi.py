@@ -81,8 +81,9 @@ def mi_rows(
     and builds no mixture; each cell needs its
     own generator, and a missing or shared one raises ValueError before
     anything is drawn. The cells run on gmd._share's two workers, the
-    calling thread and the helper, or on one for one cell or one usable
-    core; an error drops the cells not yet begun.
+    calling thread and a helper thread the call starts and joins, or on
+    one for one cell or one usable core; an error drops the cells not yet
+    begun.
     Every generator is made first, in the calling thread, and each cell
     draws only from its own and writes only its own slots, so no value
     depends on the scheduling. The two errors add by np.hypot. An unknown

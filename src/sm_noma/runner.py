@@ -66,7 +66,7 @@ MAX_TABLE_ENTRIES = 1 << 24
 # 16 B per sample (|a|^2 then -log2 f, and scratch) and one 8 B array at a
 # time (the indices, then np.std's deviations), 100 MB at this limit. mi_rows
 # runs one call at a time per worker thread, on at most two threads (the
-# caller and gmd's helper), so a sweep holds at most 200 MB of them.
+# caller and a helper thread), so a sweep holds at most 200 MB of them.
 MAX_MC_SAMPLES = 1 << 22
 
 # Largest |SNR| a grid point may have, in dB. Far beyond it the signal power

@@ -333,33 +333,32 @@ def record_panel_rule(monkeypatch):
 def chunk_threads(monkeypatch, release=None):
     """Record in the returned set the threads that run gmd._panel_rule.
 
-    With release, a zero-argument callable, the calling thread waits
-    before each panel rule it runs, up to 10 s, until release() is true:
-    with helper_ran(threads), until the helper has begun a chunk, so that
-    a shared call runs chunks on both workers. Clearing the set re-arms it.
+    With release, a zero-argument callable, each thread adds itself to the
+    set and then waits before each panel rule it runs, up to 10 s, until
+    release() (called in that thread) is true: with both_began(threads),
+    until two threads have begun a chunk, so that a shared call runs
+    chunks on both workers whichever starts first. Clearing the set
+    re-arms it.
     """
     threads = set()
-    caller = threading.current_thread()
     panel_rule = gmd._panel_rule
 
     def recording(*args):
-        me = threading.current_thread()
-        if release is not None and me is caller:
+        threads.add(threading.current_thread())
+        if release is not None:
             deadline = time.monotonic() + 10.0
             while not release() and time.monotonic() < deadline:
                 time.sleep(1e-4)
-        threads.add(me)
         return panel_rule(*args)
 
     monkeypatch.setattr(gmd, "_panel_rule", recording)
     return threads
 
 
-def helper_ran(threads):
-    """A release for chunk_threads: another thread has run a chunk, or no
+def both_began(threads):
+    """A release for chunk_threads: two threads have begun a chunk, or no
     helper can run (one usable core)."""
-    caller = threading.current_thread()
-    return lambda: gmd._workers(2) < 2 or bool(threads - {caller})
+    return lambda: gmd._workers(2) < 2 or len(threads) >= 2
 
 
 def shared_rows(n, chunks, seed=0):
@@ -499,16 +498,17 @@ def kernel_estimates(variances, tolerance):
 
 class TestImports:
     def test_package_import_loads_no_scipy(self):
-        # Nor numpy.polynomial (the rule is literal), nor a thread (the
-        # helper starts on the first shared call).
+        # Nor numpy.polynomial (the rule is literal), nor a thread or queue
+        # (each shared call starts and joins its own helper thread).
         code = (
             "import sys, threading, sm_noma, sm_noma.cli, sm_noma.runner\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            "print('numpy.polynomial' in sys.modules, threading.active_count())\n"
+            "print('numpy.polynomial' in sys.modules, threading.active_count(),\n"
+            "      'queue' in sys.modules)\n"
             "import scipy.integrate\n"
             "print(sm_noma.gmd.integrate is scipy.integrate)\n"
         )
-        assert run_python(code).split("\n")[:3] == ["[]", "False 1", "True"]
+        assert run_python(code).split("\n")[:3] == ["[]", "False 1 False", "True"]
 
 
 def run_python(code, timeout=None):
@@ -871,7 +871,7 @@ class TestRowKernel:
         errors = gmd.entropy_radial_quadrature_rows(v)[1]
         assert errors.argmax() == 2
         tolerance = float(np.sort(errors)[-2])
-        threads = chunk_threads(monkeypatch, lambda: shared > 1 or helper_ran(threads)())
+        threads = chunk_threads(monkeypatch, lambda: shared > 1 or both_began(threads)())
         results = []
         for width in (1, gmd._CHUNK_ROWS):
             for shared in (10**9, 1):
@@ -927,10 +927,10 @@ class TestRowKernel:
 
 
 class TestSharedKernel:
-    """_quadrature_rows on the calling thread and the helper thread
-    (gmd._share): the same bits as on one worker, warnings in the calling
-    thread, errors raised there, and no wait on a helper that is busy or
-    gone."""
+    """_quadrature_rows on the calling thread and the helper thread its
+    gmd._share call starts: the same bits as on one worker, warnings in the
+    calling thread, errors raised there, no thread left after the call, and
+    nested, concurrent and forked calls that finish."""
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
@@ -940,7 +940,7 @@ class TestSharedKernel:
         v = shared_rows(n, gmd._SHARED_CHUNKS, seed=n)
         v = v[: len(v) - chunk_rows(n)] if extra < 0 else np.vstack([v, v[:extra]])
         shared = extra >= 0 and gmd._workers(2) == 2
-        threads = chunk_threads(monkeypatch, lambda: not shared or helper_ran(threads)())
+        threads = chunk_threads(monkeypatch, lambda: not shared or both_began(threads)())
         values, errors = gmd.entropy_radial_quadrature_rows(v)
         assert len(threads) == (2 if shared else 1)
         monkeypatch.setattr(gmd, "_usable_cores", lambda: 1)
@@ -967,7 +967,9 @@ class TestSharedKernel:
             return counter(*args)
 
         monkeypatch.setattr(gmd, "_refine", refine)
-        chunk_threads(monkeypatch, lambda: gmd._workers(2) < 2 or counter.calls > 0)
+        caller = threading.current_thread()
+        chunk_threads(monkeypatch, lambda: (threading.current_thread() is not caller
+                                            or gmd._workers(2) < 2 or counter.calls > 0))
         with pytest.warns(RuntimeWarning, match="refinement missed the tolerance") as record:
             values, errors = gmd.entropy_radial_quadrature_rows(v, tolerance)
         assert counter.calls == 1
@@ -980,12 +982,13 @@ class TestSharedKernel:
         assert missed[0].filename == __file__
 
     def test_error_in_a_helper_chunk_stops_the_caller(self, monkeypatch):
-        # The helper's first chunk raises. The calling thread's first chunk
+        # The helper's first chunk waits (up to 10 s) until the calling
+        # thread has begun its own, then raises. The calling thread's chunk
         # waits until it has; each worker then stops at its next item: the
         # caller finishes that chunk alone, and the helper runs no other.
         if gmd._workers(2) < 2:
             pytest.skip("one usable core: no helper")
-        raised = threading.Event()
+        began, raised = threading.Event(), threading.Event()
         panel_rule = gmd._panel_rule
         caller = threading.current_thread()
         ran = []
@@ -993,8 +996,10 @@ class TestSharedKernel:
         def failing(*args):
             me = threading.current_thread()
             if me is not caller and not raised.is_set():
+                began.wait(10.0)
                 raised.set()
                 raise ArithmeticError("in the helper")
+            began.set()
             raised.wait(10.0)
             ran.append(me)
             return panel_rule(*args)
@@ -1005,7 +1010,7 @@ class TestSharedKernel:
         assert raised.is_set()
         assert ran == [caller]
 
-    def test_concurrent_callers_share_one_helper(self):
+    def test_concurrent_callers_each_finish(self):
         # Four calling threads, more than the cores, share items and run
         # kernel calls at once under a 1 us switch interval: each of a
         # call's items runs exactly once, and each kernel call keeps the
@@ -1033,36 +1038,63 @@ class TestSharedKernel:
         assert not any(thread.is_alive() for thread in callers)
         assert results == {i: (True, True) for i in range(4)}
 
-    # Each of the next two runs in a fresh interpreter under a timeout, so a
-    # helper stuck by a regression fails the test and leaves this process's
-    # helper free.
+    # Each of the next three runs in a fresh interpreter: the first so that
+    # no thread of an earlier test is counted, the other two under a
+    # timeout, so that a call stuck by a regression fails the test.
     SHARED_CALL = (
         "import os, sys, threading, time\n"
         "import numpy as np\n"
         "from sm_noma import gmd\n"
         "v = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, (gmd._SHARED_CHUNKS * 8, 4))\n"
+        "cores, gmd._usable_cores = gmd._usable_cores, lambda: 1\n"
         "expected = [a.tobytes() for a in gmd.entropy_radial_quadrature_rows(v)]\n"
+        "gmd._usable_cores = cores\n"
         "def same():\n"
         "    return [a.tobytes() for a in gmd.entropy_radial_quadrature_rows(v)] == expected\n"
     )
 
+    def test_no_thread_outlives_a_shared_call(self):
+        # After a shared kernel call and after a Monte Carlo sweep of eight
+        # cells the process runs as many threads as before it.
+        code = self.SHARED_CALL + (
+            "from sm_noma import mi\n"
+            "before = threading.active_count()\n"
+            "assert same()\n"
+            "after_rows = threading.active_count()\n"
+            "gains = np.random.default_rng(1).exponential(size=(8, 2, 2))\n"
+            "rngs = lambda cell: np.random.default_rng(cell)\n"
+            "mi.mi_rows(gains, (0.8, 0.2), 10.0, 1.0, ((1, 1),), 'monte_carlo', rngs=rngs,\n"
+            "           samples=500)\n"
+            "print(before, after_rows, threading.active_count())\n"
+        )
+        assert run_python(code, timeout=60.0).split() == ["1", "1", "1"]
+
     def test_shared_call_in_a_helper_task_finishes(self):
-        # The helper is busy with the task, so the nested call's own helper
-        # task never starts: the call runs on the helper thread alone.
+        # An outer call of two items: the one on the helper makes a shared
+        # kernel call, which starts a helper of its own, while the calling
+        # thread's item waits (up to 30 s) for it.
+        if gmd._workers(2) < 2:
+            pytest.skip("one usable core: no helper")
         code = self.SHARED_CALL + (
             "done, got = threading.Event(), []\n"
-            "gmd._submit(lambda: (got.append(same()), done.set()))\n"
-            "print(done.wait(30.0), got)\n"
+            "def run(item):\n"
+            "    if threading.current_thread() is threading.main_thread():\n"
+            "        done.wait(30.0)\n"
+            "    else:\n"
+            "        got.append(same())\n"
+            "        done.set()\n"
+            "gmd._share(lambda: run, range(2))\n"
+            "print(done.is_set(), got)\n"
         )
         assert run_python(code, timeout=60.0).strip() == "True [True]"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_shared_call_in_a_forked_child_finishes(self):
-        # The child inherits no helper thread; its shared call must finish,
-        # with the parent's bits, instead of waiting for one. The parent
-        # kills a child that has not exited within 30 s.
+        # After a shared call in the parent, the child's shared call must
+        # finish, with the one-worker bits. The parent kills a child that
+        # has not exited within 30 s.
         code = self.SHARED_CALL + (
-            "assert gmd._helper_tasks is not None or gmd._workers(2) < 2\n"
+            "assert same()\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    os._exit(0 if same() else 1)\n"
@@ -1213,14 +1245,11 @@ def general_terms(mixture, points):
 
 
 def oracle_log_pdf(mixture, points):
-    """log f from the general terms by the max-shift log-sum-exp written
-    out: log(sum of exp(term - m)) + m over the components, with m the
-    largest term, or 0 where that is not finite."""
-    terms = general_terms(mixture, points)
-    m = np.max(terms, axis=0)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(terms - m), axis=0)) + m
+    """log f from the general terms by scipy's logsumexp over the
+    components, laid along a contiguous last axis."""
+    terms = np.ascontiguousarray(np.moveaxis(general_terms(mixture, points), 0, -1))
+    with np.errstate(divide="ignore"):  # every term -inf
+        return scipy_logsumexp(terms, axis=-1)
 
 
 def oracle_sample(mixture, rng, count):
@@ -1562,12 +1591,13 @@ class TestRandomizedProperties:
     @example(LOG_PDF_OVERFLOW_TERMS)
     @settings(max_examples=300, deadline=None)
     def test_logsumexp_matches_scipy_bit_for_bit(self, a):
-        # gmd.logsumexp reduces over the first axis: the components first.
+        # _logsumexp_overwrite reduces over the first axis: the components
+        # first.
         # Each array goes whole and by its first row.
         assert a.flags.c_contiguous
         for b in (a, a.reshape(-1, a.shape[-1])[0]):
             ref = scipy_logsumexp(b, axis=-1)
-            got = gmd.logsumexp(np.moveaxis(b, -1, 0))
+            got = gmd._logsumexp_overwrite(np.array(np.moveaxis(b, -1, 0), dtype=float))
             assert type(got) is type(ref)
             assert got.tobytes() == ref.tobytes()
 

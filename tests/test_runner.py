@@ -405,9 +405,9 @@ class TestSweepTable:
     def test_monte_carlo_cells_equal_scalar_calls(self, m, cores, affinity, monkeypatch):
         # The cells' values do not depend on how many threads run them, and
         # they run on min(cells, 2, usable cores): the calling thread and
-        # the helper. With two workers, the calling thread waits (up to
-        # 10 s) before its cells until the helper has begun one, so that
-        # both run cells.
+        # the helper its shared call starts. Each worker adds itself to
+        # threads, then waits (up to 10 s) until that many have begun a
+        # cell, so that each runs one whichever starts first.
         if cores is not None:
             monkeypatch.setattr(gmd.os, "sched_getaffinity", lambda pid: set(range(cores)))
             monkeypatch.setattr(gmd.os, "cpu_count", lambda: cores)
@@ -419,7 +419,6 @@ class TestSweepTable:
         cells = 2 * cfg.realizations * len(runner._grid(cfg, "power_ratio"))
         workers = min(cells, 2, usable)
         threads = set()
-        caller = threading.current_thread()
         share = gmd._share
 
         def recording_share(start_worker, items, *args):
@@ -427,12 +426,10 @@ class TestSweepTable:
                 work = start_worker()
 
                 def recorded(item):
-                    deadline = time.monotonic() + 10.0
-                    while (workers == 2 and threads <= {caller}
-                           and threading.current_thread() is caller
-                           and time.monotonic() < deadline):
-                        time.sleep(1e-4)
                     threads.add(threading.current_thread())
+                    deadline = time.monotonic() + 10.0
+                    while len(threads) < workers and time.monotonic() < deadline:
+                        time.sleep(1e-4)
                     return work(item)
                 return recorded
             return share(start, items, *args)
