@@ -246,8 +246,13 @@ def _share(start_worker: Callable[[], Callable], items: Sequence, min_items: int
     """Call a worker function on every item of items, on the calling thread
     and, for at least min_items items and two usable cores, on a helper
     thread that the call starts and joins: each pulls the next item as it
-    finishes one. A worker makes its function by start_worker() on its
-    first item, so each holds its own buffers.
+    finishes one. Each worker's function comes from its own start_worker()
+    call, so each holds its own buffers, and every such call runs on the
+    calling thread: the helper's before its thread starts, the caller's on
+    its first item. glibc gives each thread its own malloc arena and does
+    not reuse pages freed in one arena for another's requests, so buffers
+    the helper made would stay apart from the caller's heap, where later
+    calls reuse them (see README, "Two workers").
 
     The first exception stops the other worker at its next item and is
     raised here once that worker is done. Each call owns its helper, so a
@@ -257,8 +262,7 @@ def _share(start_worker: Callable[[], Callable], items: Sequence, min_items: int
     pull = threading.Lock()
     errors = []
 
-    def drain():
-        work = None
+    def drain(work):
         while not errors:
             with pull:
                 item = next(pending, _END)
@@ -272,16 +276,17 @@ def _share(start_worker: Callable[[], Callable], items: Sequence, min_items: int
                 errors.append(error)
 
     if len(items) >= min_items and _workers(len(items)) == 2:
-        helper = threading.Thread(target=drain, name="sm_noma-helper", daemon=True)
+        helper = threading.Thread(target=drain, args=(start_worker(),),
+                                  name="sm_noma-helper", daemon=True)
         helper.start()
-        drain()
+        drain(None)
         try:
             helper.join()
         except BaseException as error:  # Ctrl-C while waiting: the helper stops too
             errors.append(error)
             raise
     else:
-        drain()
+        drain(None)
     if errors:
         raise errors[0]
 

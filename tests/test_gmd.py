@@ -888,16 +888,17 @@ class TestRowKernel:
                 results.append((values.tobytes(), errors.tobytes()))
         assert results[1:] == results[:1] * 3
 
-    def test_peak_memory_is_the_per_call_buffers(self, monkeypatch):
+    def test_peak_memory_is_the_per_call_buffers(self):
         # At L = 16 a chunk is 4 rows, and 600 rows are 150 chunks, enough
-        # to share. Each worker the call runs on keeps one (16, 4, 40, 48)
-        # term array with its bool tie mask and three (4, 40, 48) arrays
-        # (nodes, log f, g); the margin covers the outputs, each chunk's
-        # (4, 40) set-up arrays and numpy's ufunc buffers (up to 64 kB per
-        # broadcast operand, one at a time per worker), but not a second
-        # term array (983 kB) in any worker.
+        # to share, so the call builds a buffer set for each of its two
+        # workers (one with one usable core), the helper's before its
+        # thread starts. A set is one (16, 4, 40, 48) term array with its
+        # bool tie mask and three (4, 40, 48) arrays (nodes, log f, g); the
+        # margin covers the outputs, each chunk's (4, 40) set-up arrays and
+        # numpy's ufunc buffers (up to 64 kB per broadcast operand, one at a
+        # time per worker), but not a second term array (983 kB) in any
+        # worker.
         v = shared_rows(16, 150, seed=16)
-        threads = chunk_threads(monkeypatch)
         node_count = chunk_rows(16) * gmd._PANELS * len(gmd._GL_OFFSETS)
         buffers = 16 * node_count * (8 + 1) + 3 * node_count * 8
         tracemalloc.start()
@@ -906,8 +907,7 @@ class TestRowKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 1 <= len(threads) <= 2
-        assert peak <= len(threads) * buffers + 256_000
+        assert peak <= gmd._workers(150) * buffers + 256_000
 
     def test_peak_memory_below_the_sharing_threshold(self, monkeypatch):
         # One chunk fewer than the threshold runs on the calling thread
@@ -1009,6 +1009,45 @@ class TestSharedKernel:
             gmd.entropy_radial_quadrature_rows(shared_rows(16, gmd._SHARED_CHUNKS))
         assert raised.is_set()
         assert ran == [caller]
+
+    def test_every_worker_function_is_built_on_the_caller(self, monkeypatch):
+        # glibc gives each thread its own malloc arena, so the helper's
+        # buffers are allocated on the calling thread, where later calls
+        # reuse their pages. Both workers run items of a shared kernel call
+        # and of a Monte Carlo mi_rows call: each waits before its first
+        # item (up to 10 s) until both have begun one.
+        if gmd._workers(2) < 2:
+            pytest.skip("one usable core: no helper")
+        built_on, ran_on = [], set()
+        share = gmd._share
+
+        def recording_share(start_worker, items, *args):
+            def start():
+                built_on.append(threading.current_thread())
+                work = start_worker()
+
+                def run(item):
+                    ran_on.add(threading.current_thread())
+                    deadline = time.monotonic() + 10.0
+                    while len(ran_on) < 2 and time.monotonic() < deadline:
+                        time.sleep(1e-4)
+                    return work(item)
+                return run
+            return share(start, items, *args)
+
+        monkeypatch.setattr(gmd, "_share", recording_share)
+        gains = np.random.default_rng(1).exponential(size=(8, 2, 2))
+        calls = [
+            lambda: gmd.entropy_radial_quadrature_rows(shared_rows(16, gmd._SHARED_CHUNKS)),
+            lambda: mi.mi_rows(gains, (0.8, 0.2), 10.0, 1.0, ((1, 1),), "monte_carlo",
+                               rngs=lambda cell: np.random.default_rng(cell), samples=500),
+        ]
+        for call in calls:
+            built_on.clear()
+            ran_on.clear()
+            call()
+            assert len(ran_on) == 2
+            assert built_on == [threading.current_thread()] * 2
 
     def test_concurrent_callers_each_finish(self):
         # Four calling threads, more than the cores, share items and run

@@ -463,10 +463,12 @@ class TestSweepTable:
         assert peak < 4e6
 
     def test_property_suite_peak_memory(self):
-        # The second-moment check holds only its 200 000 values of |y|^2
-        # (1.6 MB) and one slice of each stream section: its draws held
-        # whole would take about 10 MB more, and its complex symbols, noise
-        # and y at once about 24 MB. Every other check stays below 3 MB.
+        # Above the 0.88 MB the suite holds between checks, the two-worker
+        # asymptotic tables peak at about 2.85 MB and the second-moment
+        # check at about 2.5 MB: its 200 000 values of |y|^2 (1.6 MB) and
+        # one slice of each stream section. Its draws held whole would take
+        # about 10 MB more, and its complex symbols, noise and y at once
+        # about 24 MB.
         tracemalloc.start()
         try:
             run_property_suite(figure1_config(seed=0))
@@ -559,12 +561,12 @@ class TestPropertySuite:
         assert default["constant_shift_convergence"].startswith(
             f"mean I-I_LB at 40 dB off {math.log2(math.e * 4) - 1.0:.4f} ")
 
-    # 200 000 draws end in a ragged slice, 1000 fit in one, 2 * 8192 end on a
-    # slice boundary and 2 * 8192 + 1 in a slice of one odd draw; M = 64 is
+    # 200 000 draws end in a ragged slice, 1000 fit in one, 4 * 4096 end on a
+    # slice boundary and 4 * 4096 + 1 in a slice of one odd draw; M = 64 is
     # the largest index int8 must hold.
     @pytest.mark.parametrize("draws", [runner.SECOND_MOMENT_DRAWS, 1000,
-                                       2 * runner.SIMULATION_SLICE,
-                                       2 * runner.SIMULATION_SLICE + 1])
+                                       4 * runner.SIMULATION_SLICE,
+                                       4 * runner.SIMULATION_SLICE + 1])
     @pytest.mark.parametrize("m", [1, 2, 4, 64])
     def test_second_moment_equals_one_shot_simulation(self, m, draws):
         cfg = figure1_config(num_tx_antennas=m)
@@ -577,6 +579,15 @@ class TestPropertySuite:
             expected = oracles.received_second_moment(realization, system, expected_rng, draws)
             assert power.hex() == expected.hex()
             assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_slice_size_leaves_the_report_unchanged(self, monkeypatch):
+        # 4999 does not divide the 200 000 draws, so its last slice is ragged.
+        reports = []
+        for size in (8192, 4096, 4999):
+            monkeypatch.setattr(runner, "SIMULATION_SLICE", size)
+            reports.append(property_suite_results())
+        assert len(reports[0]) == 12
+        assert reports[1:] == reports[:1] * 2
 
     def test_second_moment_rejects_antennas_past_int8(self):
         system = SystemConfig(128, 2, (4.0, 1.0), 10.0, 1.0)
