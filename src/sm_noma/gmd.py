@@ -43,84 +43,32 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray | np.float64:
-    """Sum over the first axis, adding whole rows in the order numpy's
-    pairwise summation adds a contiguous run of len(x) numbers.
-
-    So the result has the bits of np.sum(x', axis=-1) for x' the copy of x
-    with that axis moved last and made contiguous, at whole-array speed
-    rather than with numpy's per-row cost on short rows. Fewer than 8 rows
-    are added in one pass; up to 128 go through 8 accumulators, combined
-    pairwise, then the tail rows; longer runs split at half the length,
-    rounded down to a multiple of 8. Each accumulator starts from
-    row + 0.0, which gives numpy's sign for a zero total.
-
-    The accumulators are x's own leading rows, so x is overwritten and,
-    up to 128 rows, nothing is allocated.
-    """
-    n = len(x)
-    if n < 8:
-        s = x[0]
-        s += 0.0
-        for row in x[1:]:
-            s += row
-        return s
-    if n <= 128:
-        end = n - n % 8
-        r = x[:8]
-        r += 0.0
-        for i in range(8, end, 8):
-            r += x[i : i + 8]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place.
-        for step in (1, 2, 4):
-            r[:: 2 * step] += r[step :: 2 * step]
-        s = r[0]
-        for row in x[end:]:
-            s += row
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-
-
-def _logsumexp_overwrite(a: np.ndarray, a_max=None, is_max=None) -> np.ndarray | np.float64:
+def _logsumexp_overwrite(a: np.ndarray, a_max=None) -> np.ndarray | np.float64:
     """log(sum(exp(a))) over the first axis (the mixture components) of a
-    float64 array that the caller no longer needs: the shifted exponentials
-    and their partial sums are written into a. It is the arithmetic of
-    scipy.special.logsumexp along a contiguous last axis, so a copy of
-    np.moveaxis(b, -1, 0) gives the bits of scipy.special.logsumexp(b,
-    axis=-1) for a C-contiguous b, slices holding inf or nan included; a
-    1-D a gives an np.float64 scalar. The radial quadrature's panel rule
-    and the Monte Carlo density of a wide mixture reduce their terms here,
-    and the pinned property results hold the bits this gives the former.
+    float64 array that the caller no longer needs, as max + log(sum(exp(a
+    - max))), the standard accurate form (Blanchard, Higham and Higham,
+    IMA J. Numer. Anal. 41(4), 2021): the shifted exponentials are written
+    into a and summed in component order into its first row. A 1-D a gives
+    an np.float64 scalar. The radial quadrature's panel rule and the Monte
+    Carlo density of a wide mixture reduce their terms here.
 
-    a_max (a.shape[1:]) and the bool is_max (a.shape), when given, receive
-    the slice maxima and the tie mask. Without ties a result of two or more
-    dimensions is written over a_max, so the quadrature kernel, passing the
-    same two arrays for every chunk, allocates nothing of their sizes.
-
-    When every slice has exactly one maximum, the tie count is skipped:
-    s / 1 is s, log(1) is +0.0, and log1p(s) + 0.0 is log1p(s) for the
-    s >= +0 that the other terms' exponentials sum to, so scipy's bits are
-    kept. That holds for an infinite maximum too, where the other terms
-    add exp(-inf) = 0; a slice holding nan has no term equal to its nan
-    maximum, so it takes the general path.
-
-    The maxima's exponentials, exp(0) = 1, are zeroed before the sum by a
-    masked copy.
+    A slice whose maximum is -inf, +inf or nan is shifted by 0 instead, so
+    it gives -inf, +inf or nan. a_max (a.shape[1:]), when given, receives
+    the slice maxima, and a result of two or more dimensions is written
+    over it, so the quadrature kernel, passing the same array for every
+    chunk, allocates nothing of its size.
     """
     a_max = np.max(a, axis=0, out=a_max)
-    is_max = np.equal(a, a_max, out=is_max)
-    with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan slices
+    if not np.isfinite(a_max).all():
+        a_max = np.where(np.isfinite(a_max), a_max, 0.0)[()]
+    with np.errstate(invalid="ignore", divide="ignore"):  # -inf, +inf or nan slices
         shifted = np.subtract(a, a_max, out=a)
         np.exp(shifted, out=shifted)
-        np.copyto(shifted, 0.0, where=is_max)
-        s = _pairwise_sum(shifted)
-        if np.count_nonzero(is_max) == a_max.size:
-            out = (s, a_max) if a.ndim > 1 else (None, None)  # 1-D: scalars
-            return np.add(np.log1p(s, out=out[0]), a_max, out=out[1])
-        count = np.sum(is_max, axis=0, dtype=float)
-        return np.log1p(s / count) + np.log(count) + a_max
+        s = shifted[0]
+        for row in shifted[1:]:
+            s += row
+        out = (s, a_max) if a.ndim > 1 else (None, None)  # 1-D: scalars
+        return np.add(np.log(s, out=out[0]), a_max, out=out[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,10 +545,9 @@ def _quadrature_rows(
     of its contiguous 1920 node products, so it has the bits of a one-row
     chunk, whichever worker runs it. A call of at least _SHARED_CHUNKS
     chunks runs them on a helper thread too (see _share). The
-    (L, B, 40, 48) term array, its tie mask and the (B, 40, 48) nodes,
-    log f and g are allocated once per worker. Every row whose estimate
-    still misses the tolerance then warns, in row order, in the calling
-    thread.
+    (L, B, 40, 48) term array and the (B, 40, 48) nodes, log f and g are
+    allocated once per worker. Every row whose estimate still misses the
+    tolerance then warns, in row order, in the calling thread.
     """
     n_rows, n = variances.shape
     log_tail = math.log(n / TAIL_MASS)
@@ -616,7 +563,7 @@ def _quadrature_rows(
     def start_worker():
         per_row = np.empty((3, chunk, _PANELS, len(_GL_OFFSETS)))  # nodes, log f, g
         workspace = np.empty((n,) + per_row.shape[1:])
-        buffers = (*per_row, workspace, np.empty(workspace.shape, dtype=bool))
+        buffers = (*per_row, workspace)
 
         def run_chunk(start):
             v = variances[start : start + chunk]
@@ -647,7 +594,7 @@ def _quadrature_rows(
     return values, errors
 
 
-def _panel_rule(lo, hi, log_coef, inv_v, u_buf, log_f_buf, g_buf, workspace, mask):
+def _panel_rule(lo, hi, log_coef, inv_v, u_buf, log_f_buf, g_buf, workspace):
     """The rule of entropy_radial_quadrature on the panels [lo, hi] (B, P),
     P <= 40, of rows with log_coef and inv_v (B, L), in the leading (B, P)
     slices of _quadrature_rows' buffers: (the node products (B, P, 48), a
@@ -666,8 +613,7 @@ def _panel_rule(lo, hi, log_coef, inv_v, u_buf, log_f_buf, g_buf, workspace, mas
     terms = workspace[:, :b, :p]
     np.multiply(u, inv_v.T[:, :, None, None], out=terms)
     log_f = _logsumexp_overwrite(
-        np.subtract(log_coef.T[:, :, None, None], terms, out=terms),
-        log_f_buf[:b, :p], mask[:, :b, :p])
+        np.subtract(log_coef.T[:, :, None, None], terms, out=terms), log_f_buf[:b, :p])
     # -pi f log2 f, as ((-pi * f) * log f) / ln 2, in one array.
     g = np.exp(log_f, out=g_buf[:b, :p])
     g *= -math.pi

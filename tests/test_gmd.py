@@ -467,17 +467,16 @@ class TestQuadratureFallback:
 
     def test_refined_row_holds_only_the_kernel_buffers(self, monkeypatch):
         # A 64-component row is a chunk of its own: one (64, 1, 40, 48) term
-        # array with its bool tie mask and three (1, 40, 48) arrays. The
-        # refinement evaluates its halves in slices of them, so the peak
-        # stays within the margin of test_peak_memory_is_the_per_call_buffers.
-        # The row is the 28-decade one above, each variance 8 times. At
-        # 3e-12 it is refined by 36 halves: one (64, 36, 48) term array with
-        # its mask would be 1 MB more.
+        # array and three (1, 40, 48) arrays. The refinement evaluates its
+        # halves in slices of them, so the peak stays within the margin of
+        # test_peak_memory_is_the_per_call_buffers. The row is the 28-decade
+        # one above, each variance 8 times. At 3e-12 it is refined by 36
+        # halves: one (64, 36, 48) term array would be 885 kB more.
         v = np.repeat(10.0 ** np.linspace(5.35, 33.35, 8), 8)[None]
         tolerance = 3e-12
         evaluated = record_panel_rule(monkeypatch)
         node_count = gmd._PANELS * len(gmd._GL_OFFSETS)
-        buffers = 64 * node_count * (8 + 1) + 3 * node_count * 8
+        buffers = 64 * node_count * 8 + 3 * node_count * 8
         tracemalloc.start()
         try:
             errors = gmd.entropy_radial_quadrature_rows(v, tolerance)[1]
@@ -523,17 +522,14 @@ def run_python(code, timeout=None):
 
 
 def last_axis_logsumexp(a):
-    """The kernel's log-sum-exp before its component-first layout: scipy's
-    arithmetic along the last axis, with np.sum's pairwise order."""
+    """The kernel's log-sum-exp before its component-first layout: max +
+    log(sum(exp(a - max))) along the last axis, the exponentials added in
+    order by np.cumsum; a maximum of -inf, +inf or nan shifts by 0."""
     a_max = np.max(a, axis=-1, keepdims=True)
-    is_max = a == a_max
-    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        shifted = np.exp(a - a_max)
-        shifted[is_max] = 0.0
-        s = np.sum(shifted, axis=-1, keepdims=True)
-        out = np.log1p(s / count) + np.log(count) + a_max
-    return out[..., 0]
+        s = np.cumsum(np.exp(a - shift), axis=-1)[..., -1]
+        return np.log(s) + shift[..., 0]
 
 
 def oracle_panel_rule(log_coef, inv_v, edges, order):
@@ -564,8 +560,11 @@ def null_rule_error(g, edges):
 
 
 def oracle_radial_quadrature(mixture):
-    """The panel rule as a scalar oracle: np.geomspace edges, one order-48
-    pass and the null-rule error estimate from its values."""
+    """The panel rule as a scalar oracle that calls no gmd function:
+    np.geomspace edges, one order-48 pass with last_axis_logsumexp
+    and the null-rule error estimate from its values. It is the kernel's
+    oracle on rows that meet their tolerance; rows that miss it are
+    refined, and their oracles are mp_entropy and their own estimate."""
     w, v = mixture.weights, mixture.variances
     log_coef = np.log(w) - np.log(math.pi * v)
     inv_v = 1.0 / v
@@ -591,19 +590,6 @@ def wide_equal_weight_mixtures(draw, max_components=20):
 
 class TestComponentMajorKernel:
     """The component-first kernel against the layout it replaced."""
-
-    def test_pairwise_sum_follows_numpy_summation_order(self):
-        # A numpy release that changes its pairwise blocking fails here by
-        # name, before the pinned curves do.
-        rng = np.random.default_rng(20171)
-        mismatched = []
-        for n in [*range(1, 301), 1024, 4096]:
-            x = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-12, 12, (3, n))
-            x = np.vstack([x, np.full(n, -0.0)])
-            got = gmd._pairwise_sum(np.ascontiguousarray(x.T))
-            if got.tobytes() != np.sum(x, axis=-1).tobytes():
-                mismatched.append(n)
-        assert mismatched == []
 
     @given(wide_equal_weight_mixtures())
     @settings(max_examples=200, deadline=None)
@@ -652,37 +638,6 @@ class TestArbitraryPrecisionOracle:
         assert 1e-3 < distance <= mp_bound(est, v)
 
 
-_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
-
-
-def scalar_radial_quadrature(weights, variances):
-    """The 40-panel rule as it ran one mixture per call before the row
-    kernel: the row kernel's oracle on rows that meet their tolerance. The
-    value comes from the order-48 half of the 24 + 48 nodes per panel the
-    kernel evaluated then, the error estimate from null_rule_error. Rows
-    that miss it are refined, and their oracles are mp_entropy and their
-    own estimate."""
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(variances, dtype=float)
-    log_coef = np.log(w) - np.log(math.pi * v)
-    inv_v = 1.0 / v
-    u_max = float(np.max(v)) * math.log(len(v) / gmd.TAIL_MASS)
-    lo = float(np.min(v)) / 8.0
-    log_lo, log_hi = np.log10(lo), np.log10(u_max)
-    y = np.arange(40.0) * ((log_hi - log_lo) / 39) + log_lo
-    y[-1] = log_hi
-    edges = np.concatenate([[0.0], 10.0**y])
-    edges[1], edges[-1] = lo, u_max
-    a = edges[:-1, None]
-    half = (edges[1:, None] - a) / 2.0
-    u = half * (np.concatenate([_LEGGAUSS[24][0], _LEGGAUSS[48][0]]) + 1.0) + a
-    terms = u * inv_v[:, None, None]
-    log_f = gmd._logsumexp_overwrite(np.subtract(log_coef[:, None, None], terms, out=terms))
-    g = -math.pi * np.exp(log_f) * log_f / gmd.LN2
-    fine = float(np.sum(half * _LEGGAUSS[48][1] * g[:, 24:]))
-    return gmd.EntropyEstimate(fine, null_rule_error(g[:, 24:], edges), 0)
-
-
 def estimate_bits(estimates):
     return [(e.value.hex(), e.std_error.hex(), e.sample_count) for e in estimates]
 
@@ -709,15 +664,14 @@ def variance_rows(draw):
 
 
 class TestRowKernel:
-    """entropy_radial_quadrature_rows and its one-row callers against the
-    scalar rule they replaced, bit for bit."""
+    """entropy_radial_quadrature_rows and its one-row callers against
+    oracle_radial_quadrature, the scalar rule they replaced, bit for bit."""
 
     @given(variance_rows(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_rows_equal_scalar_rule(self, v, force_refinement):
-        n = v.shape[1]
-        weights = np.full(n, 1.0) / n
-        expected = [scalar_radial_quadrature(weights, row) for row in v]
+        expected = [oracle_radial_quadrature(gmd.equal_weight_zero_mean_mixture(row))
+                    for row in v]
         tolerance = 1e-10
         if force_refinement:
             # A tolerance just below the largest panel-rule error sends the
@@ -763,8 +717,7 @@ class TestRowKernel:
         mix = gmd.equal_weight_zero_mean_mixture(v[2])
         est = gmd.entropy_radial_quadrature(mix.variances)
         assert (est.value, est.std_error) == (values[2], errors[2])
-        assert estimate_bits([est]) == estimate_bits(
-            [scalar_radial_quadrature(mix.weights, v[2])])
+        assert estimate_bits([est]) == estimate_bits([oracle_radial_quadrature(mix)])
         # A (R, G, L) stack gives the bits of its flattened (R G, L) call,
         # and each cell those of its row alone: the Gaussian closed form
         # with error 0 at L = 1, else the one-mixture quadrature.
@@ -859,8 +812,7 @@ class TestRowKernel:
     @pytest.mark.parametrize("n", [4, 16])
     def test_chunk_width_does_not_change_bits(self, monkeypatch, n):
         # Rows for three chunks. Row 1's two smallest variances are equal,
-        # so near u = 0 its largest terms tie, which sends its whole chunk
-        # down the log-sum-exp's tie path. Row 2 spans the most decades, so
+        # so near u = 0 its largest terms tie. Row 2 spans the most decades, so
         # the tolerance below its estimate sends it alone to the refinement.
         # Each width runs on the calling thread alone and, with every call
         # shared, on both workers.
@@ -892,15 +844,14 @@ class TestRowKernel:
         # At L = 16 a chunk is 4 rows, and 600 rows are 150 chunks, enough
         # to share, so the call builds a buffer set for each of its two
         # workers (one with one usable core), the helper's before its
-        # thread starts. A set is one (16, 4, 40, 48) term array with its
-        # bool tie mask and three (4, 40, 48) arrays (nodes, log f, g); the
-        # margin covers the outputs, each chunk's (4, 40) set-up arrays and
-        # numpy's ufunc buffers (up to 64 kB per broadcast operand, one at a
-        # time per worker), but not a second term array (983 kB) in any
-        # worker.
+        # thread starts. A set is one (16, 4, 40, 48) term array and three
+        # (4, 40, 48) arrays (nodes, log f, g); the margin covers the
+        # outputs, each chunk's (4, 40) set-up arrays and numpy's ufunc
+        # buffers (up to 64 kB per broadcast operand, one at a time per
+        # worker), but not a second term array (983 kB) in any worker.
         v = shared_rows(16, 150, seed=16)
         node_count = chunk_rows(16) * gmd._PANELS * len(gmd._GL_OFFSETS)
-        buffers = 16 * node_count * (8 + 1) + 3 * node_count * 8
+        buffers = 16 * node_count * 8 + 3 * node_count * 8
         tracemalloc.start()
         try:
             gmd.entropy_radial_quadrature_rows(v)
@@ -915,7 +866,7 @@ class TestRowKernel:
         v = shared_rows(16, gmd._SHARED_CHUNKS - 1, seed=16)
         threads = chunk_threads(monkeypatch)
         node_count = chunk_rows(16) * gmd._PANELS * len(gmd._GL_OFFSETS)
-        buffers = 16 * node_count * (8 + 1) + 3 * node_count * 8
+        buffers = 16 * node_count * 8 + 3 * node_count * 8
         tracemalloc.start()
         try:
             gmd.entropy_radial_quadrature_rows(v)
@@ -1284,11 +1235,27 @@ def general_terms(mixture, points):
 
 
 def oracle_log_pdf(mixture, points):
-    """log f from the general terms by scipy's logsumexp over the
+    """log f from the general terms by last_axis_logsumexp over the
     components, laid along a contiguous last axis."""
-    terms = np.ascontiguousarray(np.moveaxis(general_terms(mixture, points), 0, -1))
+    return last_axis_logsumexp(
+        np.ascontiguousarray(np.moveaxis(general_terms(mixture, points), 0, -1)))
+
+
+def assert_within_ulps_of_scipy_logsumexp(got, terms):
+    """got, a log-sum-exp over the first axis of terms, against scipy's
+    logsumexp: of its type, equal where it is -inf, +inf or nan, and
+    elsewhere within 4 ulps of the larger of its magnitude and the largest
+    finite term's. log f = log(s) + m rounds twice, and where log f is
+    near 0 the two cancel, so the ulps of log f alone would be too fine."""
     with np.errstate(divide="ignore"):  # every term -inf
-        return scipy_logsumexp(terms, axis=-1)
+        expected = scipy_logsumexp(terms, axis=0)
+    assert type(got) is type(expected)
+    got, expected = np.asarray(got), np.asarray(expected)
+    finite = np.isfinite(expected)
+    assert np.array_equal(got[~finite], expected[~finite], equal_nan=True)
+    largest = np.max(np.abs(terms), axis=0, where=np.isfinite(terms), initial=0.0)
+    scale = np.maximum(np.abs(expected), largest)[finite]
+    assert (np.abs(got[finite] - expected[finite]) <= 4 * np.spacing(scale)).all()
 
 
 def oracle_sample(mixture, rng, count):
@@ -1541,23 +1508,11 @@ class TestMonteCarloBlocks:
              np.array(complex(1.0, math.nan)))
     @settings(max_examples=300, deadline=None)
     def test_log_pdf_within_ulps_of_scipy_logsumexp(self, mix, points):
-        # The reference is scipy's logsumexp of the general terms, equal
-        # where it is -inf or nan. log f = log(s) + m rounds twice, so the
-        # bound is 4 ulps of the larger of |log f| and the largest term's
-        # magnitude: where log f is near 0 the two cancel, and the ulps of
-        # log f alone would be too fine.
+        # The reference is scipy's logsumexp of the general terms.
         with np.errstate(over="ignore"):  # |a|^2 of 1e200
             terms = general_terms(mix, points)
             got = log_pdf(mix, points)
-        with np.errstate(divide="ignore"):
-            expected = scipy_logsumexp(terms, axis=0)
-        assert type(got) is type(expected)
-        got, expected = np.asarray(got), np.asarray(expected)
-        finite = np.isfinite(expected)
-        assert np.array_equal(got[~finite], expected[~finite], equal_nan=True)
-        got, expected = got[finite], expected[finite]
-        scale = np.maximum(np.abs(expected), np.max(np.abs(terms), axis=0)[finite])
-        assert (np.abs(got - expected) <= 4 * np.spacing(scale)).all()
+        assert_within_ulps_of_scipy_logsumexp(got, terms)
 
     def test_peak_memory_is_bounded_by_the_sample_arrays(self):
         # 200 000 draws are 3.2 MB of complex128. Evaluating all (16, n)
@@ -1616,9 +1571,7 @@ variance_lists = st.lists(
 class TestRandomizedProperties:
     @given(logsumexp_inputs())
     # The first row of each example is its case: no tie, a tie at the
-    # maximum, all -inf, a +inf entry, a nan entry. The first and the +inf
-    # one have one maximum in every slice, the case that skips the tie
-    # count; the others take the general path.
+    # maximum, all -inf, a +inf entry, a nan entry.
     @example(np.array([[0.5, -1.0, 2.0], [3.0, 1.0, -2.0]]))
     @example(np.array([[2.0, 2.0, -1.0], [0.0, -3.0, 1.0]]))
     @example(np.array([[-np.inf, -np.inf], [1.0, -np.inf]]))
@@ -1629,16 +1582,14 @@ class TestRandomizedProperties:
     @example(SCATTERED_MAXIMA)
     @example(LOG_PDF_OVERFLOW_TERMS)
     @settings(max_examples=300, deadline=None)
-    def test_logsumexp_matches_scipy_bit_for_bit(self, a):
-        # _logsumexp_overwrite reduces over the first axis: the components
-        # first.
-        # Each array goes whole and by its first row.
-        assert a.flags.c_contiguous
+    def test_logsumexp_within_ulps_of_scipy(self, a):
+        # _logsumexp_overwrite reduces over the first axis, the components,
+        # and overwrites its input. Each array goes whole and by its first
+        # row.
         for b in (a, a.reshape(-1, a.shape[-1])[0]):
-            ref = scipy_logsumexp(b, axis=-1)
-            got = gmd._logsumexp_overwrite(np.array(np.moveaxis(b, -1, 0), dtype=float))
-            assert type(got) is type(ref)
-            assert got.tobytes() == ref.tobytes()
+            terms = np.moveaxis(b, -1, 0)
+            got = gmd._logsumexp_overwrite(np.array(terms, dtype=float))
+            assert_within_ulps_of_scipy_logsumexp(got, terms)
 
     @given(variance_lists)
     @settings(max_examples=100, deadline=None)

@@ -54,6 +54,10 @@ from sm_noma.system import SystemConfig
 KNOWN_DEFECT_PROPERTIES = {"high_snr_saturation", "constant_shift_convergence"}
 NAN, INF = math.nan, math.inf
 PINNED_PROPS = Path(__file__).parent / "data" / "pinned_props.json"
+# The benchmark's props workload checks each (name, passed, detail) of the
+# suite exactly, at every seed of its pool; read only.
+BENCH_PROPS = json.loads((Path(__file__).resolve().parents[1]
+                          / "bench" / "reference" / "props.json").read_text())["seeds"]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -454,6 +458,9 @@ class TestSweepTable:
         # alone would hold three 4.2 MB arrays at R = 50.
         cfg = figure1_config(realizations=50, seed=1)
         runner._sweep_table.cache_clear()
+        # numpy 2 imports numpy.random on first use; run alone, this test
+        # would otherwise trace that import's 0.7 MB with the sweep.
+        np.random.default_rng(0)
         tracemalloc.start()
         try:
             runner._sweep(cfg, "snr_db")
@@ -528,6 +535,13 @@ class TestPropertySuite:
         # The detail text prints roundoff-level numbers, so this also pins
         # the entropy kernel's arithmetic to the last bit.
         assert results == json.loads(PINNED_PROPS.read_text())
+
+    @pytest.mark.parametrize("seed", sorted(BENCH_PROPS, key=int))
+    def test_bench_reference_seeds(self, seed):
+        # The seed-0 pin above at every seed the benchmark runs, so a
+        # roundoff change that moves a detail at another seed fails here.
+        report = run_property_suite(figure1_config(seed=int(seed)))
+        assert [[r.name, r.passed, r.detail] for r in report.results] == BENCH_PROPS[seed]
 
     def test_follows_power_split_and_antenna_count(self, monkeypatch):
         # With every exact MI and lower bound at 0, the high-SNR details print
