@@ -13,7 +13,6 @@ from .gmd import (
     equal_weight_zero_mean_mixture,
     gaussian_entropy,
     mixture_from_arrays,
-    overlap_matrix,
 )
 from .system import (
     ChannelRealization,

@@ -2,10 +2,11 @@
 
 Every SM-NOMA mixture is zero-mean (Gaussian symbols on the antenna the SM
 index picks), so a mixture holds weights and variances only and its density
-is radially symmetric. Overlap integrals, differential entropy (Monte
-Carlo and radial quadrature, of the equal-weight mixture of a row of
-variances), and the closed-form entropy lower/upper bounds. All entropies
-are in bits; internals use natural logs and convert once at the boundary.
+is radially symmetric. Differential entropy (Monte Carlo and radial
+quadrature, of the equal-weight mixture of a row of variances) and the
+closed-form entropy lower/upper bounds, the lower one from the components'
+overlap integrals. All entropies are in bits; internals use natural logs
+and convert once at the boundary.
 """
 
 from __future__ import annotations
@@ -263,19 +264,13 @@ def _equal_weight_choice(n: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarr
     return idx
 
 
-def overlap_matrix(mixture: GaussianMixture) -> np.ndarray:
-    """z[l, t]: the integral over the plane of the product of the densities
-    of components l and t, 1 / (pi s) with s = sigma_l^2 + sigma_t^2."""
-    v = mixture.variances
-    s = v[:, None] + v[None, :]
-    return 1.0 / (math.pi * s)
-
-
 def entropy_lower_bound(mixture: GaussianMixture) -> float:
-    """h_LB = -sum_l beta_l log2(sum_t beta_t z_lt), with z the overlap matrix."""
-    z = overlap_matrix(mixture)
-    inner = z @ mixture.weights
-    return float(-np.sum(mixture.weights * np.log2(inner)))
+    """h_LB = -sum_l beta_l log2(sum_t beta_t z_lt), with z_lt the integral
+    over the plane of the product of the densities of components l and t,
+    1 / (pi s) with s = sigma_l^2 + sigma_t^2."""
+    v = mixture.variances
+    z = 1.0 / (math.pi * (v[:, None] + v[None, :]))
+    return float(-np.sum(mixture.weights * np.log2(z @ mixture.weights)))
 
 
 def entropy_upper_bound(mixture: GaussianMixture) -> float:
@@ -297,8 +292,10 @@ def entropy_bounds_equal_weight_zero_mean(
 
 
 def gaussian_entropy(variance: float) -> float:
-    """Exact differential entropy of CN(0, sigma^2) in bits."""
-    return math.log2(math.pi * math.e * variance)
+    """Exact differential entropy of CN(0, sigma^2) in bits, by numpy's
+    log2, so that entropy_radial_quadrature_rows' one-component rows have
+    its bits."""
+    return float(np.log2(math.pi * math.e * np.float64(variance)))
 
 
 # Component terms per Monte Carlo block. It bounds the (L, block) term
@@ -518,17 +515,13 @@ def entropy_radial_quadrature_rows(
     variances (..., L), at least one leading axis: (values, error
     estimates) of the leading shape. Each row has the bits its mixture
     gets alone, whatever the other rows: gaussian_entropy with error 0 for
-    L = 1 (called once per distinct variance), else
-    entropy_radial_quadrature.
+    L = 1, in one np.log2 over the rows, else entropy_radial_quadrature.
     """
     _check_tolerance(tolerance)
     v = _check_row(variances, stacked=True)
     lead, n = v.shape[:-1], v.shape[-1]
     if n == 1:
-        # One gaussian_entropy call per distinct variance, scattered back.
-        distinct, inverse = np.unique(v.ravel(), return_inverse=True)
-        values = np.array([gaussian_entropy(x) for x in distinct])
-        return values[inverse].reshape(lead), np.zeros(lead)
+        return np.log2(math.pi * math.e * v[..., 0]), np.zeros(lead)
     values, errors = _quadrature_rows(v.reshape(-1, n), tolerance)
     return values.reshape(lead), errors.reshape(lead)
 

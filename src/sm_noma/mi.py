@@ -1,8 +1,9 @@
 """Mutual information per (decoder r, message k).
 
 Exact MI via entropy estimation of the received/interference mixtures,
-the closed-form lower bound for the two-user case, and the low/high-SNR
-asymptotic values with their constant shifts.
+the closed-form lower bound for the two-user case, and its two-user
+limits: the exact MI's high-SNR ceiling and the lower bound's constant
+shift.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ class MiResult:
 
 @dataclass(frozen=True)
 class AsymptoteReport:
-    """Low/high-SNR limits of the MI lower bound and exact MI for K = 2."""
+    """The K = 2 limits of message k's MI: the exact MI's high-SNR ceiling
+    (None for k = 2, which grows without bound) and the constant shift, the
+    lower bound's low-SNR limit and its high-SNR offset from the exact MI."""
 
-    low_snr_lb_limit: float
     high_snr_mi_limit: float | None
-    high_snr_lb_limit: float | None
     constant_shift: float
 
 
@@ -197,27 +198,16 @@ def _lower_bound_chunk(
     return (math.log2(m) - LOG2E) - np.log2(inner).reshape(n, -1).mean(axis=-1)
 
 
-def asymptotes(config: SystemConfig, r: int, k: int) -> AsymptoteReport:
-    """Low/high-SNR limits for K = 2; they do not depend on the channel gains."""
+def asymptotes(config: SystemConfig, k: int) -> AsymptoteReport:
+    """Limits of message k for K = 2, at any decoder r >= k; they do not
+    depend on the channel gains."""
     if config.num_users != 2:
         raise ValueError("asymptotic analysis covers only K = 2")
-    if not (1 <= k <= r <= 2):
-        raise ValueError(f"invalid decoder/message pair ({r}, {k}) for K = 2")
+    if k not in (1, 2):
+        raise ValueError(f"message index {k} out of range 1..2 for K = 2")
     if k == 2:
-        shift = 1.0 - LOG2E
-        return AsymptoteReport(
-            low_snr_lb_limit=shift,
-            high_snr_mi_limit=None,
-            high_snr_lb_limit=None,
-            constant_shift=shift,
-        )
-    n2 = config.num_tx_antennas  # conventional SM: N_2 = M
+        return AsymptoteReport(high_snr_mi_limit=None, constant_shift=1.0 - LOG2E)
     a1, a2 = config.power_levels
-    shift = 1.0 - math.log2(math.e * n2)
-    ceiling = math.log2(1.0 + a1 / a2)
-    return AsymptoteReport(
-        low_snr_lb_limit=shift,
-        high_snr_mi_limit=ceiling,
-        high_snr_lb_limit=ceiling + shift,
-        constant_shift=shift,
-    )
+    # Conventional SM: N_2 = M.
+    return AsymptoteReport(high_snr_mi_limit=math.log2(1.0 + a1 / a2),
+                           constant_shift=1.0 - math.log2(math.e * config.num_tx_antennas))

@@ -14,14 +14,14 @@ import copy
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
 from . import gmd
-from .baselines import miso_noma_gains_sq, miso_noma_rows, sm_tdma_rows
+from .baselines import MISO_NOMA_ANTENNAS, miso_noma_gains_sq, miso_noma_rows, sm_tdma_rows
 from .mi import asymptotes, lower_bound_k2_rows, mi_rows
 from .system import (
     ChannelRealization,
@@ -35,8 +35,9 @@ from .system import (
 )
 
 # Kept only for the benchmark's traced runs, which wrap these names here
-# (bench/tracing.py); the sweep and the property suite compute the same
-# quantities from stacked channels, through _mi_table and the row functions.
+# (bench/tracing.py); the sweeps and the property suite compute the same
+# quantities from stacked channels, through _mi_table and the row functions,
+# and call none of them.
 from .baselines import miso_noma_mi, sm_tdma_mi  # noqa: F401
 from .mi import mi_exact, mi_lower_bound_k2  # noqa: F401
 from .system import mixture_of_interference  # noqa: F401
@@ -77,10 +78,6 @@ MAX_ABS_SNR_DB = 300.0
 # 1e6, every variance stays below 1e306 + 1, under the radial quadrature's
 # limit of about 2.5e306 at MAX_MIXTURE_COMPONENTS components.
 MAX_SIGNAL_POWER = 1e300
-
-# The paper's baselines in Figs. 1 and 2(a): MISO-NOMA on 2 antennas and
-# SM-TDMA, whose K = 2 users each take one half of the frame.
-MISO_NOMA_ANTENNAS = 2
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -129,7 +126,8 @@ class ExperimentConfig:
     """One run's settings. The system has two users (K = 2) on conventional
     SM with M = num_tx_antennas; power_split gives their power levels."""
 
-    # Each entropy's error bound for the radial quadrature.
+    # Each entropy's error bound for the radial quadrature, mi_rows' default.
+    # Read only by bench/make_reference.py and tests/test_bench_contract.py.
     quadrature_tolerance: ClassVar[float] = gmd.QUADRATURE_TOLERANCE
 
     num_tx_antennas: int = 4
@@ -138,7 +136,9 @@ class ExperimentConfig:
     realizations: int = 200
     mc_samples: int = 10**6
     seed: int = 0
-    output_path: str | None = None
+    # Not part of the sweep: configs differing only here are equal, so
+    # _sweep_table's cache holds one table for them.
+    output_path: str | None = field(default=None, compare=False)
     method: str = "quadrature"
 
     def __post_init__(self):
@@ -290,14 +290,9 @@ def _draw_realizations(config: ExperimentConfig) -> list[ChannelRealization]:
     ]
 
 
-def _sweep(config: ExperimentConfig, x_axis: str) -> dict[str, np.ndarray]:
-    """_sweep_table of the config without its output path, which does not
-    change the table: fig2a right after fig1 reuses fig1's table."""
-    return _sweep_table(replace(config, output_path=None), x_axis)
-
-
 # One table: each CLI call draws one figure, and the only table a figure
-# repeats is the one made just before it (fig2a's, after fig1).
+# repeats is the one made just before it (fig2a's, after fig1, whatever
+# either's output path).
 @functools.lru_cache(maxsize=1)
 def _sweep_table(config: ExperimentConfig, x_axis: str) -> dict[str, np.ndarray]:
     """Per-user quantities over (user k, realization i, grid point j), the
@@ -318,12 +313,12 @@ def _sweep_table(config: ExperimentConfig, x_axis: str) -> dict[str, np.ndarray]
     table = _mi_table(config, channels, levels, rho, ((1, 1), (2, 2)),
                       ("I", "I_LB") if snr_axis else ("I",))
     if snr_axis:
-        miso_gains = miso_noma_gains_sq(channels, MISO_NOMA_ANTENNAS)[..., None]  # (R, 2, 1)
+        miso_gains = miso_noma_gains_sq(channels)[..., None]  # (R, 2, 1)
         table["MISO-NOMA"] = np.stack([
             miso_noma_rows(miso_gains[:, k - 1], levels, rho, _NOISE_POWER, k) for k in (1, 2)])
         table["SM-TDMA"] = np.stack([
-            sm_tdma_rows(np.abs(channels[:, k, None, :]) ** 2, levels, rho, _NOISE_POWER,
-                         config.quadrature_tolerance) for k in (0, 1)])
+            sm_tdma_rows(np.abs(channels[:, k, None, :]) ** 2, levels, rho, _NOISE_POWER)
+            for k in (0, 1)])
     for rows in table.values():
         rows.setflags(write=False)
     return table
@@ -346,7 +341,7 @@ def _mi_table(
         table["I"], table["I_err"], _ = mi_rows(
             gains, levels.T[..., None], rho[..., None], _NOISE_POWER, pairs, config.entropy_method,
             rngs=lambda cell: substream(config.seed, _TAG_MC, *cell[1:], cell[0]),
-            samples=config.mc_samples, tolerance=config.quadrature_tolerance)
+            samples=config.mc_samples)
     if "I_LB" in quantities:
         table["I_LB"] = np.stack([lower_bound_k2_rows(gains[..., r - 1, :], levels, rho, k)
                                   for r, k in pairs])
@@ -356,7 +351,7 @@ def _mi_table(
 def run_figure1(config: ExperimentConfig) -> list[MiCurve]:
     """Per-user MI of SM-NOMA and the baselines plus the closed-form lower
     bounds, on the SNR grid at the split's one power ratio."""
-    table = _sweep(config, "snr_db")
+    table = _sweep_table(config, "snr_db")
     rows = {**table, "I_LB+": np.maximum(table["I_LB"], 0.0)}
     curves = {f"SM-NOMA {name}({k},{k})": rows[name][k - 1]
               for name in ("I", "I_LB", "I_LB+") for k in (1, 2)}
@@ -368,7 +363,7 @@ def run_figure1(config: ExperimentConfig) -> list[MiCurve]:
 def run_figure2a(config: ExperimentConfig) -> list[MiCurve]:
     """Sum MI of SM-NOMA and the baselines on the SNR grid at the split's
     one power ratio."""
-    rows = _sweep(config, "snr_db")
+    rows = _sweep_table(config, "snr_db")
     curves = {f"{name} sum": rows[key][0] + rows[key][1]
               for name, key in (("SM-NOMA", "I"), ("MISO-NOMA", "MISO-NOMA"),
                                 ("SM-TDMA", "SM-TDMA"))}
@@ -379,7 +374,7 @@ def run_figure2b(config: ExperimentConfig) -> list[MiCurve]:
     """Per-user MI at the one SNR point versus the power ratio
     alpha1^2/alpha2^2, with the total power held constant. Curve x-values
     are the ratios."""
-    mi = _sweep(config, "power_ratio")["I"]
+    mi = _sweep_table(config, "power_ratio")["I"]
     return _mean_curves({"SM-NOMA I(1,1)": mi[0], "SM-NOMA I(2,2)": mi[1]},
                         config.power_split.ratio_grid)
 
@@ -501,7 +496,7 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     violations = 0
     for _ in range(100):
         mix = _random_zero_mean_mixture(rng)
-        h = gmd.entropy_radial_quadrature(mix.variances, gmd.QUADRATURE_TOLERANCE).value
+        h = gmd.entropy_radial_quadrature(mix.variances).value
         lb = gmd.entropy_lower_bound(mix)
         ub = gmd.entropy_upper_bound(mix)
         gap = max(lb - h, h - ub)
@@ -549,9 +544,8 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
             max_dev,
             abs(gmd.entropy_lower_bound(scaled) - gmd.entropy_lower_bound(mix) - shift),
             abs(gmd.entropy_upper_bound(scaled) - gmd.entropy_upper_bound(mix) - shift),
-            abs(gmd.entropy_radial_quadrature(scaled.variances, gmd.QUADRATURE_TOLERANCE).value
-                - gmd.entropy_radial_quadrature(mix.variances, gmd.QUADRATURE_TOLERANCE).value
-                - shift),
+            abs(gmd.entropy_radial_quadrature(scaled.variances).value
+                - gmd.entropy_radial_quadrature(mix.variances).value - shift),
         )
     record("variance_scaling", max_dev < 1e-8, f"max deviation {max_dev:.3e} bits")
 
@@ -602,14 +596,15 @@ def run_property_suite(config: ExperimentConfig) -> PropertyReport:
     shift11 = i11 - high_mi["I_LB"][0, :, 0]
     low_mi = table(channels, np.array([sys_low.snr]), ("I", "I_LB"))
     low_dev = float(np.abs(low_mi["I"]).max())
-    limits = np.array([[asymptotes(sys_low, r, k).low_snr_lb_limit] for r, k in pairs])
+    # The lower bound's low-SNR limit is its constant shift.
+    limits = np.array([[asymptotes(sys_low, k).constant_shift] for _, k in pairs])
     lb_low_dev = float(np.abs(low_mi["I_LB"][..., 0] - limits).max())
     mid_rho = np.array([_at_snr(base, s, powers).snr for s in (10.0, 20.0, 30.0)])
     mid = table(channels, mid_rho, ("I",), pairs=((1, 1), (2, 2)))["I"]
     sic_gap = mid[1] - mid[0]  # (n_real, 3), C-contiguous
     record("low_snr_limits", low_dev < 0.02 and lb_low_dev < 0.02,
            f"max |MI| {low_dev:.4f}, max LB deviation {lb_low_dev:.4f} bits at -40 dB")
-    high = asymptotes(sys_high, 1, 1)
+    high = asymptotes(sys_high, 1)
     dev = abs(float(i11.mean()) - high.high_snr_mi_limit)
     record("high_snr_saturation", dev < 0.1,
            f"mean I(1,1) at 40 dB off the merged-Gaussian ceiling by {dev:.4f} bits "

@@ -485,29 +485,25 @@ class TestMiInvariants:
 
 class TestAsymptotes:
     def test_high_snr_ceiling_value(self):
-        report = asymptotes(config_at_snr(0.0), 1, 1)
+        report = asymptotes(config_at_snr(0.0), 1)
         assert report.high_snr_mi_limit == pytest.approx(math.log2(5.0))
 
     def test_constant_shift_user1(self):
-        report = asymptotes(config_at_snr(0.0), 2, 1)
+        report = asymptotes(config_at_snr(0.0), 1)
         assert report.constant_shift == pytest.approx(1.0 - math.log2(4.0 * math.e))
-        assert report.low_snr_lb_limit == report.constant_shift
-        assert report.high_snr_lb_limit == pytest.approx(
-            math.log2(5.0) + 1.0 - math.log2(4.0 * math.e)
-        )
 
     def test_user2_high_snr_limits_absent(self):
-        report = asymptotes(config_at_snr(0.0), 2, 2)
+        report = asymptotes(config_at_snr(0.0), 2)
         assert report.high_snr_mi_limit is None
-        assert report.high_snr_lb_limit is None
         assert report.constant_shift == pytest.approx(1.0 - LOG2E)
 
     def test_rejections(self):
         cfg3 = SystemConfig(4, 3, (4.0, 2.0, 1.0), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            asymptotes(cfg3, 1, 1)
-        with pytest.raises(ValueError):
-            asymptotes(config_at_snr(0.0), 1, 2)
+        with pytest.raises(ValueError, match="only K = 2"):
+            asymptotes(cfg3, 1)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="message index"):
+                asymptotes(config_at_snr(0.0), k)
 
 
 class TestMiResult:
