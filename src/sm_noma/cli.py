@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -26,7 +27,10 @@ from .runner import (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The sm-noma parser, built on the first call and reused: each
+    parse_args makes a fresh namespace, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="sm-noma",
         description="SM-NOMA spectral-efficiency experiments",
@@ -79,7 +83,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _resolve_config(args)
         if args.command == "props":

@@ -34,10 +34,15 @@ QUADRATURE_TOLERANCE = 1e-10
 
 def __getattr__(name: str):
     # Only bench/tracing.py and tests/test_bench_contract.py read this lazy
-    # scipy.integrate; no computation uses it. After ROADMAP item 1b, item
-    # 16b deletes it and moves scipy to the test extra.
+    # scipy.integrate, the bench's counting hook; no computation uses it,
+    # and scipy comes with the test extra only. Once the bench stops
+    # reading it (ROADMAP item 1b), item 16b deletes it.
     if name == "integrate":
-        from scipy import integrate
+        try:
+            from scipy import integrate
+        except ImportError as exc:
+            raise AttributeError(f"{__name__}.integrate needs scipy, which the 'test' "
+                                 "extra installs: pip install -e '.[test]'") from exc
 
         globals()["integrate"] = integrate
         return integrate

@@ -10,7 +10,9 @@ the general entropy bounds instead of the closed form. mp_entropy shares
 no code with gmd: it integrates one mixture's entropy to 30 digits, and
 mp_bound is how far a kernel estimate may be from it.
 received_second_moment is the property suite's second-moment check
-computed over all its draws at once.
+computed over all its draws at once. miso_noma_ergodic is no cell but a
+curve point's limit: the exact mean and spread of a MISO-NOMA rate over
+the channel draws.
 """
 
 import math
@@ -130,6 +132,32 @@ def miso_noma_mi(realization, system, k):
     interference = a2 * rho * g_sq if k == 1 else 0.0
     signal = (a1 if k == 1 else a2) * rho * g_sq
     return float(np.log2(1.0 + signal / (system.noise_power + interference)))
+
+
+def miso_noma_ergodic(power_levels, snr, k):
+    """(mean, standard deviation) in bits of user k's MISO-NOMA rate over
+    Rayleigh fading, at SNR rho and unit noise. The superposition gain g is
+    CN(0, 1), so |g|^2 = X ~ Exp(1) and the rate is log2(1 + c_k X) -
+    log2(1 + c_{k+1} X) with c_k = rho sum_{t>=k} alpha_t^2 over the power
+    levels alpha_t^2 (c_{K+1} = 0).
+    The mean is exact, E[ln(1 + cX)] = e^{1/c} E1(1/c) (Alouini and
+    Goldsmith, IEEE Trans. Veh. Technol. 48(4), 1999); the variance is a
+    30-digit mpmath.quad over Exp(1), broken at each 1/c_t, where the rate
+    turns."""
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(snr) * mpmath.fsum(power_levels[t:]) for t in range(k - 1, k + 1)]
+
+        def log_mean(ct):
+            return mpmath.exp(1 / ct) * mpmath.e1(1 / ct) if ct else 0
+
+        mean = (log_mean(c[0]) - log_mean(c[1])) / mpmath.ln(2)
+
+        def squared_deviation(x):
+            rate = mpmath.log((1 + c[0] * x) / (1 + c[1] * x), 2)
+            return (rate - mean) ** 2 * mpmath.exp(-x)
+
+        breaks = sorted({mpmath.mpf(0), *(1 / ct for ct in c if ct), mpmath.inf})
+        return float(mean), float(mpmath.sqrt(mpmath.quad(squared_deviation, breaks)))
 
 
 def sm_tdma_mi(realization, system, k, time_share, tolerance=1e-10):

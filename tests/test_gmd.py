@@ -513,6 +513,54 @@ class TestImports:
         )
         assert run_python(code).split("\n")[:3] == ["[]", "False 1 False", "True"]
 
+    # Every sm-noma command, run in its own directory; then the exit codes,
+    # the scipy modules loaded, and what reading gmd.integrate gives.
+    COMMANDS = (
+        "import os, sys\n"
+        "if {blocked}:\n"
+        "    sys.modules['scipy'] = None\n"
+        "from sm_noma import cli, gmd\n"
+        "os.chdir({directory!r})\n"
+        "common = ['--realizations', '2', '--seed', '11']\n"
+        "codes = [cli.main(argv) for argv in (\n"
+        "    ['fig1', *common], ['fig2a', *common], ['fig2b', *common],\n"
+        "    ['fig2b', *common, '--method', 'montecarlo', '--mc-samples', '2000',\n"
+        "     '--out', 'fig2b_mc.csv'],\n"
+        "    ['props', '--seed', '0'])]\n"
+        "print(codes)\n"
+        "print(sorted(m for m, module in sys.modules.items()\n"
+        "             if m.startswith('scipy') and module is not None))\n"
+        "try:\n"
+        "    print(gmd.integrate.__name__)\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # numpy is the one runtime dependency: with the import of scipy
+        # blocked, every command writes the same bytes and prints the same
+        # lines as unblocked, and no scipy module is loaded either way.
+        # Only the bench's counting hook needs scipy, and says where it is.
+        stdout = {}
+        for blocked in (True, False):
+            directory = tmp_path / ("blocked" if blocked else "plain")
+            directory.mkdir()
+            code = self.COMMANDS.format(blocked=blocked, directory=str(directory))
+            stdout[blocked] = run_python(code, timeout=120.0).splitlines()
+        blocked, plain = stdout[True], stdout[False]
+        assert blocked[:-1] == plain[:-1]
+        assert blocked[-3:-1] == ["[0, 0, 0, 0, 3]", "[]"]
+        assert blocked[-1] == ("sm_noma.gmd.integrate needs scipy, which the 'test' extra "
+                               "installs: pip install -e '.[test]'")
+        assert plain[-1] == "scipy.integrate"
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "blocked").iterdir())
+        assert names == [f"{stem}.csv{suffix}" for stem in ("fig1", "fig2a", "fig2b", "fig2b_mc")
+                         for suffix in ("", ".json")]
+        for name in names:
+            assert (tmp_path / "blocked" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes(), name
+
 
 def run_python(code, timeout=None):
     """The standard output of code run by a fresh interpreter that imports

@@ -723,6 +723,26 @@ class TestCli:
         assert out.exists()
         assert out.with_suffix(".csv.json").exists()
 
+    def test_each_call_resolves_its_own_flags(self, monkeypatch):
+        # One parser serves every call in the process; a flag given to one
+        # call is not carried into the next.
+        resolved = []
+
+        def record(config):
+            resolved.append(config)
+            raise ConfigError("recorded")
+
+        monkeypatch.setitem(cli._RUNNERS, "fig2b", (record, "power_ratio"))
+        assert main(["fig2b", "--seed", "5", "--method", "montecarlo",
+                     "--mc-samples", "10"]) == 1
+        assert main(["fig2b", "--realizations", "3", "--out", "other.csv"]) == 1
+        default = figure2b_config()
+        assert resolved == [
+            replace(default, seed=5, method="montecarlo", mc_samples=10),
+            replace(default, realizations=3, output_path="other.csv"),
+        ]
+        assert cli._parser.cache_info().misses == 1
+
     def test_config_file_and_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(tiny_config())))
